@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -179,7 +180,32 @@ def _parse_config(path, task: str) -> dict:
     for key, (lo, hi) in ranges.items():
         if key in cfg and not (lo <= int(cfg[key]) <= hi):
             raise ConfigError(f"{key} out of range [{lo}, {hi}]")
+    _check_memory(task, int(cfg.get("n", 256)))
     return cfg
+
+
+# Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
+# bytes each; the kernels task peaks at about six of them live at once
+# (measured at N = 1024 and 2048).
+_KERNEL_TASKS = {"spectrum", "kernels", "stability"}
+_LIVE_KERNELS = 6
+
+
+def _check_memory(task: str, n: int) -> None:
+    """Refuse, before any numerics run, a request whose estimated peak
+    exceeds the machine's physical memory."""
+    if task not in _KERNEL_TASKS:
+        return
+    need = _LIVE_KERNELS * 64 * (n + 1) ** 2
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no way to tell on this platform
+    if need > have:
+        raise ConfigError(
+            f"n={n} needs an estimated {need / 2**30:.1f} GiB of kernel storage, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _config_hash(cfg: dict) -> str:

@@ -17,13 +17,19 @@ Everything is discretized on the shared uniform grid.  The solver works in
 "diagonal coordinates" (offset m = i-j, position j): the first equation's
 integration path then runs along a single diagonal through exact grid
 nodes, and the second one's path crosses each diagonal l = 0..m once, at a
-fractional position handled by linear interpolation.
+fractional position handled by linear interpolation.  That path is the
+characteristic t - gamma_k x = const; every node on one characteristic
+shares its integrand, so R_jk is a cumulative trapezoid sum along lines
+spaced 1/q grid unit apart (alpha_k = p/q with q <= 8, else q = 2 and
+nodes interpolate between neighbouring lines).  One sweep costs O(q N^2).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,19 +107,68 @@ def _diag_to_kernel(rd: np.ndarray) -> TriangularKernel:
     return TriangularKernel(data.transpose(2, 3, 0, 1))
 
 
-def _gather_linear(values: np.ndarray, base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Linear interpolation of rows of ``values`` at fractional positions
-    base[j] + offsets[l]; returns array of shape (len(offsets), len(base)).
+_MAX_LINE_DENOMINATOR = 8  # alpha_k = p/q with q <= 8 puts every node on a line
+_LINE_BLOCK = 64           # lines per block: temporaries stay 65 x (N+1), not (qN+1) x (N+1)
 
-    ``values`` is 1-D; out-of-range neighbors are clipped (their weight is
-    zero in the cases this solver produces).
-    """
-    top = values.shape[0] - 1
-    f = np.floor(offsets).astype(int)
-    frac = offsets - f
-    idx0 = np.clip(base[None, :] + f[:, None], 0, top)
-    idx1 = np.clip(idx0 + 1, 0, top)
-    return (1.0 - frac)[:, None] * values[idx0] + frac[:, None] * values[idx1]
+
+def _line_spacing(alpha: float) -> tuple[int, float]:
+    """Lines of the R_jk update sit 1/q grid unit apart, and a path point
+    moves q*alpha line units per diagonal; returns (q, q*alpha).
+
+    A rational alpha = p/q (q <= 8) gives every node an integer line
+    number; any other alpha gets half-unit lines, between which the nodes
+    interpolate linearly."""
+    ratio = Fraction(alpha).limit_denominator(_MAX_LINE_DENOMINATOR)
+    if abs(float(ratio) - alpha) <= 1e-13:
+        return ratio.denominator, float(ratio.numerator)
+    return 2, 2.0 * alpha
+
+
+def _lerp_clamped(values: np.ndarray, start, top, pos, frac) -> np.ndarray:
+    """Linear interpolation of the flat ``values`` at ``start + pos + frac``
+    within rows ``start .. start + top``.  The interpolating pair is clamped
+    into the row, so points just past either end are extrapolated from the
+    end cell."""
+    i0 = np.clip(pos, 0, np.maximum(top - 1, 0))
+    t = (pos - i0) + frac
+    i1 = np.minimum(i0 + 1, top)
+    return (1.0 - t) * values[start + i0] + t * values[start + i1]
+
+
+class _LinePlan(NamedTuple):
+    """Characteristic lines of one R_jk update on the N-grid: spacing 1/q,
+    slope ``step`` line units per diagonal, the valid nodes (flat index
+    m*(N+1) + l) sorted by the line just below them, and blocks of lines
+    (first line, last line, node slice, deepest diagonal)."""
+
+    n: int
+    q: int
+    step: float
+    nodes: np.ndarray
+    blocks: list
+
+    @classmethod
+    def build(cls, alpha: float, valid: np.ndarray) -> "_LinePlan":
+        n = valid.shape[0] - 1
+        q, step = _line_spacing(alpha)
+        nodes = np.flatnonzero(valid)
+        m, line, _ = cls(n, q, step, nodes, []).locate(nodes)
+        order = np.argsort(line, kind="stable")
+        line, m = line[order], m[order]
+        last = q * n
+        blocks = []
+        for lo in range(0, last + 1, _LINE_BLOCK):
+            s, e = np.searchsorted(line, [lo, lo + _LINE_BLOCK])
+            if e > s:
+                blocks.append((lo, min(lo + _LINE_BLOCK, last), s, e, int(m[s:e].max())))
+        return cls(n, q, step, nodes[order], blocks)
+
+    def locate(self, nodes: np.ndarray):
+        """Diagonal, lower line and weight of the upper line per node."""
+        m, l = np.divmod(nodes, self.n + 1)
+        coord = self.q * l + self.step * m
+        line = np.floor(coord)
+        return m, line.astype(np.intp), coord - line
 
 
 class _RSweeper:
@@ -123,23 +178,26 @@ class _RSweeper:
         self.n = n
         self.h = 1.0 / n
         npts = n + 1
-        nodes = np.linspace(0.0, 1.0, npts)
+        grid = np.linspace(0.0, 1.0, npts)
+        idx = np.arange(npts)
         self.b = {1: sys.b1, 2: sys.b2}
         self.alpha = {1: sys.alpha1, 2: sys.alpha2}
-        self.q_nodes = {(1, 2): sys.q12(nodes), (2, 1): sys.q21(nodes)}
-        mm_grid, ll_grid = np.meshgrid(np.arange(npts), np.arange(npts), indexing="ij")
+        self.q_nodes = {(1, 2): sys.q12(grid), (2, 1): sys.q21(grid)}
+        mm_grid, ll_grid = np.meshgrid(idx, idx, indexing="ij")
         self.valid = ll_grid <= n - mm_grid  # rd[m, l] valid for l <= N - m
         self.shift_idx = np.clip(mm_grid + ll_grid, 0, n)  # (m, l) -> m + l
         self.explicit = {}
+        self.lines = {}
         for k in (1, 2):
             j = 3 - k
             c0 = 1j * self.b[j] * self.b[k] / (self.b[j] - self.b[k])
-            qjk = self.q_nodes[(j, k)]
-            expl = np.zeros((npts, npts), dtype=complex)
-            for m in range(npts):
-                base = np.arange(n - m + 1)
-                expl[m, : n - m + 1] = _gather_linear(qjk, base, np.array([self.alpha[k] * m]))[0]
+            # Q_jk(alpha_k x + alpha_j t) is constant on a line: position l + alpha_k m
+            shift = self.alpha[k] * idx[:, None]
+            whole = np.floor(shift)
+            expl = _lerp_clamped(self.q_nodes[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
+            expl[~self.valid] = 0.0
             self.explicit[(j, k)] = c0 * expl
+            self.lines[k] = _LinePlan.build(self.alpha[k], self.valid)
 
     def zero_state(self) -> dict:
         npts = self.n + 1
@@ -160,31 +218,37 @@ class _RSweeper:
         return out
 
     def _update_offdiagonal(self, rd: dict, k: int) -> np.ndarray:
-        """R_jk from R_kk: path integral crossing diagonals 0..m."""
+        """R_jk from R_kk: cumulative trapezoid along characteristic lines.
+
+        Line C meets diagonal l at position s = (C - step*l)/q, where the
+        integrand is Q_jk(s + l) R_kk(l, s); a node on diagonal m takes the
+        trapezoid sum over l = 0..m of its line (or of the two lines around
+        it, weighted linearly)."""
         n = self.n
         j = 3 - k
-        qjk = self.q_nodes[(j, k)]
         out = self.explicit[(j, k)].copy()
-        if not rd[(k, k)].any():
-            return out
-        aj, ak = self.alpha[j], self.alpha[k]
-        coeff = -1j * self.b[j] * aj * self.h
         rkk = rd[(k, k)]
-        for m in range(1, n + 1):
-            base = np.arange(n - m + 1)
-            ls = np.arange(m + 1)
-            xi_off = ak * m + ls * aj          # Q positions (grid units)
-            eta_off = ak * (m - ls)            # position along diagonal l
-            qv = _gather_linear(qjk, base, xi_off)
-            fl = np.floor(eta_off).astype(int)
-            frac = (eta_off - fl)[:, None]
-            idx0 = np.clip(base[None, :] + fl[:, None], 0, n)
-            idx1 = np.clip(idx0 + 1, 0, n)
-            rv = (1.0 - frac) * rkk[ls[:, None], idx0] + frac * rkk[ls[:, None], idx1]
-            w = np.ones(m + 1)
-            w[0] = w[-1] = 0.5
-            out[m, : n - m + 1] += coeff * np.einsum("l,lj->j", w, qv * rv)
-        out[~self.valid] = 0.0
+        if not rkk.any():
+            return out
+        plan = self.lines[k]
+        qjk = self.q_nodes[(j, k)]
+        rflat = rkk.reshape(-1)
+        oflat = out.reshape(-1)
+        coeff = -1j * self.b[j] * self.alpha[j] * self.h
+        for lo, hi, s, e, depth in plan.blocks:
+            diag = np.arange(depth + 1)
+            whole, rem = np.divmod(np.arange(lo, hi + 1)[:, None] - plan.step * diag, plan.q)
+            pos = whole.astype(np.intp)
+            frac = rem / plan.q
+            f = _lerp_clamped(qjk, 0, n, pos + diag, frac)
+            f *= _lerp_clamped(rflat, diag * (n + 1), n - diag, pos, frac)
+            g = np.cumsum(f, axis=1)
+            g -= 0.5 * (f[:, :1] + f)
+            nodes = plan.nodes[s:e]
+            m, line, w = plan.locate(nodes)
+            row = line - lo
+            upper = np.minimum(row + 1, hi - lo)
+            oflat[nodes] += coeff * ((1.0 - w) * g[row, m] + w * g[upper, m])
         return out
 
     def sweep(self, rd: dict) -> tuple[dict, float]:
@@ -255,6 +319,19 @@ def r_equation_residual(sys: DiracSystem, r: TriangularKernel) -> float:
     return increment
 
 
+def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """int_0^{x_i} K(x_i, s) f(s) ds at every node by the trapezoid rule,
+    for kernel samples (N+1, N+1, 2, 2) that vanish above the diagonal and
+    f of shape (N+1, 2): the full row sums less half of both end terms."""
+    n = kern.shape[0] - 1
+    idx = np.arange(n + 1)
+    full = sum(kern[:, :, :, b].transpose(0, 2, 1) @ f[:, b] for b in (0, 1))
+    ends = kern[:, 0] @ f[0] + (kern[idx, idx] @ f[:, :, None])[:, :, 0]
+    out = (full - 0.5 * ends) / n
+    out[0] = 0.0
+    return out
+
+
 def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_TOL):
     """Diagonal factors P+/- from the second-kind Volterra system driven by
     the t = 0 traces of R; forward substitution on the triangular grid.
@@ -282,17 +359,9 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_
             acc = np.einsum("j,jab,jb->a", w[:-1] * h, rmat[i, :i], v[:i])
             lhs = eye + 0.5 * h * rmat[i, i]
             v[i] = np.linalg.solve(lhs, g[i] - acc)
-        # defect of the discrete equations
-        defect = 0.0
-        for i in range(n + 1):
-            w = np.ones(i + 1)
-            if i > 0:
-                w[0] = w[-1] = 0.5
-            else:
-                w[0] = 0.0
-            lhs = v[i] + np.einsum("j,jab,jb->a", w * h, rmat[i, : i + 1], v[: i + 1])
-            defect = max(defect, float(np.abs(lhs - g[i]).max()))
-        residuals.append(defect)
+        # defect of the discrete equations, all rows in one product
+        lhs = v + _volterra_trapezoid(rmat, v)
+        residuals.append(float(np.abs(lhs - g).max()))
         p1 = sys.b1 * v[:, 0]
         p2 = sign * sys.b2 * v[:, 1]
         out[sign] = SampledFunction(np.stack([p1, p2], axis=1))
@@ -365,16 +434,9 @@ def reconstruct_e(kpm: TriangularKernel, sys: DiracSystem, sign: int, lam: compl
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     n = kpm.n
-    h = 1.0 / n
-    npts = n + 1
-    x = np.linspace(0.0, 1.0, npts)
+    x = np.linspace(0.0, 1.0, n + 1)
     e0 = np.stack([np.exp(1j * sys.b1 * lam * x), sign * np.exp(1j * sys.b2 * lam * x)], axis=1)
-    ii, jj = np.meshgrid(np.arange(npts), np.arange(npts), indexing="ij")
-    w = np.where(jj <= ii, h, 0.0)
-    w[:, 0] *= 0.5
-    w[ii == jj] *= 0.5
-    w[0, :] = 0.0
-    integral = np.einsum("ij,ijab,jb->ia", w, kpm.data, e0)
+    integral = _volterra_trapezoid(kpm.data, e0)
     return SampledFunction(e0 + integral)
 
 

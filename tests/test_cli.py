@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,22 @@ class TestExitCodes:
     def test_out_of_range_knob(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 2})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_memory_guard_refuses_before_numerics(self, tmp_path, capsys):
+        # dense kernels at N = 65536 need ~1.6 TB; the request must fail
+        # fast with the estimate instead of allocating
+        cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0}, "n": 65536})
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["kernels", "--config", cfg, "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "GiB" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not out.exists()
 
     def test_io_failure(self, tmp_path):
         cfg = write_config(

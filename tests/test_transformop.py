@@ -3,7 +3,8 @@ import pytest
 
 from diracbvp.boundary import BoundaryConditions, delta0
 from diracbvp.gridfn import SampledFunction, TriangularKernel, x_norm
-from diracbvp.ode import DiracSystem, e_pm, fundamental_matrix
+from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
+from diracbvp import transformop
 from diracbvp.transformop import (
     build_kernels,
     combos,
@@ -44,6 +45,68 @@ def closed_forms(sys, n):
     return r21, p2, k22
 
 
+def gather_linear(values, base, offsets):
+    """Linear interpolation of ``values`` at base[j] + offsets[l], shape
+    (len(offsets), len(base)); out-of-range neighbours are clipped."""
+    top = values.shape[0] - 1
+    f = np.floor(offsets).astype(int)
+    frac = offsets - f
+    idx0 = np.clip(base[None, :] + f[:, None], 0, top)
+    idx1 = np.clip(idx0 + 1, 0, top)
+    return (1.0 - frac)[:, None] * values[idx0] + frac[:, None] * values[idx1]
+
+
+def offdiagonal_oracle(sweeper, rd, k):
+    """Per-node R_jk update: interpolate and integrate the whole path of
+    every node (O(N^3) per sweep); reference for the line prefix sums."""
+    n = sweeper.n
+    j = 3 - k
+    qjk = sweeper.q_nodes[(j, k)]
+    out = sweeper.explicit[(j, k)].copy()
+    if not rd[(k, k)].any():
+        return out
+    aj, ak = sweeper.alpha[j], sweeper.alpha[k]
+    coeff = -1j * sweeper.b[j] * aj * sweeper.h
+    rkk = rd[(k, k)]
+    for m in range(1, n + 1):
+        base = np.arange(n - m + 1)
+        ls = np.arange(m + 1)
+        xi_off = ak * m + ls * aj  # Q positions (grid units)
+        eta_off = ak * (m - ls)  # position along diagonal l
+        qv = gather_linear(qjk, base, xi_off)
+        fl = np.floor(eta_off).astype(int)
+        frac = (eta_off - fl)[:, None]
+        idx0 = np.clip(base[None, :] + fl[:, None], 0, n)
+        idx1 = np.clip(idx0 + 1, 0, n)
+        rv = (1.0 - frac) * rkk[ls[:, None], idx0] + frac * rkk[ls[:, None], idx1]
+        w = np.ones(m + 1)
+        w[0] = w[-1] = 0.5
+        out[m, : n - m + 1] += coeff * np.einsum("l,lj->j", w, qv * rv)
+    out[~sweeper.valid] = 0.0
+    return out
+
+
+def count_sweeps(monkeypatch, sys, n):
+    calls = []
+    sweep = transformop._RSweeper.sweep
+
+    def counted(self, rd):
+        calls.append(None)
+        return sweep(self, rd)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transformop._RSweeper, "sweep", counted)
+        r = solve_R(sys, n)
+    return len(calls), r
+
+
+def dirac_trig_system(n, b1, b2):
+    x = np.linspace(0, 1, n + 1)
+    q12 = 0.3 * np.cos(2 * np.pi * x) + 0.2j * np.sin(4 * np.pi * x)
+    q21 = 0.25 - 0.15j * np.cos(2 * np.pi * x) + 0.1 * np.sin(2 * np.pi * x)
+    return DiracSystem(b1, b2, SampledFunction(q12), SampledFunction(q21))
+
+
 class TestSolveR:
     def test_zero_potential(self):
         r = solve_R(DiracSystem.zero(-1.0, 2.0, 64), 64)
@@ -64,6 +127,61 @@ class TestSolveR:
         tol = 1e-10
         r = solve_R(sys, n, tol=tol)
         assert r_equation_residual(sys, r) <= tol
+
+    @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
+    def test_line_sums_match_per_node_paths(self, b, rng):
+        n = 64
+        sweeper = transformop._RSweeper(smooth_potential(24, n, *b), n)
+        rd = {
+            key: np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
+            for key in ((1, 1), (1, 2), (2, 1), (2, 2))
+        }
+        for k in (1, 2):
+            ref = offdiagonal_oracle(sweeper, rd, k)
+            assert np.abs(sweeper._update_offdiagonal(rd, k) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0)])
+    def test_same_sweep_count_as_per_node_paths(self, b, monkeypatch):
+        n = 64
+        sys = smooth_potential(25, n, *b, l1_norm=0.8)
+        sweeps, r = count_sweeps(monkeypatch, sys, n)
+        monkeypatch.setattr(transformop._RSweeper, "_update_offdiagonal", offdiagonal_oracle)
+        ref_sweeps, ref = count_sweeps(monkeypatch, sys, n)
+        assert sweeps == ref_sweeps
+        assert np.abs(r.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+
+    def test_irrational_line_interpolation_is_second_order(self, monkeypatch):
+        # between-line interpolation departs from the per-node paths at
+        # O(h^2); dropping it (nearest line) would halve the gap per refinement
+        b1, b2 = -1.0, np.sqrt(2.0)
+        gaps = {}
+        for n in (32, 64):
+            sys = dirac_trig_system(n, b1, b2)
+            r = solve_R(sys, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(transformop._RSweeper, "_update_offdiagonal", offdiagonal_oracle)
+                ref = solve_R(sys, n)
+            gaps[n] = np.abs(r.data - ref.data).max()
+        assert gaps[64] <= 2e-6
+        assert gaps[32] / gaps[64] >= 3.0, gaps
+
+    def test_irrational_weight_ratio_converges(self):
+        # b2/b1 = -sqrt(2): no characteristic line runs through the grid
+        # nodes, which interpolate between lines half a cell apart.  The
+        # per-node path integral gave 1.02e-4 and 2.57e-5 at N = 128, 256.
+        b1, b2 = -1.0, np.sqrt(2.0)
+        bc = BoundaryConditions.from_canonical(0.4, 0.3, -0.2, 1.2)
+        lams = np.array([complex(re, im) for re in np.linspace(-20, 20, 20) for im in np.linspace(-2, 2, 10)])
+        fine = 2048
+        ref = np.array([char_det_direct(dirac_trig_system(fine, b1, b2), bc, lam, fine) for lam in lams])
+        errors = {}
+        for n in (128, 256):
+            ks = build_kernels(dirac_trig_system(n, b1, b2), n)
+            ev = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), b1, b2)
+            errors[n] = np.abs(ev(lams) - ref).max()
+        assert errors[256] <= 1e-3
+        assert errors[256] <= 2 * 2.57e-5
+        assert errors[128] / errors[256] >= 2.5, errors
 
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
