@@ -38,7 +38,6 @@ from .transformop import (
     assemble_K,
     build_kernels,
     combos,
-    det_via_kernels,
     determinant_evaluator,
     kernel_deviation_norms,
     potential_diff_norm,

@@ -104,16 +104,18 @@ def canonicalize(bc: BoundaryConditions) -> tuple[complex, complex, complex, com
     return a, b, c, d
 
 
-def delta0(canonical: tuple[complex, complex, complex, complex], b1: float, b2: float, lam: complex) -> complex:
-    """Unperturbed characteristic determinant in canonical form:
-    d + a e^{i(b1+b2) lam} + (ad - bc) e^{i b1 lam} + e^{i b2 lam}."""
-    a, b, c, d = canonical
-    return (
-        d
-        + a * cmath.exp(1j * (b1 + b2) * lam)
-        + (a * d - b * c) * cmath.exp(1j * b1 * lam)
-        + cmath.exp(1j * b2 * lam)
-    )
+def delta0(coeffs, b1: float, b2: float, lam):
+    """Unperturbed characteristic determinant, vectorised over lam:
+    J12 + J34 e^{i(b1+b2) lam} + J32 e^{i b1 lam} + J14 e^{i b2 lam}, from
+    ``Minors`` or from the canonical (a, b, c, d), i.e. minors (d, a, ad-bc, 1).
+    Scalars use ``cmath.exp``: bitwise equal to ``np.exp``, faster per call."""
+    if isinstance(coeffs, Minors):
+        j12, j34, j32, j14 = coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
+    else:
+        a, b, c, d = coeffs
+        j12, j34, j32, j14 = d, a, a * d - b * c, 1.0
+    exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
+    return j12 + j34 * exp(1j * (b1 + b2) * lam) + j32 * exp(1j * b1 * lam) + j14 * exp(1j * b2 * lam)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .spectrum import (
     ContourTooCloseError,
     NonIntegerWindingError,
     NonRegularError,
+    csv_table,
     zeros_delta0,
     zeros_deltaQ,
 )
@@ -66,6 +67,17 @@ def _as_complex(value) -> complex:
     raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
 
 
+def _as_number(value, where: str, integer: bool = False):
+    """A JSON number (integral when ``integer``); booleans and strings are
+    config errors, not something for the numerics to trip over later."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and integer and isinstance(value, float):
+        ok = value.is_integer()
+    if not ok:
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -85,7 +97,11 @@ def load_potential(spec: dict, n: int, b1: float, b2: float) -> DiracSystem:
         for key in ("q12", "q21"):
             vals = np.zeros(n + 1, dtype=complex)
             for harm, coeff in (spec.get(key) or {}).items():
-                vals += _as_complex(coeff) * np.exp(2j * np.pi * int(harm) * x)
+                try:
+                    m = int(harm)
+                except ValueError:
+                    raise ConfigError(f"trig harmonic {harm!r} in {key} is not an integer") from None
+                vals += _as_complex(coeff) * np.exp(2j * np.pi * m * x)
             entries[key] = SampledFunction(vals)
         return DiracSystem(b1, b2, entries["q12"], entries["q21"])
     if kind == "step":
@@ -176,10 +192,23 @@ def _parse_config(path, task: str) -> dict:
         raise ConfigError(f"config task {cfg['task']!r} does not match subcommand {task!r}")
     if "tolerances" in cfg:
         _check_keys(cfg["tolerances"], {"kernel_tol", "max_iter"}, "tolerances")
+        for key, integer in (("kernel_tol", False), ("max_iter", True)):
+            if key in cfg["tolerances"]:
+                _as_number(cfg["tolerances"][key], f"tolerances.{key}", integer)
     ranges = {"n": (8, 1 << 16), "n_max": (1, 4096), "pairs": (0, 4096), "seed": (0, 2**63 - 1)}
     for key, (lo, hi) in ranges.items():
-        if key in cfg and not (lo <= int(cfg[key]) <= hi):
+        if key in cfg and not (lo <= _as_number(cfg[key], key, integer=True) <= hi):
             raise ConfigError(f"{key} out of range [{lo}, {hi}]")
+    for key in ("p", "r"):
+        if key in cfg:
+            _as_number(cfg[key], key)
+    system = cfg.get("system", {})
+    if not isinstance(system, dict):
+        raise ConfigError("'system' must be an object")
+    b1 = _as_number(system.get("b1", -1.0), "system.b1")
+    b2 = _as_number(system.get("b2", 1.0), "system.b2")
+    if not b1 < 0.0 < b2:
+        raise ConfigError(f"weights must satisfy b1 < 0 < b2, got b1={b1}, b2={b2}")
     _check_memory(task, int(cfg.get("n", 256)))
     return cfg
 
@@ -276,11 +305,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
             n_grid=n, allow_nonstrict=bool(cfg.get("allow_nonstrict", False)),
             tol=tol,
         )
-        rows = [
-            [e.n, repr(float(e.lam0.real)), repr(float(e.lam0.imag)), repr(float(e.lam.real)), repr(float(e.lam.imag)), e.multiplicity, repr(float(e.ladder_eps))]
-            for e in window.entries
-        ]
-        _write_csv(out_dir / "spectrum.csv", ["n", "re_lam0", "im_lam0", "re_lam", "im_lam", "multiplicity", "ladder_eps"], rows, mhash)
+        _write_csv(out_dir / "spectrum.csv", *csv_table(window), mhash)
         _write_json(out_dir / "spectrum.json", {"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash)
     elif task == "kernels":
         sys_, n = _system_from(cfg)

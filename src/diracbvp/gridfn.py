@@ -112,17 +112,6 @@ class SampledFunction:
         return np.linspace(0.0, 1.0, self.n + 1)
 
     @classmethod
-    def from_callable(cls, f: Callable, n: int) -> "SampledFunction":
-        x = np.linspace(0.0, 1.0, n + 1)
-        return cls(np.array([f(xi) for xi in x], dtype=complex))
-
-    @classmethod
-    def from_vectorized(cls, f: Callable, n: int) -> "SampledFunction":
-        """Like from_callable but f accepts the whole node array at once."""
-        x = np.linspace(0.0, 1.0, n + 1)
-        return cls(np.asarray(f(x), dtype=complex))
-
-    @classmethod
     def zero(cls, n: int, width: int | None = None) -> "SampledFunction":
         shape = (n + 1,) if width is None else (n + 1, width)
         return cls(np.zeros(shape, dtype=complex))
@@ -188,16 +177,6 @@ class TriangularKernel:
     @classmethod
     def zero(cls, n: int) -> "TriangularKernel":
         return cls(np.zeros((n + 1, n + 1, 2, 2), dtype=complex))
-
-    @classmethod
-    def from_function(cls, f: Callable, n: int) -> "TriangularKernel":
-        """Sample f(x, t) -> 2x2 array on the triangle."""
-        data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
-        x = np.linspace(0.0, 1.0, n + 1)
-        for i in range(n + 1):
-            for j in range(i + 1):
-                data[i, j] = np.asarray(f(x[i], x[j]), dtype=complex)
-        return cls(data)
 
     @classmethod
     def from_scalar(cls, f: Callable, n: int, entry: tuple[int, int] = (0, 0)) -> "TriangularKernel":

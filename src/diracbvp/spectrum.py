@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryConditions, canonicalize, classify
+from .boundary import BoundaryConditions, _delta0_polynomial, canonicalize, classify, delta0
 from .ode import DiracSystem, char_det_direct
 from .transformop import build_kernels, combos, determinant_evaluator
 
@@ -29,6 +29,7 @@ __all__ = [
     "SpectrumEntry",
     "SpectrumWindow",
     "count_zeros_disk",
+    "csv_table",
     "export_csv",
     "incompressible_density",
     "zeros_delta0",
@@ -140,7 +141,7 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
     margin = n_max + 4
 
     if method == "sweep":
-        clusters = _sweep_zeros(lambda lam: _delta0_value(a, b, c, d, b1, b2, lam), a, b, c, d, b1, b2, margin)
+        clusters = _sweep_zeros(lambda lam: delta0((a, b, c, d), b1, b2, lam), a, b, c, d, b1, b2, margin)
     elif method != "auto":
         raise ValueError("method must be 'auto' or 'sweep'")
     elif abs(b * c) < 1e-14:
@@ -156,12 +157,7 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
         n1, n2 = verdict.ratio
         beta = b2 / n2
         deg = n1 + n2
-        coeffs = np.zeros(deg + 1, dtype=complex)
-        coeffs[0] = 1.0
-        coeffs[deg - n2] += a
-        coeffs[deg - n1] += d
-        coeffs[deg] += a * d - b * c
-        roots = np.roots(coeffs)
+        roots = np.roots(_delta0_polynomial(a, b, c, d, n1, n2))
         pts = []
         span = margin // deg + 2
         for z in roots:
@@ -170,22 +166,13 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
                 pts.append(lam_base + 2 * math.pi * m / beta)
         clusters = _cluster(pts, 1e-6)
     else:
-        clusters = _sweep_zeros(lambda lam: _delta0_value(a, b, c, d, b1, b2, lam), a, b, c, d, b1, b2, margin)
+        clusters = _sweep_zeros(lambda lam: delta0((a, b, c, d), b1, b2, lam), a, b, c, d, b1, b2, margin)
 
     # keep a symmetric window around the origin
     window = _index_symmetrically(clusters, n_max)
     if len(window) < 2 * n_max + 1:
         raise ValueError("zero search window too small; increase margins")
     return window
-
-
-def _delta0_value(a, b, c, d, b1, b2, lam):
-    return (
-        d
-        + a * cmath.exp(1j * (b1 + b2) * lam)
-        + (a * d - b * c) * cmath.exp(1j * b1 * lam)
-        + cmath.exp(1j * b2 * lam)
-    )
 
 
 def _winding_rect(f, x0, x1, y0, y1, base_pts=32, max_refine=12) -> int:
@@ -265,8 +252,7 @@ def _sweep_zeros(f, a, b, c, d, b1, b2, margin: int):
     reps = [rep for rep, _ in _cluster(found, 1e-6)]
     out: list[tuple[complex, int]] = []
     for i, rep in enumerate(reps):
-        sep = min((abs(rep - other) for j, other in enumerate(reps) if j != i), default=1.0)
-        r = max(min(0.05, sep / 3.0), 1e-5)
+        r = max(min(0.05, _separation_to_others(reps, i) / 3.0), 1e-5)
         mult = _winding_rect(f, rep.real - r, rep.real + r, rep.imag - r, rep.imag + r)
         if mult > 0:
             out.append((rep, mult))
@@ -367,7 +353,7 @@ def zeros_deltaQ(
     n_max: int,
     eps_ladder=EPS_LADDER_DEFAULT,
     n_grid: int = 256,
-    determinant: str = "kernels",
+    determinant="kernels",
     allow_nonstrict: bool = False,
     ratio_hint=None,
     tol: float = 1e-10,
@@ -379,6 +365,8 @@ def zeros_deltaQ(
     lam_n^0 separates from the other unperturbed zeros and the winding
     count inside it matches the sought multiplicity.  Unresolved clusters
     are reported with their winding multiplicity rather than split.
+    ``determinant`` is "kernels" (kernel traces), "direct" (RK4 per lam) or
+    a prebuilt callable lam -> Delta_Q(lam), e.g. ``determinant_evaluator``'s.
     """
     verdict = classify(bc, sys.b1, sys.b2, ratio_hint=ratio_hint)
     if not verdict.is_strictly_regular and not allow_nonstrict:
@@ -388,13 +376,15 @@ def zeros_deltaQ(
         )
     window0 = zeros_delta0(bc, sys.b1, sys.b2, n_max, ratio_hint=ratio_hint)
 
-    if determinant == "kernels":
+    if callable(determinant):
+        delta = determinant
+    elif determinant == "kernels":
         ks = build_kernels(sys, n_grid, tol=tol)
         delta = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
     elif determinant == "direct":
         delta = lambda lam: char_det_direct(sys, bc, lam, n_grid)  # noqa: E731
     else:
-        raise ValueError("determinant must be 'kernels' or 'direct'")
+        raise ValueError("determinant must be 'kernels', 'direct' or a callable")
 
     # one representative per cluster
     reps: list[complex] = []
@@ -463,20 +453,20 @@ def incompressible_density(seq, step: float = 0.25) -> int:
     return int(max(counts))
 
 
+def csv_table(window: SpectrumWindow) -> tuple[list, list]:
+    """Header and rows (n, Re lam0, Im lam0, Re lam, Im lam, multiplicity,
+    eps), floats written by repr so they reload bit-exactly."""
+    header = ["n", "re_lam0", "im_lam0", "re_lam", "im_lam", "multiplicity", "ladder_eps"]
+    rows = [
+        [e.n, *(repr(float(v)) for v in (e.lam0.real, e.lam0.imag, e.lam.real, e.lam.imag)),
+         e.multiplicity, repr(float(e.ladder_eps))]
+        for e in window.entries
+    ]
+    return header, rows
+
+
 def export_csv(window: SpectrumWindow, path) -> None:
-    """CSV rows (n, Re lam0, Im lam0, Re lam, Im lam, multiplicity, eps)."""
+    """Write ``csv_table(window)`` to path."""
+    header, rows = csv_table(window)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re_lam0", "im_lam0", "re_lam", "im_lam", "multiplicity", "ladder_eps"])
-        for e in window.entries:
-            writer.writerow(
-                [
-                    e.n,
-                    repr(float(e.lam0.real)),
-                    repr(float(e.lam0.imag)),
-                    repr(float(e.lam.real)),
-                    repr(float(e.lam.imag)),
-                    e.multiplicity,
-                    repr(float(e.ladder_eps)),
-                ]
-            )
+        csv.writer(fh).writerows([header, *rows])

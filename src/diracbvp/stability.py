@@ -20,10 +20,10 @@ from .gridfn import PNorm, SampledFunction, lp_norm
 from .ode import DiracSystem, fundamental_matrix
 from .spectrum import zeros_deltaQ
 from .transformop import (
+    _kernel_deviation,
     build_kernels,
     combos,
     determinant_evaluator,
-    kernel_deviation_norms,
     potential_diff_norm,
 )
 
@@ -57,18 +57,11 @@ class DeviationReport:
     tail_weighted_sum: float
     detail: dict = field(default_factory=dict)
 
-    def recompute_aggregates(self):
-        """Recompute (lp_sum, weighted_sum, sup) from the rows; the stored
-        aggregates must match (report invariant)."""
-        pc = PNorm(self.p).conjugate().p
-        rows = [(n, d) for n, d, flag in self.rows if flag == "ok"]
-        lp = sum(d**pc for _, d in rows)
-        wt = sum((1 + abs(n)) ** (self.p - 2.0) * d**self.p for n, d in rows)
-        sup = max((d for _, d in rows), default=0.0)
-        return lp, wt, sup
 
-
-def _aggregate(rows, p: float, head: int):
+def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
+    """Aggregates of the "ok" rows over the window and over the tail beyond
+    both windows' unverified head."""
+    head = max(wa.head_estimate, wb.head_estimate)
     pc = PNorm(p).conjugate().p
     ok = [(n, d) for n, d, flag in rows if flag == "ok"]
     lp = sum(d**pc for _, d in ok)
@@ -77,7 +70,33 @@ def _aggregate(rows, p: float, head: int):
     tail = [(n, d) for n, d in ok if abs(n) > head]
     tail_lp = sum(d**pc for _, d in tail)
     tail_wt = sum((1 + abs(n)) ** (p - 2.0) * d**p for n, d in tail)
-    return lp, wt, sup, tail_lp, tail_wt
+    return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tail_lp, tail_wt, detail or {})
+
+
+def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint, kernel_p=None):
+    """Both paired spectra and the Delta~ evaluator from one kernel build per
+    potential, plus the kernel deviation when ``kernel_p`` is given.  Each
+    KernelSet is dropped once nothing needs it, so at most two are alive and
+    none during pairing."""
+    ka = build_kernels(sys_a, n_grid)
+    delta_a = determinant_evaluator(bc, combos(ka.kplus, ka.kminus), sys_a.b1, sys_a.b2)
+    kb = build_kernels(sys_b, n_grid)
+    kernel_dev = _kernel_deviation(ka, kb, kernel_p) if kernel_p is not None else None
+    del ka
+    delta_b = determinant_evaluator(bc, combos(kb.kplus, kb.kminus), sys_b.b1, sys_b.b2)
+    del kb
+    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, determinant=delta_a, ratio_hint=ratio_hint)
+    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, determinant=delta_b, ratio_hint=ratio_hint)
+    return wa, wb, delta_b, kernel_dev
+
+
+def _eigen_report(wa, wb, p: float, ref: float) -> DeviationReport:
+    rows = []
+    for ea, eb in zip(wa.entries, wb.entries):
+        assert ea.n == eb.n
+        flag = "ok" if (ea.verified and eb.verified) else "unverified"
+        rows.append((ea.n, abs(ea.lam - eb.lam), flag))
+    return _report(rows, p, ref, wa, wb)
 
 
 def eigen_deviation(
@@ -92,17 +111,8 @@ def eigen_deviation(
     """|lam_n - lam~_n| rows from the canonical pairings of both spectra
     against the shared unperturbed sequence."""
     p = PNorm(p).p
-    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, ratio_hint=ratio_hint)
-    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, ratio_hint=ratio_hint)
-    head = max(wa.head_estimate, wb.head_estimate)
-    rows = []
-    for ea, eb in zip(wa.entries, wb.entries):
-        assert ea.n == eb.n
-        flag = "ok" if (ea.verified and eb.verified) else "unverified"
-        rows.append((ea.n, abs(ea.lam - eb.lam), flag))
-    ref = potential_diff_norm(sys_a, sys_b, p, n_grid)
-    lp, wt, sup, tlp, twt = _aggregate(rows, p, head)
-    return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tlp, twt)
+    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint)
+    return _eigen_report(wa, wb, p, potential_diff_norm(sys_a, sys_b, p, n_grid))
 
 
 def two_sided_check(
@@ -120,10 +130,7 @@ def two_sided_check(
     rows are (n, ratio | None) and the summary holds min/max over the tail
     |n| > n_head.
     """
-    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, ratio_hint=ratio_hint)
-    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, ratio_hint=ratio_hint)
-    ksb = build_kernels(sys_b, n_grid)
-    delta_b = determinant_evaluator(bc, combos(ksb.kplus, ksb.kminus), sys_b.b1, sys_b.b2)
+    wa, wb, delta_b, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint)
     if n_head is None:
         n_head = max(wa.head_estimate, wb.head_estimate)
     rows = []
@@ -169,25 +176,8 @@ def _eigenfunction(sys: DiracSystem, canonical, lam: complex, lam0: complex, n_g
     return coeff1 * phi.values[:, :, 0] + coeff2 * phi.values[:, :, 1]
 
 
-def eigenfunction_deviation(
-    sys_a: DiracSystem,
-    sys_b: DiracSystem,
-    bc: BoundaryConditions,
-    n_max: int,
-    p,
-    s_norm=math.inf,
-    n_grid: int = 256,
-    ratio_hint=None,
-) -> DeviationReport:
-    """Sup-norm eigenfunction deviation rows ||f_n - f~_n||_inf with
-    L^{s_norm} normalization (default sup-norm).  Vanishing-norm entries
-    (the head region where the formula may degenerate) are skipped and
-    flagged."""
-    p = PNorm(p).p
+def _eigenfunction_report(sys_a, sys_b, bc, wa, wb, p: float, s_norm, n_grid: int, ref: float) -> DeviationReport:
     canonical = canonicalize(bc)
-    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, ratio_hint=ratio_hint)
-    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, ratio_hint=ratio_hint)
-    head = max(wa.head_estimate, wb.head_estimate)
     rows = []
     skipped = []
     for ea, eb in zip(wa.entries, wb.entries):
@@ -203,9 +193,27 @@ def eigenfunction_deviation(
         dev = float(np.abs(fa / norm_a - fb / norm_b).max())
         flag = "ok" if (ea.verified and eb.verified) else "unverified"
         rows.append((ea.n, dev, flag))
+    return _report(rows, p, ref, wa, wb, {"skipped": skipped, "s_norm": s_norm})
+
+
+def eigenfunction_deviation(
+    sys_a: DiracSystem,
+    sys_b: DiracSystem,
+    bc: BoundaryConditions,
+    n_max: int,
+    p,
+    s_norm=math.inf,
+    n_grid: int = 256,
+    ratio_hint=None,
+) -> DeviationReport:
+    """Sup-norm eigenfunction deviation rows ||f_n - f~_n||_inf with
+    L^{s_norm} normalization (default sup-norm).  Vanishing-norm entries
+    (the head region where the formula may degenerate) are skipped and
+    flagged."""
+    p = PNorm(p).p
+    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint)
     ref = potential_diff_norm(sys_a, sys_b, p, n_grid)
-    lp, wt, sup, tlp, twt = _aggregate(rows, p, head)
-    return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tlp, twt, {"skipped": skipped, "s_norm": s_norm})
+    return _eigenfunction_report(sys_a, sys_b, bc, wa, wb, p, s_norm, n_grid, ref)
 
 
 class PotentialBallSampler:
@@ -275,9 +283,9 @@ def run_ball_experiment(
     rows = []
     for idx, (qa, qb) in enumerate(sampler.pairs(pairs, b1, b2, n_grid)):
         dq = potential_diff_norm(qa, qb, p, n_grid)
-        dev_inf, dev_one, _ = kernel_deviation_norms(qa, qb, p, n_grid)
-        ev = eigen_deviation(qa, qb, bc, n_max, p, n_grid=n_grid, ratio_hint=ratio_hint)
-        ef = eigenfunction_deviation(qa, qb, bc, n_max, p, n_grid=n_grid, ratio_hint=ratio_hint)
+        wa, wb, _, (dev_inf, dev_one) = _pair_spectra(qa, qb, bc, n_max, n_grid, ratio_hint, kernel_p=p)
+        ev = _eigen_report(wa, wb, p, dq)
+        ef = _eigenfunction_report(qa, qb, bc, wa, wb, p, math.inf, n_grid, dq)
         kernel_dev = dev_inf + dev_one
         eigen_dev = ev.tail_lp_sum ** (1.0 / pc)
         ef_dev = ef.tail_lp_sum ** (1.0 / pc)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import BoundaryConditions, minors
+from .boundary import BoundaryConditions, delta0, minors
 from .gridfn import (
     GridMismatchError,
     IterationLimitError,
@@ -51,7 +51,6 @@ __all__ = [
     "assemble_K",
     "build_kernels",
     "combos",
-    "det_via_kernels",
     "determinant_evaluator",
     "kernel_deviation_norms",
     "potential_diff_norm",
@@ -484,22 +483,12 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
 
     def delta(lam):
         lam_arr = np.asarray(lam, dtype=complex)
-        d0 = (
-            m[1, 2]
-            + m[3, 4] * np.exp(1j * (b1 + b2) * lam_arr)
-            + m[3, 2] * np.exp(1j * b1 * lam_arr)
-            + m[1, 4] * np.exp(1j * b2 * lam_arr)
-        )
         i1 = np.exp(1j * b1 * np.multiply.outer(lam_arr, t)) @ wg1
         i2 = np.exp(1j * b2 * np.multiply.outer(lam_arr, t)) @ wg2
-        total = d0 + i1 + i2
+        total = delta0(m, b1, b2, lam_arr) + i1 + i2
         return complex(total) if lam_arr.ndim == 0 else total
 
     return delta
-
-
-def det_via_kernels(bc: BoundaryConditions, ck: ComboKernels, b1: float, b2: float, lam: complex) -> complex:
-    return determinant_evaluator(bc, ck, b1, b2)(lam)
 
 
 def potential_diff_norm(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int) -> float:
@@ -520,16 +509,22 @@ def kernel_deviation_norms(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int,
     norms, together with ||Q - Q~||_p; the ratio dev / ||Q - Q~||_p is the
     monitored Lipschitz quantity (the theory's constant is nonconstructive).
     """
-    p = PNorm(p)
     ka = build_kernels(sys_a, n, max_iter=max_iter, tol=tol)
     kb = build_kernels(sys_b, n, max_iter=max_iter, tol=tol)
+    return (*_kernel_deviation(ka, kb, p), potential_diff_norm(sys_a, sys_b, p, n))
+
+
+def _kernel_deviation(ka: KernelSet, kb: KernelSet, p) -> tuple[float, float]:
+    """Worst-sign (infinity, one) mixed-norm deviation of K+/- between two
+    kernel sets on the same grid."""
+    p = PNorm(p)
     dev_inf = 0.0
     dev_one = 0.0
     for pick_a, pick_b in ((ka.kplus, kb.kplus), (ka.kminus, kb.kminus)):
         diff = TriangularKernel(pick_a.data - pick_b.data)
         dev_inf = max(dev_inf, x_norm(diff, "infinity", p))
         dev_one = max(dev_one, x_norm(diff, "one", p))
-    return dev_inf, dev_one, potential_diff_norm(sys_a, sys_b, p, n)
+    return dev_inf, dev_one
 
 
 _KERNEL_MAGIC = struct.Struct("<II")

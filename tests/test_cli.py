@@ -242,6 +242,24 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"n": 2})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"n": "abc"},
+            {"n": None},
+            {"system": {"b1": 1, "b2": 1.0}},
+            {"system": {"b1": -1.0, "b2": 1.0, "potential": {"kind": "trig", "q21": {"x": 1.0}}}},
+        ],
+        ids=["n-string", "n-null", "b1-positive", "trig-key-not-integer"],
+    )
+    def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, patch):
+        # these reached the numerics and surfaced as a traceback or as a
+        # "numerical failure" (exit 2); each is a config error (exit 1)
+        payload = {"system": {"b1": -1.0, "b2": 1.0}, "bc": {"canonical": [0, 1, 1, 0]}, "n": 32, "n_max": 2, **patch}
+        code = main(["spectrum", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_memory_guard_refuses_before_numerics(self, tmp_path, capsys):
         # dense kernels at N = 65536 need ~1.6 TB; the request must fail
         # fast with the estimate instead of allocating

@@ -167,6 +167,11 @@ class TestZerosDeltaQ:
         count = count_zeros_disk(delta, 0.0, radius, quad_nodes=1024)
         inside = sum(1 for e in window.entries if abs(e.lam) < radius)
         assert count == inside
+        # a prebuilt evaluator gives the "kernels" route's window exactly
+        prebuilt = zeros_deltaQ(sys, bc, 8, n_grid=n, determinant=delta)
+        as_rows = lambda w: [(e.n, e.lam0, e.lam, e.multiplicity, repr(e.ladder_eps), e.verified) for e in w.entries]  # noqa: E731
+        assert as_rows(prebuilt) == as_rows(window)
+        assert (prebuilt.strip_height, prebuilt.head_estimate) == (window.strip_height, window.head_estimate)
 
     def test_conjugation_symmetric_instance(self):
         # conjugation symmetry of the zero set needs real Q with

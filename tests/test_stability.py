@@ -55,7 +55,11 @@ class TestEigenDeviation:
         sys = smooth_potential(73, n, l1_norm=0.4)
         zero = DiracSystem.zero(sys.b1, sys.b2, n)
         rep = eigen_deviation(sys, zero, SEP_BC, 8, 1.5, n_grid=n)
-        lp, wt, sup = rep.recompute_aggregates()
+        pc = rep.p / (rep.p - 1.0)
+        ok = [(nn, d) for nn, d, flag in rep.rows if flag == "ok"]
+        lp = sum(d**pc for _, d in ok)
+        wt = sum((1 + abs(nn)) ** (rep.p - 2.0) * d**rep.p for nn, d in ok)
+        sup = max((d for _, d in ok), default=0.0)
         assert lp == pytest.approx(rep.lp_sum)
         assert wt == pytest.approx(rep.weighted_sum)
         assert sup == pytest.approx(rep.sup)
@@ -202,6 +206,48 @@ class TestBallExperiment:
             assert row["dq_norm"] == 0.0
             assert row["kernel_dev"] == 0.0
             assert row["eigen_dev"] == 0.0
+
+    def test_one_kernel_build_and_window_per_potential(self, monkeypatch):
+        # each pair builds K+/- and pairs the spectrum once per potential,
+        # and its rows equal the public functions called one by one
+        from diracbvp import spectrum, stability, transformop
+        from diracbvp.transformop import kernel_deviation_norms
+
+        calls = {"build_kernels": 0, "zeros_deltaQ": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (transformop, spectrum, stability):
+            counted(module, "build_kernels")
+        counted(stability, "zeros_deltaQ")
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        n, n_max, p = 64, 5, 2.0
+        rows, _ = run_ball_experiment(PotentialBallSampler(p, 1.0, seed=11), bc, 2, n_max, p, n_grid=n, b1=-1.0, b2=2.0)
+        assert calls == {"build_kernels": 4, "zeros_deltaQ": 4}
+        pairs = list(PotentialBallSampler(p, 1.0, seed=11).pairs(2, -1.0, 2.0, n))
+        calls["build_kernels"] = 0
+        two_sided_check(*pairs[0], bc, n_max, n_grid=n)
+        assert calls["build_kernels"] == 2
+        monkeypatch.undo()
+
+        exact = lambda report_rows: [(nn, repr(float(d)), flag) for nn, d, flag in report_rows]  # noqa: E731
+        for row, (qa, qb) in zip(rows, pairs):
+            dev_inf, dev_one, dq = kernel_deviation_norms(qa, qb, p, n)
+            ev = eigen_deviation(qa, qb, bc, n_max, p, n_grid=n)
+            ef = eigenfunction_deviation(qa, qb, bc, n_max, p, n_grid=n)
+            assert row["dq_norm"] == dq == ev.reference == ef.reference
+            assert row["kernel_dev"] == dev_inf + dev_one
+            assert row["eigen_dev"] == ev.tail_lp_sum ** 0.5
+            assert row["eigenfunction_dev"] == ef.tail_lp_sum ** 0.5
+            assert exact(row["eigen_rows"]) == exact(ev.rows)
+            assert exact(row["eigenfunction_rows"]) == exact(ef.rows)
 
     def test_deterministic_rerun(self):
         sampler1 = PotentialBallSampler(2, 0.5, seed=7)

@@ -8,7 +8,6 @@ from diracbvp import transformop
 from diracbvp.transformop import (
     build_kernels,
     combos,
-    det_via_kernels,
     determinant_evaluator,
     kernel_deviation_norms,
     potential_diff_norm,
@@ -356,7 +355,7 @@ class TestDetViaKernels:
         quad = (0.4, 0.1, -0.2, 1.3)
         bc = BoundaryConditions.from_canonical(*quad)
         for lam in (0.0, 3.0, 6.0 - 1.0j):
-            assert abs(det_via_kernels(bc, ck, -1.0, 1.0, lam) - delta0(quad, -1.0, 1.0, lam)) < 1e-12
+            assert abs(determinant_evaluator(bc, ck, -1.0, 1.0)(lam) - delta0(quad, -1.0, 1.0, lam)) < 1e-12
 
     def test_q12_zero_b_zero_reduces_to_delta0(self):
         n = 128
@@ -366,7 +365,7 @@ class TestDetViaKernels:
         quad = (1.0, 0.0, 0.4, 1.0)
         bc = BoundaryConditions.from_canonical(*quad)
         for lam in (1.0, 4.0 + 0.2j):
-            assert abs(det_via_kernels(bc, ck, -1.0, 1.0, lam) - delta0(quad, -1.0, 1.0, lam)) < 1e-13
+            assert abs(determinant_evaluator(bc, ck, -1.0, 1.0)(lam) - delta0(quad, -1.0, 1.0, lam)) < 1e-13
 
     def test_vectorized_evaluator(self):
         n = 64
