@@ -104,18 +104,34 @@ def canonicalize(bc: BoundaryConditions) -> tuple[complex, complex, complex, com
     return a, b, c, d
 
 
+def _delta0_coefficients(coeffs) -> tuple:
+    """(J12, J34, J32, J14) from ``Minors`` or from the canonical (a, b, c, d),
+    i.e. minors (d, a, ad-bc, 1)."""
+    if isinstance(coeffs, Minors):
+        return coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
+    a, b, c, d = coeffs
+    return d, a, a * d - b * c, 1.0
+
+
 def delta0(coeffs, b1: float, b2: float, lam):
     """Unperturbed characteristic determinant, vectorised over lam:
     J12 + J34 e^{i(b1+b2) lam} + J32 e^{i b1 lam} + J14 e^{i b2 lam}, from
     ``Minors`` or from the canonical (a, b, c, d), i.e. minors (d, a, ad-bc, 1).
     Scalars use ``cmath.exp``: bitwise equal to ``np.exp``, faster per call."""
-    if isinstance(coeffs, Minors):
-        j12, j34, j32, j14 = coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
-    else:
-        a, b, c, d = coeffs
-        j12, j34, j32, j14 = d, a, a * d - b * c, 1.0
+    j12, j34, j32, j14 = _delta0_coefficients(coeffs)
     exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
     return j12 + j34 * exp(1j * (b1 + b2) * lam) + j32 * exp(1j * b1 * lam) + j14 * exp(1j * b2 * lam)
+
+
+def _delta0_slope(coeffs, b1: float, b2: float, lam: np.ndarray) -> np.ndarray:
+    """d/dlam of ``delta0`` over an array of lam:
+    i(b1+b2) J34 e^{i(b1+b2) lam} + i b1 J32 e^{i b1 lam} + i b2 J14 e^{i b2 lam}."""
+    _, j34, j32, j14 = _delta0_coefficients(coeffs)
+    return 1j * (
+        (b1 + b2) * j34 * np.exp(1j * (b1 + b2) * lam)
+        + b1 * j32 * np.exp(1j * b1 * lam)
+        + b2 * j14 * np.exp(1j * b2 * lam)
+    )
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,16 @@ def _parse_config(path, task: str) -> dict:
     for key, (lo, hi) in ranges.items():
         if key in cfg and not (lo <= _as_number(cfg[key], key, integer=True) <= hi):
             raise ConfigError(f"{key} out of range [{lo}, {hi}]")
-    for key in ("p", "r"):
-        if key in cfg:
-            _as_number(cfg[key], key)
+    if "p" in cfg and not _as_number(cfg["p"], "p") >= 1.0:
+        raise ConfigError(f"p must be >= 1, got {cfg['p']!r}")
+    if "r" in cfg:
+        _as_number(cfg["r"], "r")
+    if "family" in cfg and cfg["family"] not in PotentialBallSampler.FAMILIES:
+        raise ConfigError(f"family must be one of {PotentialBallSampler.FAMILIES}, got {cfg['family']!r}")
+    if "eps_ladder" in cfg:
+        ladder = cfg["eps_ladder"]
+        if not (isinstance(ladder, list) and ladder and all(_as_number(e, "eps_ladder entry") > 0.0 for e in ladder)):
+            raise ConfigError(f"eps_ladder must be a non-empty list of positive numbers, got {ladder!r}")
     system = cfg.get("system", {})
     if not isinstance(system, dict):
         raise ConfigError("'system' must be an object")

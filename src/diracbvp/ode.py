@@ -62,48 +62,57 @@ class DiracSystem:
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    """Matrix solution Phi(x, lam) with Phi(0, lam) = I at every grid node."""
+    """Matrix solution Phi(x, lam) with Phi(0, lam) = I at every grid node,
+    for a scalar lam or an array of them: ``values`` has shape
+    lam.shape + (N+1, 2, 2)."""
 
-    values: np.ndarray  # (N+1, 2, 2)
-    lam: complex
+    values: np.ndarray
+    lam: complex | np.ndarray
 
     @property
     def n(self) -> int:
-        return self.values.shape[0] - 1
+        return self.values.shape[-3] - 1
 
     def at_one(self) -> np.ndarray:
-        return self.values[-1]
+        return self.values[..., -1, :, :]
 
-    def det_at_one(self) -> complex:
-        v = self.values[-1]
-        return complex(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
+    def det_at_one(self):
+        v = self.at_one()
+        det = v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
+        return complex(det) if det.ndim == 0 else det
 
 
-def fundamental_matrix(sys: DiracSystem, lam: complex, n: int) -> FundamentalMatrix:
-    """Classical RK4 for Phi' = i B (lam I - Q(x)) Phi, Phi(0) = I_2."""
+def fundamental_matrix(sys: DiracSystem, lam, n: int) -> FundamentalMatrix:
+    """Classical RK4 for Phi' = i B (lam I - Q(x)) Phi, Phi(0) = I_2, over a
+    scalar lam or an array of them.  The step loop runs once for the whole
+    batch; each step's coefficients i B lam - i B Q(x) are built for all lam
+    at once, so no per-node coefficient table of the batch is held.  (Q has
+    a zero diagonal, so this split is bitwise i B (lam I - Q).)"""
     if n < 2:
         raise ValueError("grid size N must be >= 2")
+    lam = np.asarray(lam, dtype=complex)
     h = 1.0 / n
-    b = np.diag([sys.b1, sys.b2]).astype(complex)
+    ib = 1j * np.array([[sys.b1], [sys.b2]])
     x = np.linspace(0.0, 1.0, n + 1)
-    # coefficient matrices at nodes and half-nodes
-    lam_eye = lam * np.eye(2)
-    coeff_nodes = 1j * np.einsum("ab,xbc->xac", b, lam_eye - sys.q_matrix(x))
-    coeff_half = 1j * np.einsum("ab,xbc->xac", b, lam_eye - sys.q_matrix(x[:-1] + 0.5 * h))
-    values = np.empty((n + 1, 2, 2), dtype=complex)
-    phi = np.eye(2, dtype=complex)
-    values[0] = phi
+    ibq_nodes = ib * sys.q_matrix(x)
+    ibq_half = ib * sys.q_matrix(x[:-1] + 0.5 * h)
+    ib_lam = ib * (lam[..., None, None] * np.eye(2))
+    values = np.empty(lam.shape + (n + 1, 2, 2), dtype=complex)
+    # a contiguous identity per lam, so every slice takes the same matmul path
+    phi = np.broadcast_to(np.eye(2, dtype=complex), ib_lam.shape).copy()
+    values[..., 0, :, :] = phi
+    a1 = ib_lam - ibq_nodes[0]
     for i in range(n):
-        a0 = coeff_nodes[i]
-        am = coeff_half[i]
-        a1 = coeff_nodes[i + 1]
+        a0 = a1
+        am = ib_lam - ibq_half[i]
+        a1 = ib_lam - ibq_nodes[i + 1]
         k1 = a0 @ phi
         k2 = am @ (phi + 0.5 * h * k1)
         k3 = am @ (phi + 0.5 * h * k2)
         k4 = a1 @ (phi + h * k3)
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[i + 1] = phi
-    return FundamentalMatrix(values, lam)
+        values[..., i + 1, :, :] = phi
+    return FundamentalMatrix(values, complex(lam) if lam.ndim == 0 else lam)
 
 
 def e_pm(sys: DiracSystem, lam: complex, sign: int, n: int) -> SampledFunction:
@@ -115,21 +124,23 @@ def e_pm(sys: DiracSystem, lam: complex, sign: int, n: int) -> SampledFunction:
     return SampledFunction(phi.values @ init)
 
 
-def char_det_direct(sys: DiracSystem, bc: BoundaryConditions, lam: complex, n: int) -> complex:
+def char_det_direct(sys: DiracSystem, bc: BoundaryConditions, lam, n: int):
     """Characteristic determinant assembled from the fundamental matrix at
-    x = 1 and the boundary-matrix minors:
+    x = 1 and the boundary-matrix minors, over a scalar lam or an array:
 
         Delta(lam) = J12 + J34 e^{i(b1+b2)lam} + J32 phi_11 + J13 phi_12
                      + J42 phi_21 + J14 phi_22.
     """
     m = minors(bc)
+    lam = np.asarray(lam, dtype=complex)
     phi = fundamental_matrix(sys, lam, n).at_one()
     exp_sum = np.exp(1j * (sys.b1 + sys.b2) * lam)
-    return complex(
+    total = (
         m[1, 2]
         + m[3, 4] * exp_sum
-        + m[3, 2] * phi[0, 0]
-        + m[1, 3] * phi[0, 1]
-        + m[4, 2] * phi[1, 0]
-        + m[1, 4] * phi[1, 1]
+        + m[3, 2] * phi[..., 0, 0]
+        + m[1, 3] * phi[..., 0, 1]
+        + m[4, 2] * phi[..., 1, 0]
+        + m[1, 4] * phi[..., 1, 1]
     )
+    return complex(total) if lam.ndim == 0 else total

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -210,14 +211,34 @@ def _winding_rect(f, x0, x1, y0, y1, base_pts=32, max_refine=12) -> int:
     return int(round(w))
 
 
+def _takes_slope(f) -> bool:
+    try:
+        return "slope" in inspect.signature(f).parameters
+    except (TypeError, ValueError):
+        return False
+
+
+def _value_and_slope(f, z):
+    """(f(z), f'(z)) at a point or an array of points, from one
+    ``f(z, slope=True)`` call when f offers its exact derivative; otherwise
+    by central differences with step 1e-6 (1 + |z|), arrays in one call."""
+    if _takes_slope(f):
+        return f(z, slope=True)
+    if isinstance(z, np.ndarray):
+        step_h = 1e-6 * (1.0 + np.abs(z))
+        vals = _eval_many(f, np.concatenate([z, z + step_h, z - step_h])).reshape(3, -1)
+        return vals[0], (vals[1] - vals[2]) / (2 * step_h)
+    step_h = 1e-6 * (1.0 + abs(z))
+    return f(z), (f(z + step_h) - f(z - step_h)) / (2 * step_h)
+
+
 def _newton(f, z0: complex, tol: float = 1e-13, max_iter: int = 60) -> complex | None:
     z = z0
     for _ in range(max_iter):
-        step_h = 1e-6 * (1.0 + abs(z))
-        d = (f(z + step_h) - f(z - step_h)) / (2 * step_h)
+        value, d = _value_and_slope(f, z)
         if d == 0:
             return None
-        dz = f(z) / d
+        dz = value / d
         z = z - dz
         if abs(dz) < tol * (1.0 + abs(z)):
             return z
@@ -275,7 +296,9 @@ def _argmin_scan(f, x0, x1, y0, y1) -> complex:
 def _locate_in_box(f, x0, x1, y0, y1, count, depth=0) -> list[complex]:
     """Zeros inside a rectangle known to contain ``count`` of them.
     Newton results that escape the rectangle are rejected and the box is
-    subdivided instead, so every zero is reported by exactly one box."""
+    bisected instead, in Re and Im by turns so that zeros sharing a real
+    part get separated too.  Both halves are winding-counted and must add
+    up to ``count``, so every zero is reported by exactly one box."""
     if count == 0:
         return []
     pad = max(1e-9, 0.02 * (x1 - x0))
@@ -286,26 +309,28 @@ def _locate_in_box(f, x0, x1, y0, y1, count, depth=0) -> list[complex]:
         z = _newton(f, _argmin_scan(f, x0, x1, y0, y1))
         if z is not None and _in_box(z, x0, x1, y0, y1, pad):
             return [z]
-    if depth >= 30 or (x1 - x0) < 1e-8:
+    if depth >= 30 or max(x1 - x0, y1 - y0) < 1e-8:
         # coincident zeros (or a stubborn cluster): report the best point
         z = _argmin_scan(f, x0, x1, y0, y1)
         z = _newton(f, z) or z
         return [z] * count
-    xm = 0.5 * (x0 + x1)
+    split_re = depth % 2 == 0
+    lo, hi = (x0, x1) if split_re else (y0, y1)
     shift = 0.0
     for _ in range(8):
+        cut = 0.5 * (lo + hi) + shift
+        halves = ((x0, cut, y0, y1), (cut, x1, y0, y1)) if split_re else ((x0, x1, y0, cut), (x0, x1, cut, y1))
+        shift += (hi - lo) * 0.013
         try:
-            left = _winding_rect(f, x0, xm + shift, y0, y1)
-            break
+            counts = [_winding_rect(f, *box) for box in halves]
         except (ContourTooCloseError, NonIntegerWindingError):
-            shift += (x1 - x0) * 0.013
+            continue
+        if sum(counts) == count:
+            break
     else:
         z = _argmin_scan(f, x0, x1, y0, y1)
         return [z] * count
-    right = count - left
-    return _locate_in_box(f, x0, xm + shift, y0, y1, left, depth + 1) + _locate_in_box(
-        f, xm + shift, x1, y0, y1, right, depth + 1
-    )
+    return [z for box, k in zip(halves, counts) for z in _locate_in_box(f, *box, k, depth + 1)]
 
 
 def _eval_many(f, z: np.ndarray) -> np.ndarray:
@@ -323,15 +348,14 @@ def _eval_many(f, z: np.ndarray) -> np.ndarray:
 def count_zeros_disk(delta, center: complex, radius: float, quad_nodes: int = 256) -> int:
     """Zero count inside a disk by the argument principle:
     (1/2 pi i) contour-integral of Delta'/Delta, trapezoid on quad_nodes
-    contour points, derivative by central differences."""
+    contour points; Delta' is exact when ``delta`` takes ``slope=True``,
+    a central difference otherwise."""
     theta = np.linspace(0.0, 2 * math.pi, quad_nodes, endpoint=False)
     z = center + radius * np.exp(1j * theta)
-    f = _eval_many(delta, z)
+    f, d = _value_and_slope(delta, z)
     fmax = float(np.abs(f).max())
     if fmax == 0.0 or float(np.abs(f).min()) < 1e-12 * max(fmax, 1.0):
         raise ContourTooCloseError("determinant vanishes on the counting contour")
-    step_h = 1e-6 * (1.0 + np.abs(z))
-    d = (_eval_many(delta, z + step_h) - _eval_many(delta, z - step_h)) / (2 * step_h)
     w = (radius / quad_nodes) * np.sum(d / f * np.exp(1j * theta))
     w = complex(w).real  # imaginary part is quadrature noise
     if abs(w - round(w)) > 0.2:
@@ -365,8 +389,9 @@ def zeros_deltaQ(
     lam_n^0 separates from the other unperturbed zeros and the winding
     count inside it matches the sought multiplicity.  Unresolved clusters
     are reported with their winding multiplicity rather than split.
-    ``determinant`` is "kernels" (kernel traces), "direct" (RK4 per lam) or
-    a prebuilt callable lam -> Delta_Q(lam), e.g. ``determinant_evaluator``'s.
+    ``determinant`` is "kernels" (kernel traces), "direct" (RK4, batched
+    over each contour's points) or a prebuilt callable lam -> Delta_Q(lam),
+    e.g. ``determinant_evaluator``'s, which also gives Delta_Q' exactly.
     """
     verdict = classify(bc, sys.b1, sys.b2, ratio_hint=ratio_hint)
     if not verdict.is_strictly_regular and not allow_nonstrict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,17 +74,21 @@ def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
     return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tail_lp, tail_wt, detail or {})
 
 
+_K_PM = attrgetter("kplus", "kminus")
+
+
 def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint, kernel_p=None):
     """Both paired spectra and the Delta~ evaluator from one kernel build per
-    potential, plus the kernel deviation when ``kernel_p`` is given.  Each
-    KernelSet is dropped once nothing needs it, so at most two are alive and
-    none during pairing."""
-    ka = build_kernels(sys_a, n_grid)
-    delta_a = determinant_evaluator(bc, combos(ka.kplus, ka.kminus), sys_a.b1, sys_a.b2)
-    kb = build_kernels(sys_b, n_grid)
+    potential, plus the kernel deviation when ``kernel_p`` is given.  Only
+    K+/- of each KernelSet is kept (R and P+/- are freed at once), and each
+    pair is dropped once nothing needs it, so at most two are alive and none
+    during pairing."""
+    ka = _K_PM(build_kernels(sys_a, n_grid))
+    delta_a = determinant_evaluator(bc, combos(*ka), sys_a.b1, sys_a.b2)
+    kb = _K_PM(build_kernels(sys_b, n_grid))
     kernel_dev = _kernel_deviation(ka, kb, kernel_p) if kernel_p is not None else None
     del ka
-    delta_b = determinant_evaluator(bc, combos(kb.kplus, kb.kminus), sys_b.b1, sys_b.b2)
+    delta_b = determinant_evaluator(bc, combos(*kb), sys_b.b1, sys_b.b2)
     del kb
     wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, determinant=delta_a, ratio_hint=ratio_hint)
     wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, determinant=delta_b, ratio_hint=ratio_hint)
@@ -151,38 +156,36 @@ def two_sided_check(
     return rows, summary
 
 
-def _eigenfunction(sys: DiracSystem, canonical, lam: complex, lam0: complex, n_grid: int) -> np.ndarray:
-    """Eigenfunction samples from the fundamental matrix:
+def _eigenfunctions(sys: DiracSystem, canonical, window, n_grid: int) -> np.ndarray:
+    """Samples (L, N+1, 2) of the window's eigenfunctions, from one batched
+    fundamental matrix over all its eigenvalues:
 
     generic (|b|+|c| > 0):  F = (b + a phi_12) Phi_1 - (1 + a phi_11) Phi_2;
     b = c = 0, second branch: G = (d + phi_22) Phi_1 - phi_21 Phi_2,
     the branch picked by whichever determinant factor vanishes at lam0.
     """
     a, b, c, d = canonical
-    phi = fundamental_matrix(sys, lam, n_grid)
+    lam0 = window.lam0_array()
+    phi = fundamental_matrix(sys, window.lam_array(), n_grid)
     at1 = phi.at_one()
     if abs(b) + abs(c) > 1e-14:
-        use_g = False
+        use_g = np.zeros(lam0.shape, dtype=bool)
     else:
-        f1 = abs(d + np.exp(1j * sys.b2 * lam0))
-        f2 = abs(1.0 + a * np.exp(1j * sys.b1 * lam0))
+        f1 = np.abs(d + np.exp(1j * sys.b2 * lam0))
+        f2 = np.abs(1.0 + a * np.exp(1j * sys.b1 * lam0))
         use_g = f2 <= f1  # lam0 kills the (1 + a e1) factor: second branch
-    if use_g:
-        coeff1 = d + at1[1, 1]
-        coeff2 = -at1[1, 0]
-    else:
-        coeff1 = b + a * at1[0, 1]
-        coeff2 = -(1.0 + a * at1[0, 0])
-    return coeff1 * phi.values[:, :, 0] + coeff2 * phi.values[:, :, 1]
+    coeff1 = np.where(use_g, d + at1[:, 1, 1], b + a * at1[:, 0, 1])
+    coeff2 = np.where(use_g, -at1[:, 1, 0], -(1.0 + a * at1[:, 0, 0]))
+    return coeff1[:, None, None] * phi.values[..., 0] + coeff2[:, None, None] * phi.values[..., 1]
 
 
 def _eigenfunction_report(sys_a, sys_b, bc, wa, wb, p: float, s_norm, n_grid: int, ref: float) -> DeviationReport:
     canonical = canonicalize(bc)
     rows = []
     skipped = []
-    for ea, eb in zip(wa.entries, wb.entries):
-        fa = _eigenfunction(sys_a, canonical, ea.lam, ea.lam0, n_grid)
-        fb = _eigenfunction(sys_b, canonical, eb.lam, eb.lam0, n_grid)
+    funcs_a = _eigenfunctions(sys_a, canonical, wa, n_grid)
+    funcs_b = _eigenfunctions(sys_b, canonical, wb, n_grid)
+    for ea, eb, fa, fb in zip(wa.entries, wb.entries, funcs_a, funcs_b):
         norm_a = lp_norm(SampledFunction(fa), s_norm)
         norm_b = lp_norm(SampledFunction(fb), s_norm)
         scale = float(max(np.abs(fa).max(), np.abs(fb).max(), 1e-30))
@@ -221,8 +224,10 @@ class PotentialBallSampler:
     radius r; families: trig polynomials, step functions, random (linear)
     splines.  Identical seeds give identical samples."""
 
+    FAMILIES = ("trig", "step", "spline")
+
     def __init__(self, p, r: float, seed: int, family: str = "trig"):
-        if family not in ("trig", "step", "spline"):
+        if family not in self.FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         self.p = PNorm(p)
         self.r = float(r)

@@ -260,6 +260,21 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "patch",
+        [{"p": 0.5}, {"family": "nope"}, {"eps_ladder": "abc"}, {"eps_ladder": [0.4, -1]}],
+        ids=["p-below-one", "unknown-family", "ladder-string", "ladder-negative"],
+    )
+    def test_bad_stability_knob_is_refused_before_numerics(self, tmp_path, capsys, patch):
+        # these exited 2, crashed with a traceback or ran (exit 0); the
+        # config check refuses them before the output directory exists
+        payload = {"system": {"b1": -1.0, "b2": 2.0}, "n": 32, "n_max": 2, "pairs": 1, **patch}
+        out = tmp_path / "o"
+        code = main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_memory_guard_refuses_before_numerics(self, tmp_path, capsys):
         # dense kernels at N = 65536 need ~1.6 TB; the request must fail
         # fast with the estimate instead of allocating

@@ -138,6 +138,22 @@ def test_rk4_convergence_order():
         assert 16 * 0.7 <= ratio <= 16 * 1.3, (n, ratio)
 
 
+def test_batched_lambda_equals_scalar_calls():
+    # the batch runs the same RK4 arithmetic per lam, so agreement is exact
+    sys = smooth_potential(13, 128, b1=-1.0, b2=2.0)
+    bc = BoundaryConditions.from_canonical(0.4, 0.3, -0.2, 1.2)
+    lams = np.array([[0.3, -5.0 + 1.0j, 12.5 - 0.7j], [40.0 + 2.0j, -33.3, 0.0]])
+    phi = fundamental_matrix(sys, lams, 96)
+    assert phi.values.shape == lams.shape + (97, 2, 2)
+    single = np.array([[fundamental_matrix(sys, lam, 96).values for lam in row] for row in lams])
+    assert np.array_equal(phi.values, single)
+    single_det = np.array([[fundamental_matrix(sys, lam, 96).det_at_one() for lam in row] for row in lams])
+    assert np.array_equal(phi.det_at_one(), single_det)
+    dets = char_det_direct(sys, bc, lams, 96)
+    assert np.array_equal(dets, np.array([[char_det_direct(sys, bc, lam, 96) for lam in row] for row in lams]))
+    assert isinstance(char_det_direct(sys, bc, 1.0, 96), complex)
+
+
 def test_weights_validated():
     with pytest.raises(ValueError):
         DiracSystem(1.0, 2.0, SampledFunction.zero(8), SampledFunction.zero(8))

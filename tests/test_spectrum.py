@@ -81,6 +81,23 @@ class TestZerosDelta0:
         res = [lam.real for _, lam, _ in window]
         assert all(a <= b + 1e-12 for a, b in zip(res, res[1:]))
 
+    def test_sweep_keeps_zeros_that_share_a_real_part(self):
+        # Dirac weights: Delta_0 = e^{-i lam} (z^2 + (a+d) z + (ad-bc)),
+        # z = e^{i lam}.  Both roots are negative reals here, so the two
+        # zero families sit on the same lines Re lam = pi + 2 pi k.
+        a, b, c, d = 0.4, 0.3, -0.2, 1.2
+        window = zeros_delta0(BoundaryConditions.from_canonical(a, b, c, d), -1.0, 1.0, 10)
+        assert [n for n, _, _ in window] == list(range(-10, 11))
+        assert all(mult == 1 for _, _, mult in window)
+        roots = np.roots([1.0, a + d, a * d - b * c])
+        expected = sorted(
+            (complex(cmath.phase(z) + 2 * math.pi * k, -math.log(abs(z))) for z in roots for k in range(-8, 8)),
+            key=lambda lam: (lam.real, lam.imag),
+        )
+        got = np.array([lam for _, lam, _ in window])
+        start = int(np.argmin(np.abs(np.array(expected) - got[0])))
+        assert np.abs(got - np.array(expected[start : start + 21])).max() < 1e-9
+
 
 class TestCountZeros:
     def delta_antiperiodic(self, lam):
@@ -98,6 +115,24 @@ class TestCountZeros:
     def test_zero_on_contour_rejected(self):
         with pytest.raises(ContourTooCloseError):
             count_zeros_disk(lambda z: z - 1.0, 0.0, 1.0)
+
+    def test_one_evaluation_per_contour_with_exact_slope(self):
+        # an evaluator offering slope=True is called once per contour;
+        # a plain callable gets one batched central-difference call
+        calls = []
+
+        def delta(lam, slope=False):
+            calls.append(np.size(lam))
+            value = self.delta_antiperiodic(lam)
+            if not slope:
+                return value
+            return value, 1j * (np.exp(1j * lam) - np.exp(-1j * lam))
+
+        assert count_zeros_disk(delta, math.pi, 0.5) == 2
+        assert calls == [256]
+        plain = []
+        assert count_zeros_disk(lambda lam: plain.append(np.size(lam)) or self.delta_antiperiodic(lam), math.pi, 0.5) == 2
+        assert plain == [3 * 256]
 
 
 class TestZerosDeltaQ:

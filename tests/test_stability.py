@@ -208,12 +208,12 @@ class TestBallExperiment:
             assert row["eigen_dev"] == 0.0
 
     def test_one_kernel_build_and_window_per_potential(self, monkeypatch):
-        # each pair builds K+/- and pairs the spectrum once per potential,
-        # and its rows equal the public functions called one by one
+        # each pair builds K+/-, pairs the spectrum and integrates the ODE
+        # once per potential, and its rows equal the public functions called one by one
         from diracbvp import spectrum, stability, transformop
         from diracbvp.transformop import kernel_deviation_norms
 
-        calls = {"build_kernels": 0, "zeros_deltaQ": 0}
+        calls = {"build_kernels": 0, "zeros_deltaQ": 0, "fundamental_matrix": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -227,10 +227,12 @@ class TestBallExperiment:
         for module in (transformop, spectrum, stability):
             counted(module, "build_kernels")
         counted(stability, "zeros_deltaQ")
+        counted(stability, "fundamental_matrix")
         bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
         n, n_max, p = 64, 5, 2.0
         rows, _ = run_ball_experiment(PotentialBallSampler(p, 1.0, seed=11), bc, 2, n_max, p, n_grid=n, b1=-1.0, b2=2.0)
-        assert calls == {"build_kernels": 4, "zeros_deltaQ": 4}
+        # one batched RK4 per potential gives all of its eigenfunctions
+        assert calls == {"build_kernels": 4, "zeros_deltaQ": 4, "fundamental_matrix": 4}
         pairs = list(PotentialBallSampler(p, 1.0, seed=11).pairs(2, -1.0, 2.0, n))
         calls["build_kernels"] = 0
         two_sided_check(*pairs[0], bc, n_max, n_grid=n)

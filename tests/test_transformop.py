@@ -172,7 +172,7 @@ class TestSolveR:
         bc = BoundaryConditions.from_canonical(0.4, 0.3, -0.2, 1.2)
         lams = np.array([complex(re, im) for re in np.linspace(-20, 20, 20) for im in np.linspace(-2, 2, 10)])
         fine = 2048
-        ref = np.array([char_det_direct(dirac_trig_system(fine, b1, b2), bc, lam, fine) for lam in lams])
+        ref = char_det_direct(dirac_trig_system(fine, b1, b2), bc, lams, fine)
         errors = {}
         for n in (128, 256):
             ks = build_kernels(dirac_trig_system(n, b1, b2), n)
@@ -377,6 +377,33 @@ class TestDetViaKernels:
         batch = ev(lams)
         single = np.array([ev(l) for l in lams])
         assert np.abs(batch - single).max() < 1e-14
+
+    def test_slope_is_the_derivative(self):
+        n = 128
+        sys = smooth_potential(44, n, b1=-1.0, b2=2.0, l1_norm=0.8)
+        ks = build_kernels(sys, n)
+        bc = BoundaryConditions.from_canonical(0.4, 0.3, -0.2, 1.2)
+        ev = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
+        lams = np.array([complex(re, im) for re in np.linspace(-20, 20, 9) for im in (-1.5, 0.0, 1.0)])
+        value, slope = ev(lams, slope=True)
+        assert np.array_equal(value, ev(lams))
+        step = 1e-6 * (1.0 + np.abs(lams))
+        central = (ev(lams + step) - ev(lams - step)) / (2 * step)
+        assert np.abs(slope - central).max() <= 1e-6 * np.abs(slope).max()
+        scalar = ev(2.0 - 0.5j, slope=True)
+        assert all(isinstance(v, complex) for v in scalar)
+        assert scalar == (ev(2.0 - 0.5j), complex(ev(np.array([2.0 - 0.5j]), slope=True)[1][0]))
+
+    def test_power_table_matches_exponentials(self):
+        # e^{i b lam t_j} by a running product of z = e^{i b lam h}
+        n = 1024
+        t = np.linspace(0.0, 1.0, n + 1)
+        rng = np.random.default_rng(5)
+        lams = rng.uniform(-300, 300, 64) + 1j * rng.uniform(-2, 2, 64)
+        for b in (-1.0, np.sqrt(2.0), 3.0):
+            table = transformop._power_table(np.empty((lams.size, n + 1), dtype=complex), b / n, lams)
+            ref = np.exp(1j * b * np.multiply.outer(lams, t))
+            assert np.abs(table / ref - 1.0).max() <= 1e-12
 
 
 class TestDeviationNorms:
