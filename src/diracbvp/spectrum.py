@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 EPS_LADDER_DEFAULT = (0.4, 0.2, 0.1, 0.05)
+_BISECTION_ROUNDS = 12
 
 
 class NonRegularError(ValueError):
@@ -49,7 +50,7 @@ class ContourTooCloseError(RuntimeError):
 
 
 class NonIntegerWindingError(RuntimeError):
-    """The contour integral did not land near an integer."""
+    """The argument walk kept a jump too large to count as a winding."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
     margin = n_max + 4
 
     if method == "sweep":
-        clusters = _sweep_zeros(lambda lam: delta0((a, b, c, d), b1, b2, lam), a, b, c, d, b1, b2, margin)
+        clusters = _sweep_zeros(a, b, c, d, b1, b2, margin)
     elif method != "auto":
         raise ValueError("method must be 'auto' or 'sweep'")
     elif abs(b * c) < 1e-14:
@@ -167,7 +168,7 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
                 pts.append(lam_base + 2 * math.pi * m / beta)
         clusters = _cluster(pts, 1e-6)
     else:
-        clusters = _sweep_zeros(lambda lam: delta0((a, b, c, d), b1, b2, lam), a, b, c, d, b1, b2, margin)
+        clusters = _sweep_zeros(a, b, c, d, b1, b2, margin)
 
     # keep a symmetric window around the origin
     window = _index_symmetrically(clusters, n_max)
@@ -176,66 +177,65 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
     return window
 
 
-def _winding_rect(f, x0, x1, y0, y1, base_pts=32, max_refine=12) -> int:
-    """Winding number of f over a rectangle by summing argument increments,
-    refining the sampling until each increment is below pi/2."""
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1), complex(x0, y0)]
-    pts: list[complex] = []
-    for za, zb in zip(corners[:-1], corners[1:]):
-        seg = max(base_pts, int(base_pts * abs(zb - za)))
-        pts.extend(za + (zb - za) * k / seg for k in range(seg))
-    pts.append(corners[0])
-    vals = [f(z) for z in pts]
-    for _ in range(max_refine):
-        refined = False
-        new_pts = [pts[0]]
-        new_vals = [vals[0]]
-        for z0, z1v, f0, f1 in zip(pts[:-1], pts[1:], vals[:-1], vals[1:]):
-            if abs(f0) == 0 or abs(f1) == 0:
-                raise ContourTooCloseError("zero on rectangle contour")
-            if abs(cmath.phase(f1 / f0)) > math.pi / 2:
-                zm = 0.5 * (z0 + z1v)
-                new_pts.extend([zm, z1v])
-                new_vals.extend([f(zm), f1])
-                refined = True
-            else:
-                new_pts.append(z1v)
-                new_vals.append(f1)
-        pts, vals = new_pts, new_vals
-        if not refined:
+def _rectangle(x0, x1, y0, y1) -> np.ndarray:
+    """Counterclockwise points on a rectangle's boundary, at least 32 per
+    side and per unit of length, the first corner not repeated."""
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    sides = []
+    for za, zb in zip(corners, corners[1:] + corners[:1]):
+        seg = max(32, int(32 * abs(zb - za)))
+        sides.append(za + (zb - za) * np.arange(seg) / seg)
+    return np.concatenate(sides)
+
+
+def _winding(f, z: np.ndarray) -> int:
+    """Winding number of f around the closed polygon through the points z
+    (in order, the first point not repeated): the sum of the argument
+    increments arg(f[k+1] / f[k]).  Segments whose increment exceeds pi/2
+    are bisected, all midpoints of a round in one batched evaluation; an
+    increment still above pi/2 after _BISECTION_ROUNDS rounds raises
+    instead of being counted."""
+    values = _eval_many(f, z)
+    for rounds in range(_BISECTION_ROUNDS + 1):
+        size = np.abs(values)
+        if size.min() < 1e-12 * max(size.max(), 1.0):
+            raise ContourTooCloseError("f vanishes on the counting contour")
+        steps = np.angle(np.roll(values, -1) / values)
+        coarse = np.flatnonzero(np.abs(steps) > math.pi / 2)
+        if coarse.size == 0 or rounds == _BISECTION_ROUNDS:
             break
-    total = sum(cmath.phase(f1 / f0) for f0, f1 in zip(vals[:-1], vals[1:]))
-    w = total / (2 * math.pi)
-    if abs(w - round(w)) > 0.2:
-        raise NonIntegerWindingError(f"rectangle winding {w:.3f} not close to an integer")
-    return int(round(w))
+        mid = 0.5 * (z[coarse] + z[(coarse + 1) % z.size])
+        z = np.insert(z, coarse + 1, mid)
+        values = np.insert(values, coarse + 1, _eval_many(f, mid))
+    if coarse.size:
+        raise NonIntegerWindingError(f"{coarse.size} argument jumps above pi/2 left after {_BISECTION_ROUNDS} bisections")
+    return int(round(steps.sum() / (2 * math.pi)))
 
 
-def _takes_slope(f) -> bool:
+def _value_and_slope(f):
+    """z -> (f(z), f'(z)) for Newton, built once per search: one
+    ``f(z, slope=True)`` call when f offers its exact derivative, central
+    differences with step 1e-6 (1 + |z|) otherwise."""
     try:
-        return "slope" in inspect.signature(f).parameters
+        if "slope" in inspect.signature(f).parameters:
+            return lambda z: f(z, slope=True)
     except (TypeError, ValueError):
-        return False
+        pass
+    return _central_difference(f)
 
 
-def _value_and_slope(f, z):
-    """(f(z), f'(z)) at a point or an array of points, from one
-    ``f(z, slope=True)`` call when f offers its exact derivative; otherwise
-    by central differences with step 1e-6 (1 + |z|), arrays in one call."""
-    if _takes_slope(f):
-        return f(z, slope=True)
-    if isinstance(z, np.ndarray):
-        step_h = 1e-6 * (1.0 + np.abs(z))
-        vals = _eval_many(f, np.concatenate([z, z + step_h, z - step_h])).reshape(3, -1)
-        return vals[0], (vals[1] - vals[2]) / (2 * step_h)
-    step_h = 1e-6 * (1.0 + abs(z))
-    return f(z), (f(z + step_h) - f(z - step_h)) / (2 * step_h)
+def _central_difference(f):
+    def value_and_slope(z):
+        step_h = 1e-6 * (1.0 + abs(z))
+        return f(z), (f(z + step_h) - f(z - step_h)) / (2 * step_h)
+
+    return value_and_slope
 
 
-def _newton(f, z0: complex, tol: float = 1e-13, max_iter: int = 60) -> complex | None:
+def _newton(value_and_slope, z0: complex, tol: float = 1e-13, max_iter: int = 60) -> complex | None:
     z = z0
     for _ in range(max_iter):
-        value, d = _value_and_slope(f, z)
+        value, d = value_and_slope(z)
         if d == 0:
             return None
         dz = value / d
@@ -245,10 +245,16 @@ def _newton(f, z0: complex, tol: float = 1e-13, max_iter: int = 60) -> complex |
     return None
 
 
-def _sweep_zeros(f, a, b, c, d, b1, b2, margin: int):
-    """Argument-principle box sweep over the strip; fallback route when no
-    exact structure is available.  Zeros are located per box, deduplicated,
-    and each survivor gets its multiplicity from a local winding count."""
+def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
+    """Argument-principle box sweep of Delta_0 over the strip; fallback
+    route when no exact structure is available.  Zeros are located per
+    box, deduplicated, and each survivor gets its multiplicity from a local
+    winding count."""
+
+    def f(lam):
+        return delta0((a, b, c, d), b1, b2, lam)
+
+    newton_f = _central_difference(f)
     coeff_scale = max(1.0, abs(a), abs(d), abs(a * d - b * c))
     h = math.log(4.0 * coeff_scale) / min(b2, -b1) + 1.0
     density = (b2 - b1) / (2 * math.pi)
@@ -259,22 +265,21 @@ def _sweep_zeros(f, a, b, c, d, b1, b2, margin: int):
     offset = 0.0137
     for candidate in (0.0137, 0.231, 0.367, 0.483, 0.059):
         edges = -width + candidate + np.arange(nboxes + 1)
-        line_min = min(min(abs(f(complex(e, y))) for y in ys) for e in edges)
-        if line_min > 1e-5 * coeff_scale:
+        if np.abs(_eval_many(f, (edges[:, None] + 1j * ys).ravel())).min() > 1e-5 * coeff_scale:
             offset = candidate
             break
     edges = -width + offset + np.arange(nboxes + 1)
     found: list[complex] = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        count = _winding_rect(f, t0, t1, -h, h)
+        count = _winding(f, _rectangle(t0, t1, -h, h))
         if count > 0:
-            found.extend(_locate_in_box(f, t0, t1, -h, h, count))
+            found.extend(_locate_in_box(f, newton_f, t0, t1, -h, h, count))
     # deduplicate across boxes, then let a local winding decide multiplicity
     reps = [rep for rep, _ in _cluster(found, 1e-6)]
     out: list[tuple[complex, int]] = []
     for i, rep in enumerate(reps):
         r = max(min(0.05, _separation_to_others(reps, i) / 3.0), 1e-5)
-        mult = _winding_rect(f, rep.real - r, rep.real + r, rep.imag - r, rep.imag + r)
+        mult = _winding(f, _rectangle(rep.real - r, rep.real + r, rep.imag - r, rep.imag + r))
         if mult > 0:
             out.append((rep, mult))
     return out
@@ -287,32 +292,31 @@ def _in_box(z: complex, x0, x1, y0, y1, pad: float) -> bool:
 def _argmin_scan(f, x0, x1, y0, y1) -> complex:
     xs = np.linspace(x0, x1, 25)
     ysc = np.linspace(y0, y1, 25)
-    zz = xs[None, :] + 1j * ysc[:, None]
-    vals = np.abs(np.vectorize(f)(zz))
-    k = np.unravel_index(np.argmin(vals), vals.shape)
-    return complex(zz[k])
+    zz = (xs[None, :] + 1j * ysc[:, None]).ravel()
+    return complex(zz[np.argmin(np.abs(_eval_many(f, zz)))])
 
 
-def _locate_in_box(f, x0, x1, y0, y1, count, depth=0) -> list[complex]:
-    """Zeros inside a rectangle known to contain ``count`` of them.
-    Newton results that escape the rectangle are rejected and the box is
-    bisected instead, in Re and Im by turns so that zeros sharing a real
-    part get separated too.  Both halves are winding-counted and must add
-    up to ``count``, so every zero is reported by exactly one box."""
+def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]:
+    """Zeros of f inside a rectangle known to contain ``count`` of them;
+    ``newton_f`` maps z to (f(z), f'(z)).  Newton results that escape
+    the rectangle are rejected and the box is bisected instead, in Re and
+    Im by turns so that zeros sharing a real part get separated too.  Both
+    halves are winding-counted and must add up to ``count``, so every zero
+    is reported by exactly one box."""
     if count == 0:
         return []
     pad = max(1e-9, 0.02 * (x1 - x0))
     if count == 1:
-        z = _newton(f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
+        z = _newton(newton_f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
         if z is not None and _in_box(z, x0, x1, y0, y1, pad):
             return [z]
-        z = _newton(f, _argmin_scan(f, x0, x1, y0, y1))
+        z = _newton(newton_f, _argmin_scan(f, x0, x1, y0, y1))
         if z is not None and _in_box(z, x0, x1, y0, y1, pad):
             return [z]
     if depth >= 30 or max(x1 - x0, y1 - y0) < 1e-8:
         # coincident zeros (or a stubborn cluster): report the best point
         z = _argmin_scan(f, x0, x1, y0, y1)
-        z = _newton(f, z) or z
+        z = _newton(newton_f, z) or z
         return [z] * count
     split_re = depth % 2 == 0
     lo, hi = (x0, x1) if split_re else (y0, y1)
@@ -322,7 +326,7 @@ def _locate_in_box(f, x0, x1, y0, y1, count, depth=0) -> list[complex]:
         halves = ((x0, cut, y0, y1), (cut, x1, y0, y1)) if split_re else ((x0, x1, y0, cut), (x0, x1, cut, y1))
         shift += (hi - lo) * 0.013
         try:
-            counts = [_winding_rect(f, *box) for box in halves]
+            counts = [_winding(f, _rectangle(*box)) for box in halves]
         except (ContourTooCloseError, NonIntegerWindingError):
             continue
         if sum(counts) == count:
@@ -330,12 +334,12 @@ def _locate_in_box(f, x0, x1, y0, y1, count, depth=0) -> list[complex]:
     else:
         z = _argmin_scan(f, x0, x1, y0, y1)
         return [z] * count
-    return [z for box, k in zip(halves, counts) for z in _locate_in_box(f, *box, k, depth + 1)]
+    return [z for box, k in zip(halves, counts) for z in _locate_in_box(f, newton_f, *box, k, depth + 1)]
 
 
 def _eval_many(f, z: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, using vectorized evaluation when
-    the callable supports it."""
+    """Evaluate f on a 1-d array of points, using vectorized evaluation
+    when the callable supports it."""
     try:
         out = np.asarray(f(z), dtype=complex)
         if out.shape == z.shape:
@@ -346,21 +350,10 @@ def _eval_many(f, z: np.ndarray) -> np.ndarray:
 
 
 def count_zeros_disk(delta, center: complex, radius: float, quad_nodes: int = 256) -> int:
-    """Zero count inside a disk by the argument principle:
-    (1/2 pi i) contour-integral of Delta'/Delta, trapezoid on quad_nodes
-    contour points; Delta' is exact when ``delta`` takes ``slope=True``,
-    a central difference otherwise."""
-    theta = np.linspace(0.0, 2 * math.pi, quad_nodes, endpoint=False)
-    z = center + radius * np.exp(1j * theta)
-    f, d = _value_and_slope(delta, z)
-    fmax = float(np.abs(f).max())
-    if fmax == 0.0 or float(np.abs(f).min()) < 1e-12 * max(fmax, 1.0):
-        raise ContourTooCloseError("determinant vanishes on the counting contour")
-    w = (radius / quad_nodes) * np.sum(d / f * np.exp(1j * theta))
-    w = complex(w).real  # imaginary part is quadrature noise
-    if abs(w - round(w)) > 0.2:
-        raise NonIntegerWindingError(f"winding {w:.3f} not close to an integer")
-    return int(round(w))
+    """Zero count inside a disk by the argument principle: the winding of
+    Delta around the circle, walked from ``quad_nodes`` equally spaced
+    points (the starting number; coarse steps are bisected)."""
+    return _winding(delta, center + radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, quad_nodes, endpoint=False)))
 
 
 def _separation_to_others(reps: list[complex], k: int) -> float:
@@ -410,6 +403,7 @@ def zeros_deltaQ(
         delta = lambda lam: char_det_direct(sys, bc, lam, n_grid)  # noqa: E731
     else:
         raise ValueError("determinant must be 'kernels', 'direct' or a callable")
+    newton_f = _value_and_slope(delta)
 
     # one representative per cluster
     reps: list[complex] = []
@@ -426,7 +420,7 @@ def zeros_deltaQ(
     for k, rep in enumerate(reps):
         mult_sought = cluster_of.count(k)
         sep = _separation_to_others(reps, k)
-        lam = _newton(delta, rep)
+        lam = _newton(newton_f, rep)
         usable = [eps for eps in ladder if 2 * eps < sep]
         eps_used = math.nan
         verified = False
@@ -451,7 +445,7 @@ def zeros_deltaQ(
             # fallback: subdivision search in the separating box
             eps0 = usable[-1] if usable else (min(ladder)) / 2
             try:
-                located = _locate_in_box(delta, rep.real - eps0, rep.real + eps0, rep.imag - eps0, rep.imag + eps0, max(count, 1))
+                located = _locate_in_box(delta, newton_f, rep.real - eps0, rep.real + eps0, rep.imag - eps0, rep.imag + eps0, max(count, 1))
                 lam = located[0]
             except (ContourTooCloseError, NonIntegerWindingError):
                 lam = rep

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diracbvp.boundary import BoundaryConditions, delta0
 from diracbvp.gridfn import SampledFunction
+from diracbvp import spectrum
 from diracbvp.ode import DiracSystem
 from diracbvp.spectrum import (
     ContourTooCloseError,
+    NonIntegerWindingError,
     NonRegularError,
+    _rectangle,
+    _winding,
     count_zeros_disk,
     export_csv,
     incompressible_density,
@@ -116,23 +122,72 @@ class TestCountZeros:
         with pytest.raises(ContourTooCloseError):
             count_zeros_disk(lambda z: z - 1.0, 0.0, 1.0)
 
-    def test_one_evaluation_per_contour_with_exact_slope(self):
-        # an evaluator offering slope=True is called once per contour;
-        # a plain callable gets one batched central-difference call
+    def test_one_evaluation_per_contour_with_or_without_slope(self):
+        # the count needs no derivative: every callable, with or without
+        # slope=True, gets one batched call of quad_nodes points when no
+        # step needs bisecting
         calls = []
 
         def delta(lam, slope=False):
-            calls.append(np.size(lam))
+            calls.append((np.size(lam), slope))
             value = self.delta_antiperiodic(lam)
             if not slope:
                 return value
             return value, 1j * (np.exp(1j * lam) - np.exp(-1j * lam))
 
         assert count_zeros_disk(delta, math.pi, 0.5) == 2
-        assert calls == [256]
+        assert calls == [(256, False)]
         plain = []
         assert count_zeros_disk(lambda lam: plain.append(np.size(lam)) or self.delta_antiperiodic(lam), math.pi, 0.5) == 2
-        assert plain == [3 * 256]
+        assert plain == [256]
+
+    def test_unresolved_argument_jump_is_refused(self):
+        # a sign flip across Re z = 1/2 is an argument jump of pi that no
+        # bisection resolves; counting it as a winding would be silent
+        def f(z):
+            return np.where(np.real(z) < 0.5, 1.0, -1.0) + 0j
+
+        with pytest.raises(NonIntegerWindingError):
+            _winding(f, _rectangle(0.0, 1.0, -1.0, 1.0))
+        with pytest.raises(NonIntegerWindingError):
+            count_zeros_disk(f, 0.5, 0.3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        roots=st.lists(
+            st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)).map(lambda xy: complex(*xy)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_polynomial_counts_match_roots_inside(self, roots):
+        # disk |z - 0.1i| < 1 and rectangle [-1, 0.8] x [-0.7, 0.9]
+        center, radius = 0.1j, 1.0
+        box = (-1.0, 0.8, -0.7, 0.9)
+        # 0.05 from the circle and from the four lines through the edges
+        assume(all(abs(abs(z - center) - radius) >= 0.05 for z in roots))
+        assume(all(min(abs(z.real - box[0]), abs(z.real - box[1])) >= 0.05 for z in roots))
+        assume(all(min(abs(z.imag - box[2]), abs(z.imag - box[3])) >= 0.05 for z in roots))
+
+        def poly(z):
+            z = np.asarray(z, dtype=complex)
+            return np.prod(z[..., None] - np.array(roots), axis=-1)
+
+        in_disk = sum(abs(z - center) < radius for z in roots)
+        in_box = sum(box[0] < z.real < box[1] and box[2] < z.imag < box[3] for z in roots)
+        assert count_zeros_disk(poly, center, radius) == in_disk
+        assert _winding(poly, _rectangle(*box)) == in_box
+
+    def test_one_signature_check_per_search(self, monkeypatch):
+        # whether the determinant offers slope=True is asked once per
+        # zeros_deltaQ call, not once per Newton step
+        calls = []
+        signature = spectrum.inspect.signature
+        monkeypatch.setattr(spectrum.inspect, "signature", lambda f: calls.append(f) or signature(f))
+        bc = BoundaryConditions.from_canonical(0, 1, 1, 0)
+        sys = DiracSystem.zero(-1.0, 1.0, 32)
+        zeros_deltaQ(sys, bc, 4, n_grid=32)
+        assert len(calls) <= 1
 
 
 class TestZerosDeltaQ:
