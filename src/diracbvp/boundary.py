@@ -123,14 +123,16 @@ def delta0(coeffs, b1: float, b2: float, lam):
     return j12 + j34 * exp(1j * (b1 + b2) * lam) + j32 * exp(1j * b1 * lam) + j14 * exp(1j * b2 * lam)
 
 
-def _delta0_slope(coeffs, b1: float, b2: float, lam: np.ndarray) -> np.ndarray:
-    """d/dlam of ``delta0`` over an array of lam:
+def _delta0_slope(coeffs, b1: float, b2: float, lam):
+    """d/dlam of ``delta0``, vectorised over lam like it (scalars through
+    ``cmath.exp``):
     i(b1+b2) J34 e^{i(b1+b2) lam} + i b1 J32 e^{i b1 lam} + i b2 J14 e^{i b2 lam}."""
     _, j34, j32, j14 = _delta0_coefficients(coeffs)
+    exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
     return 1j * (
-        (b1 + b2) * j34 * np.exp(1j * (b1 + b2) * lam)
-        + b1 * j32 * np.exp(1j * b1 * lam)
-        + b2 * j14 * np.exp(1j * b2 * lam)
+        (b1 + b2) * j34 * exp(1j * (b1 + b2) * lam)
+        + b1 * j32 * exp(1j * b1 * lam)
+        + b2 * j14 * exp(1j * b2 * lam)
     )
 
 

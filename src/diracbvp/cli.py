@@ -216,13 +216,19 @@ def _parse_config(path, task: str) -> dict:
     b2 = _as_number(system.get("b2", 1.0), "system.b2")
     if not b1 < 0.0 < b2:
         raise ConfigError(f"weights must satisfy b1 < 0 < b2, got b1={b1}, b2={b2}")
-    _check_memory(task, int(cfg.get("n", 256)))
+    _check_memory(task, _grid_size(cfg, task))
     return cfg
 
 
+def _grid_size(cfg: dict, task: str) -> int:
+    """N from the config, or the task's default: the memory estimate and
+    the run read the same value."""
+    return int(cfg.get("n", 128 if task == "stability" else 256))
+
+
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each; the kernels task peaks at about six of them live at once
-# (measured at N = 1024 and 2048).
+# bytes each.  The kernels task's peak RSS above import measured 5.3 of them
+# at N = 1024 and 4.7 at N = 2048 (during assemble_K), so six bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 6
 
@@ -249,12 +255,12 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _system_from(cfg: dict) -> tuple[DiracSystem, int]:
+def _system_from(cfg: dict, task: str) -> tuple[DiracSystem, int]:
     spec = cfg.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'system' object")
     _check_keys(spec, {"b1", "b2", "potential"}, "system")
-    n = int(cfg.get("n", 256))
+    n = _grid_size(cfg, task)
     b1 = float(spec.get("b1", -1.0))
     b2 = float(spec.get("b2", 1.0))
     sys_ = load_potential(spec.get("potential", {"kind": "zero"}), n, b1, b2)
@@ -301,11 +307,11 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
     max_iter = int(cfg.get("tolerances", {}).get("max_iter", 200))
 
     if task == "classify":
-        sys_, _ = _system_from(cfg)
+        sys_, _ = _system_from(cfg, task)
         verdict = classify(bc, sys_.b1, sys_.b2)
         _write_json(out_dir / "classify.json", {"kind": verdict.kind, "reason": verdict.reason, "ratio": verdict.ratio}, mhash)
     elif task == "spectrum":
-        sys_, n = _system_from(cfg)
+        sys_, n = _system_from(cfg, task)
         window = zeros_deltaQ(
             sys_, bc, int(cfg.get("n_max", 20)),
             eps_ladder=tuple(cfg.get("eps_ladder", (0.4, 0.2, 0.1, 0.05))),
@@ -315,7 +321,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
         _write_csv(out_dir / "spectrum.csv", *csv_table(window), mhash)
         _write_json(out_dir / "spectrum.json", {"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash)
     elif task == "kernels":
-        sys_, n = _system_from(cfg)
+        sys_, n = _system_from(cfg, task)
         ks = build_kernels(sys_, n, max_iter=max_iter, tol=tol)
         write_kernel(ks.r, out_dir / "kernel_r.bin")
         write_kernel(ks.kplus, out_dir / "kernel_kplus.bin")
@@ -331,7 +337,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
         )
         rows, summary = run_ball_experiment(
             sampler, bc, int(cfg.get("pairs", 4)), int(cfg.get("n_max", 12)),
-            float(cfg.get("p", 2.0)), n_grid=int(cfg.get("n", 128)), b1=b1, b2=b2,
+            float(cfg.get("p", 2.0)), n_grid=_grid_size(cfg, task), b1=b1, b2=b2,
         )
         csv_rows = [
             [
@@ -392,7 +398,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
     elif task == "fourier":
         fcfg = cfg.get("fourier", {})
         _check_keys(fcfg, {"g", "seq", "weighted", "use_maximal"}, "fourier")
-        n = int(cfg.get("n", 256))
+        n = _grid_size(cfg, task)
         gspec = fcfg.get("g", {"kind": "trig", "q12": {}, "q21": {"1": 1.0}})
         gsys = load_potential(gspec, n, -1.0, 1.0)
         g = gsys.q21

@@ -140,8 +140,10 @@ class SampledFunction:
 class TriangularKernel:
     """2x2 matrix kernel sampled on the triangle ``0 <= t_j <= x_i <= 1``.
 
-    ``data`` has shape (N+1, N+1, 2, 2); slots with j > i are structural
-    padding and must not be read -- use :meth:`entry` for guarded access.
+    ``data`` has shape (N+1, N+1, 2, 2).  Slots with j > i lie off the
+    triangle and always hold zero: the constructor clears them, so sums and
+    matrix products over whole rows or columns (``assemble_K``, ``x_norm``)
+    need no mask.  :meth:`entry` refuses an index off the triangle.
     """
 
     data: np.ndarray
@@ -153,9 +155,7 @@ class TriangularKernel:
         if arr.shape[0] < 3:
             raise ValueError("grid size N must be >= 2")
         arr = arr.copy()
-        n = arr.shape[0] - 1
-        ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        arr[jj > ii] = 0.0
+        arr[np.triu_indices(arr.shape[0], 1)] = 0.0
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -247,36 +247,31 @@ def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
     ``family='infinity'`` : max over x-rows  of (int_0^x |K(x,t)|_{p'->inf}^p dt)^{1/p}
 
     The essential supremum of the continuous object is modeled by the grid
-    maximum; the inner integral is composite trapezoid.
+    maximum; the inner integral is composite trapezoid.  The zero slots
+    above the diagonal add nothing to either norm, so no mask is needed.
     """
     p = PNorm(p)
     n = kernel.n
-    h = 1.0 / n
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    valid = jj <= ii
+    w = np.ones((n + 1, n + 1))
+    np.fill_diagonal(w, 0.5)
     if family == "one":
         mats = _mat_norm_one_to_p(kernel.data, p.p)
-        if p.is_inf:
-            return float(mats[valid].max())
         # trapezoid along x from t_j to 1: half weights at i = j and i = N
-        w = np.where(valid, 1.0, 0.0)
-        w[ii == jj] = 0.5
         w[n, :] = 0.5
         w[n, n] = 0.0  # t = 1 column is a single point
-        col = h * (w * mats**p.p).sum(axis=0)
-        return float(col.max() ** (1.0 / p.p))
-    if family == "infinity":
+        axis = 0
+    elif family == "infinity":
         mats = _mat_norm_pc_to_inf(kernel.data, p.p)
-        if p.is_inf:
-            return float(mats[valid].max())
         # trapezoid along t from 0 to x_i: half weights at j = 0 and j = i
-        w = np.where(valid, 1.0, 0.0)
         w[:, 0] = 0.5
-        w[ii == jj] = 0.5
         w[0, 0] = 0.0  # x = 0 row is a single point
-        row = h * (w * mats**p.p).sum(axis=1)
-        return float(row.max() ** (1.0 / p.p))
-    raise ValueError(f"family must be 'one' or 'infinity', got {family!r}")
+        axis = 1
+    else:
+        raise ValueError(f"family must be 'one' or 'infinity', got {family!r}")
+    if p.is_inf:
+        return float(mats.max())
+    sums = (1.0 / n) * (w * mats**p.p).sum(axis=axis)
+    return float(sums.max() ** (1.0 / p.p))
 
 
 def _block_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_polynomial, canonicalize, classify, delta0
+from .boundary import BoundaryConditions, _delta0_polynomial, _delta0_slope, canonicalize, classify, delta0
 from .ode import DiracSystem, char_det_direct
 from .transformop import build_kernels, combos, determinant_evaluator
 
@@ -221,10 +221,7 @@ def _value_and_slope(f):
             return lambda z: f(z, slope=True)
     except (TypeError, ValueError):
         pass
-    return _central_difference(f)
 
-
-def _central_difference(f):
     def value_and_slope(z):
         step_h = 1e-6 * (1.0 + abs(z))
         return f(z), (f(z + step_h) - f(z - step_h)) / (2 * step_h)
@@ -254,7 +251,9 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     def f(lam):
         return delta0((a, b, c, d), b1, b2, lam)
 
-    newton_f = _central_difference(f)
+    def newton_f(lam):
+        return f(lam), _delta0_slope((a, b, c, d), b1, b2, lam)
+
     coeff_scale = max(1.0, abs(a), abs(d), abs(a * d - b * c))
     h = math.log(4.0 * coeff_scale) / min(b2, -b1) + 1.0
     density = (b2 - b1) / (2 * math.pi)

@@ -85,25 +85,30 @@ class KernelSet:
 
 @dataclass(frozen=True)
 class ComboKernels:
-    """Scalar kernels K_{jl,k} = (K+_{jl} + (-1)^{l+k} K-_{jl}) / 2."""
+    """Scalar kernels K_{jl,k} = (K+_{jl} + (-1)^{l+k} K-_{jl}) / 2, each
+    (N+1, N+1) plane formed from (K+, K-) when it is asked for."""
 
-    data: np.ndarray  # shape (2, 2, 2, N+1, N+1) indexed [j-1, l-1, k-1]
+    kplus: TriangularKernel
+    kminus: TriangularKernel
 
     @property
     def n(self) -> int:
-        return self.data.shape[-1] - 1
+        return self.kplus.n
 
     def get(self, j: int, l: int, k: int) -> np.ndarray:
-        return self.data[j - 1, l - 1, k - 1]
+        sign = (-1.0) ** (l + k)
+        return 0.5 * (self.kplus.data[:, :, j - 1, l - 1] + sign * self.kminus.data[:, :, j - 1, l - 1])
 
 
-def _diag_to_kernel(rd: np.ndarray) -> TriangularKernel:
-    """Diagonal layout rd[a, b, m, j] = R_ab((j+m)h, jh) -> (i, j) layout."""
-    npts = rd.shape[-1]
-    ii, jj = np.meshgrid(np.arange(npts), np.arange(npts), indexing="ij")
-    m = np.where(ii >= jj, ii - jj, 0)
-    data = rd[:, :, m, jj]  # (2, 2, N+1, N+1)
-    return TriangularKernel(data.transpose(2, 3, 0, 1))
+def _diag_to_kernel(rd: dict) -> TriangularKernel:
+    """Solver layout rd[(a, b)][m, j] = R_ab((j+m)h, jh) -> (i, j) layout,
+    data[i, j, a-1, b-1] = rd[(a, b)][i - j, j] on the lower triangle."""
+    npts = rd[(1, 1)].shape[0]
+    ii, jj = np.tril_indices(npts)
+    data = np.zeros((npts, npts, 2, 2), dtype=complex)
+    for (a, b), arr in rd.items():
+        data[ii, jj, a - 1, b - 1] = arr[ii - jj, jj]
+    return TriangularKernel(data)
 
 
 _MAX_LINE_DENOMINATOR = 8  # alpha_k = p/q with q <= 8 puts every node on a line
@@ -268,16 +273,14 @@ class _RSweeper:
 
 
 def _rd_from_kernel(kernel: TriangularKernel) -> dict:
-    n = kernel.n
-    npts = n + 1
-    mm, ll = np.meshgrid(np.arange(npts), np.arange(npts), indexing="ij")
-    src_i = np.clip(mm + ll, 0, n)
+    """Inverse of ``_diag_to_kernel``; slots off the triangle stay zero."""
+    npts = kernel.n + 1
+    ii, jj = np.tril_indices(npts)
     rd = {}
     for a in (1, 2):
         for b in (1, 2):
-            arr = kernel.data[src_i, ll, a - 1, b - 1].copy()
-            arr[ll > n - mm] = 0.0
-            rd[(a, b)] = arr
+            rd[(a, b)] = np.zeros((npts, npts), dtype=complex)
+            rd[(a, b)][ii - jj, jj] = kernel.data[ii, jj, a - 1, b - 1]
     return rd
 
 
@@ -302,10 +305,7 @@ def solve_R(
     for _ in range(max_iter):
         rd, residual = sweeper.sweep(rd)
         if residual < tol:
-            stacked = np.stack(
-                [np.stack([rd[(1, 1)], rd[(1, 2)]]), np.stack([rd[(2, 1)], rd[(2, 2)]])]
-            )
-            kernel = _diag_to_kernel(stacked)
+            kernel = _diag_to_kernel(rd)
             return (kernel, residual) if return_residual else kernel
     raise IterationLimitError(f"kernel fixed point did not reach tol={tol} in {max_iter} sweeps", residual)
 
@@ -368,41 +368,38 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_
 
 
 def _toeplitz_lower(column: np.ndarray) -> np.ndarray:
-    npts = column.shape[0]
-    lag = np.subtract.outer(np.arange(npts), np.arange(npts))
-    return np.where(lag >= 0, column[np.clip(lag, 0, npts - 1)], 0.0)
+    """T[i, j] = column[i - j] on and below the diagonal, zero above."""
+    idx = np.arange(column.shape[0])
+    return np.tril(column[np.subtract.outer(idx, idx)])
 
 
 def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunction, n: int):
-    """K(x,t) = R(x,t) + P(x-t) + int_t^x R(x,s) P(s-t) ds for both signs."""
+    """K(x,t) = R(x,t) + P(x-t) + int_t^x R(x,s) P(s-t) ds for both signs.
+
+    R and the Toeplitz factor P(x - t) vanish above the diagonal, so every
+    term does too and no mask is applied."""
     if r.n != n or pplus.n != n or pminus.n != n:
         raise GridMismatchError("kernel and P factors must share the grid")
     h = 1.0 / n
-    npts = n + 1
-    idx = np.arange(npts)
-    lag = np.subtract.outer(idx, idx)
-    tri = lag >= 0
+    idx = np.arange(n + 1)
     rmat = r.data
     out = []
     for p in (pplus, pminus):
         data = rmat.copy()
-        pcols = [np.ascontiguousarray(p.samples[:, 0]), np.ascontiguousarray(p.samples[:, 1])]
-        # P(x - t) on the diagonal slots
-        for comp in (0, 1):
-            data[:, :, comp, comp] += np.where(tri, pcols[comp][np.clip(lag, 0, n)], 0.0)
-        # integral term, entrywise: (R * P)_ab = int R_ab(x,s) P_b(s-t) ds
         for bcomp in (0, 1):
-            col = pcols[bcomp]
+            col = np.ascontiguousarray(p.samples[:, bcomp])
+            toep = _toeplitz_lower(col)
+            # P(x - t) on the diagonal slot, then the integral term entrywise:
+            # (R * P)_ab = int R_ab(x,s) P_b(s-t) ds
+            data[:, :, bcomp, bcomp] += toep
             if not col.any():
                 continue
-            toep = _toeplitz_lower(col)
             for acomp in (0, 1):
                 rab = rmat[:, :, acomp, bcomp]
                 if not rab.any():
                     continue
-                full = rab @ toep
-                corr = 0.5 * rab * col[0] + 0.5 * np.outer(rab[idx, idx], np.ones(npts)) * toep
-                data[:, :, acomp, bcomp] += h * np.where(tri, full - corr, 0.0)
+                corr = 0.5 * rab * col[0] + 0.5 * rab[idx, idx][:, None] * toep
+                data[:, :, acomp, bcomp] += h * (rab @ toep - corr)
         out.append(TriangularKernel(data))
     return out[0], out[1]
 
@@ -443,16 +440,7 @@ def combos(kplus: TriangularKernel, kminus: TriangularKernel) -> ComboKernels:
     """Half-sum/half-difference kernels K_{jl,k} feeding the determinant."""
     if kplus.n != kminus.n:
         raise GridMismatchError("kernel grids differ")
-    npts = kplus.n + 1
-    data = np.zeros((2, 2, 2, npts, npts), dtype=complex)
-    for j in (1, 2):
-        for l in (1, 2):
-            for k in (1, 2):
-                sign = (-1.0) ** (l + k)
-                data[j - 1, l - 1, k - 1] = 0.5 * (
-                    kplus.data[:, :, j - 1, l - 1] + sign * kminus.data[:, :, j - 1, l - 1]
-                )
-    return ComboKernels(data)
+    return ComboKernels(kplus, kminus)
 
 
 def _power_table(out: np.ndarray, step: float, lam: np.ndarray) -> np.ndarray:
@@ -554,10 +542,10 @@ _KERNEL_MAGIC = struct.Struct("<II")
 
 def write_kernel(kernel: TriangularKernel, path) -> None:
     """Binary dump: little-endian header (N, complex count) followed by the
-    row-major triangular entries, each node as four complex doubles."""
+    triangle's nodes in ``np.tril_indices(N+1)`` (row-major) order, each
+    node as four complex doubles."""
     n = kernel.n
-    rows = [kernel.data[i, : i + 1].ravel() for i in range(n + 1)]
-    payload = np.concatenate(rows).astype("<c16")
+    payload = kernel.data[np.tril_indices(n + 1)].astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(_KERNEL_MAGIC.pack(n, payload.size))
         fh.write(payload.tobytes())
@@ -570,9 +558,5 @@ def read_kernel(path) -> TriangularKernel:
     if payload.size != count or count != 4 * (n + 1) * (n + 2) // 2:
         raise ValueError("corrupt kernel dump: size mismatch")
     data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
-    pos = 0
-    for i in range(n + 1):
-        width = 4 * (i + 1)
-        data[i, : i + 1] = payload[pos : pos + width].reshape(i + 1, 2, 2)
-        pos += width
+    data[np.tril_indices(n + 1)] = payload.reshape(-1, 2, 2)
     return TriangularKernel(data)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diracbvp import cli
 from diracbvp.cli import ConfigError, load_potential, main, save_potential
 from diracbvp.gridfn import SampledFunction
 from diracbvp.ode import DiracSystem
@@ -290,6 +291,17 @@ class TestExitCodes:
         assert "GiB" in capsys.readouterr().err
         assert peak < 1 << 20
         assert not out.exists()
+
+    def test_memory_guard_uses_the_grid_the_task_runs(self, tmp_path, monkeypatch):
+        # a stability config without "n" runs at N = 128 and must be
+        # estimated there: at N = 256 (25 MB) a 16 MB machine would refuse it
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        payload = {"system": {"b1": -1.0, "b2": 1.0}, "bc": {"canonical": [0, 1, 1, 0]},
+                   "n_max": 2, "pairs": 1, "r": 0.3, "seed": 11}
+        out = tmp_path / "o"
+        assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert (out / "stability.csv").exists()
 
     def test_io_failure(self, tmp_path):
         cfg = write_config(

@@ -104,6 +104,34 @@ class TestZerosDelta0:
         start = int(np.argmin(np.abs(np.array(expected) - got[0])))
         assert np.abs(got - np.array(expected[start : start + 21])).max() < 1e-9
 
+    def test_sweep_newton_step_evaluates_delta0_once(self, monkeypatch):
+        # the sweep's Newton takes Delta_0' from its closed form, so each
+        # step makes one scalar Delta_0 call; batched contour walks pass
+        # arrays and are not counted
+        steps = 0
+        scalar_calls = 0
+        real_delta0, real_newton = spectrum.delta0, spectrum._newton
+
+        def counting_delta0(coeffs, b1, b2, lam):
+            nonlocal scalar_calls
+            scalar_calls += not isinstance(lam, np.ndarray)
+            return real_delta0(coeffs, b1, b2, lam)
+
+        def counting_newton(value_and_slope, z0, *args, **kwargs):
+            def step(z):
+                nonlocal steps
+                steps += 1
+                return value_and_slope(z)
+
+            return real_newton(step, z0, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "delta0", counting_delta0)
+        monkeypatch.setattr(spectrum, "_newton", counting_newton)
+        window = zeros_delta0(BoundaryConditions.from_canonical(0, 1, 1, 0), -1.0, 1.0, 20, method="sweep")
+        assert len(window) == 41
+        assert steps > 0
+        assert scalar_calls == steps
+
 
 class TestCountZeros:
     def delta_antiperiodic(self, lam):

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diracbvp.boundary import BoundaryConditions, delta0
 from diracbvp.gridfn import SampledFunction, TriangularKernel, x_norm
@@ -126,6 +130,22 @@ class TestSolveR:
         tol = 1e-10
         r = solve_R(sys, n, tol=tol)
         assert r_equation_residual(sys, r) <= tol
+
+    def test_diagonal_layout_round_trip(self, rng):
+        # solver layout rd[(a, b)][m, l] = R_ab((l+m)h, lh), meaningful for
+        # l <= N - m; the kernel layout holds it at (i, j) = (l + m, l)
+        n = 20
+        idx = np.arange(n + 1)
+        valid = idx[None, :] <= n - idx[:, None]
+        keys = ((1, 1), (1, 2), (2, 1), (2, 2))
+        rd = {key: rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)) for key in keys}
+        kernel = transformop._diag_to_kernel(rd)
+        m, l = np.nonzero(valid)
+        back = transformop._rd_from_kernel(kernel)
+        for a, b in keys:
+            assert np.array_equal(kernel.data[l + m, l, a - 1, b - 1], rd[(a, b)][m, l])
+            assert np.array_equal(back[(a, b)][valid], rd[(a, b)][valid])
+            assert not back[(a, b)][~valid].any()
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
     def test_line_sums_match_per_node_paths(self, b, rng):
@@ -394,6 +414,31 @@ class TestDetViaKernels:
         assert all(isinstance(v, complex) for v in scalar)
         assert scalar == (ev(2.0 - 0.5j), complex(ev(np.array([2.0 - 0.5j]), slope=True)[1][0]))
 
+    @settings(max_examples=8, deadline=None)
+    @given(
+        coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=10, max_size=10),
+        l1_norm=st.floats(0.01, 0.8),
+    )
+    def test_kernel_route_matches_rk4_for_drawn_potentials(self, coeffs, l1_norm):
+        # trig potentials sum_{|m| <= 2} c_m e^{2 pi i m x} / (1 + |m|)^2 per
+        # entry, scaled to ||Q||_1 = l1_norm; Dirac weights, N = 256, and
+        # criterion 03's bc, lambda grid and bound
+        n = 256
+        x = np.linspace(0.0, 1.0, n + 1)
+        harmonics = np.arange(-2, 3)
+        waves = np.exp(2j * np.pi * np.outer(x, harmonics)) / (1.0 + np.abs(harmonics)) ** 2
+        c = np.array([complex(re, im) for re, im in coeffs])
+        sys = DiracSystem(-1.0, 1.0, SampledFunction(waves @ c[:5]), SampledFunction(waves @ c[5:]))
+        norm = potential_diff_norm(sys, DiracSystem.zero(-1.0, 1.0, n), 1, n)
+        assume(norm > 1e-6)
+        scale = l1_norm / norm
+        sys = DiracSystem(-1.0, 1.0, sys.q12.scale(scale), sys.q21.scale(scale))
+        bc = BoundaryConditions.from_canonical(0.4, 0.3, -0.2, 1.2)
+        lams = (np.linspace(-20, 20, 20)[:, None] + 1j * np.linspace(-2, 2, 10)).ravel()
+        ks = build_kernels(sys, n)
+        via_kernels = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)(lams)
+        assert np.abs(via_kernels - char_det_direct(sys, bc, lams, n)).max() <= 1e-3
+
     def test_power_table_matches_exponentials(self):
         # e^{i b lam t_j} by a running product of z = e^{i b lam h}
         n = 1024
@@ -444,6 +489,18 @@ class TestBinaryDump:
         write_kernel(kern, path)
         back = read_kernel(path)
         assert np.array_equal(back.data, kern.data)
+
+    def test_bytes_are_the_row_major_triangle(self, tmp_path, rng):
+        # reference writer: header, then row i's nodes j = 0..i, four
+        # complex doubles per node
+        n = 24
+        data = rng.standard_normal((n + 1, n + 1, 2, 2)) + 1j * rng.standard_normal((n + 1, n + 1, 2, 2))
+        kern = TriangularKernel(data)
+        rows = np.concatenate([kern.data[i, : i + 1].ravel() for i in range(n + 1)]).astype("<c16")
+        expected = struct.pack("<II", n, rows.size) + rows.tobytes()
+        path = tmp_path / "kernel.bin"
+        write_kernel(kern, path)
+        assert path.read_bytes() == expected
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "kernel.bin"
