@@ -79,6 +79,8 @@ def _as_number(value, where: str, integer: bool = False):
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -177,6 +179,8 @@ _TOP_KEYS = {
     "task", "system", "bc", "n", "n_max", "p", "r", "seed", "pairs",
     "tolerances", "eps_ladder", "allow_nonstrict", "fourier", "family",
 }
+# The tolerance keys each task reads; any other is refused, not ignored.
+_TOLERANCE_KEYS = {"kernels": {"kernel_tol", "max_iter"}, "spectrum": {"kernel_tol"}}
 
 
 def _parse_config(path, task: str) -> dict:
@@ -191,7 +195,7 @@ def _parse_config(path, task: str) -> dict:
     if "task" in cfg and cfg["task"] != task:
         raise ConfigError(f"config task {cfg['task']!r} does not match subcommand {task!r}")
     if "tolerances" in cfg:
-        _check_keys(cfg["tolerances"], {"kernel_tol", "max_iter"}, "tolerances")
+        _check_keys(cfg["tolerances"], _TOLERANCE_KEYS.get(task, set()), f"tolerances of task {task!r}")
         for key, integer in (("kernel_tol", False), ("max_iter", True)):
             if key in cfg["tolerances"]:
                 _as_number(cfg["tolerances"][key], f"tolerances.{key}", integer)
@@ -209,15 +213,21 @@ def _parse_config(path, task: str) -> dict:
         ladder = cfg["eps_ladder"]
         if not (isinstance(ladder, list) and ladder and all(_as_number(e, "eps_ladder entry") > 0.0 for e in ladder)):
             raise ConfigError(f"eps_ladder must be a non-empty list of positive numbers, got {ladder!r}")
+    _weights(cfg)
+    _check_memory(task, _grid_size(cfg, task))
+    return cfg
+
+
+def _weights(cfg: dict) -> tuple[float, float]:
+    """(b1, b2) from the config's ``system`` object, whose keys are checked;
+    the weights default to the Dirac pair (-1, 1)."""
     system = cfg.get("system", {})
-    if not isinstance(system, dict):
-        raise ConfigError("'system' must be an object")
+    _check_keys(system, {"b1", "b2", "potential"}, "system")
     b1 = _as_number(system.get("b1", -1.0), "system.b1")
     b2 = _as_number(system.get("b2", 1.0), "system.b2")
     if not b1 < 0.0 < b2:
         raise ConfigError(f"weights must satisfy b1 < 0 < b2, got b1={b1}, b2={b2}")
-    _check_memory(task, _grid_size(cfg, task))
-    return cfg
+    return b1, b2
 
 
 def _grid_size(cfg: dict, task: str) -> int:
@@ -227,10 +237,10 @@ def _grid_size(cfg: dict, task: str) -> int:
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 5.3 of them
-# at N = 1024 and 4.7 at N = 2048 (during assemble_K), so six bound it.
+# bytes each.  The kernels task's peak RSS above import measured 4.2 of them
+# at N = 1024 and 4.05 at N = 2048 (during assemble_K), so five bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
-_LIVE_KERNELS = 6
+_LIVE_KERNELS = 5
 
 
 def _check_memory(task: str, n: int) -> None:
@@ -259,11 +269,8 @@ def _system_from(cfg: dict, task: str) -> tuple[DiracSystem, int]:
     spec = cfg.get("system")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'system' object")
-    _check_keys(spec, {"b1", "b2", "potential"}, "system")
     n = _grid_size(cfg, task)
-    b1 = float(spec.get("b1", -1.0))
-    b2 = float(spec.get("b2", 1.0))
-    sys_ = load_potential(spec.get("potential", {"kind": "zero"}), n, b1, b2)
+    sys_ = load_potential(spec.get("potential", {"kind": "zero"}), n, *_weights(cfg))
     return sys_, n
 
 
@@ -328,9 +335,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
         write_kernel(ks.kminus, out_dir / "kernel_kminus.bin")
         _write_json(out_dir / "kernels.json", {"n": n, "residuals": ks.residuals}, mhash)
     elif task == "stability":
-        sys_spec = cfg.get("system", {})
-        b1 = float(sys_spec.get("b1", -1.0))
-        b2 = float(sys_spec.get("b2", 1.0))
+        b1, b2 = _weights(cfg)
         sampler = PotentialBallSampler(
             float(cfg.get("p", 2.0)), float(cfg.get("r", 1.0)), int(cfg.get("seed", 0)),
             family=cfg.get("family", "trig"),
@@ -376,9 +381,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
             mhash,
         )
     elif task == "bari":
-        sys_spec = cfg.get("system", {})
-        b1 = float(sys_spec.get("b1", -1.0))
-        b2 = float(sys_spec.get("b2", 1.0))
+        b1, b2 = _weights(cfg)
         report = bari_criterion(bc, b1, b2, int(cfg.get("n_max", 30)))
         payload = {
             "verdict": report.verdict,
@@ -409,8 +412,7 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
             seq = [2 * math.pi * k for k in range(-n_max, n_max + 1)]
             indices = list(range(-n_max, n_max + 1))
         elif seq_spec.get("kind") == "delta0_zeros":
-            sys_spec = cfg.get("system", {})
-            window = zeros_delta0(bc, float(sys_spec.get("b1", -1.0)), float(sys_spec.get("b2", 1.0)), n_max)
+            window = zeros_delta0(bc, *_weights(cfg), n_max)
             seq = [lam for _, lam, _ in window]
             indices = [nn for nn, _, _ in window]
         else:

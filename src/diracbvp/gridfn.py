@@ -140,21 +140,21 @@ class SampledFunction:
 class TriangularKernel:
     """2x2 matrix kernel sampled on the triangle ``0 <= t_j <= x_i <= 1``.
 
-    ``data`` has shape (N+1, N+1, 2, 2).  Slots with j > i lie off the
-    triangle and always hold zero: the constructor clears them, so sums and
-    matrix products over whole rows or columns (``assemble_K``, ``x_norm``)
-    need no mask.  :meth:`entry` refuses an index off the triangle.
+    ``data`` has shape (N+1, N+1, 2, 2).  The kernel owns the array it is
+    given: a complex, C-contiguous, writeable array that owns its memory is
+    adopted, anything else (a view, a kernel's ``data``) is copied; slots
+    j > i lie off the triangle and are zeroed, so row and column sums need
+    no mask, and the array is made read-only.  :meth:`entry` refuses j > i.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex)
+        arr = np.require(self.data, dtype=complex, requirements="COW")
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2:] != (2, 2):
             raise ValueError("kernel data must have shape (N+1, N+1, 2, 2)")
         if arr.shape[0] < 3:
             raise ValueError("grid size N must be >= 2")
-        arr = arr.copy()
         arr[np.triu_indices(arr.shape[0], 1)] = 0.0
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)

@@ -40,6 +40,7 @@ from .gridfn import (
     PNorm,
     SampledFunction,
     TriangularKernel,
+    _trapezoid_weights,
     lp_norm,
     x_norm,
 )
@@ -83,10 +84,14 @@ class KernelSet:
         return self.r.n
 
 
+def _combo(kplus: np.ndarray, kminus: np.ndarray, j: int, l: int, k: int) -> np.ndarray:
+    """K_{jl,k} = (K+_{jl} + (-1)^{l+k} K-_{jl}) / 2 on the leading axes of K+/-."""
+    return 0.5 * (kplus[..., j - 1, l - 1] + (-1.0) ** (l + k) * kminus[..., j - 1, l - 1])
+
+
 @dataclass(frozen=True)
 class ComboKernels:
-    """Scalar kernels K_{jl,k} = (K+_{jl} + (-1)^{l+k} K-_{jl}) / 2, each
-    (N+1, N+1) plane formed from (K+, K-) when it is asked for."""
+    """(K+, K-), whose (N+1, N+1) plane K_{jl,k} is formed when asked for."""
 
     kplus: TriangularKernel
     kminus: TriangularKernel
@@ -96,8 +101,7 @@ class ComboKernels:
         return self.kplus.n
 
     def get(self, j: int, l: int, k: int) -> np.ndarray:
-        sign = (-1.0) ** (l + k)
-        return 0.5 * (self.kplus.data[:, :, j - 1, l - 1] + sign * self.kminus.data[:, :, j - 1, l - 1])
+        return _combo(self.kplus.data, self.kminus.data, j, l, k)
 
 
 def _diag_to_kernel(rd: dict) -> TriangularKernel:
@@ -353,8 +357,7 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_
         v[0] = g[0]
         eye = np.eye(2)
         for i in range(1, n + 1):
-            w = np.ones(i + 1)
-            w[0] = w[-1] = 0.5
+            w = _trapezoid_weights(i)
             acc = np.einsum("j,jab,jb->a", w[:-1] * h, rmat[i, :i], v[:i])
             lhs = eye + 0.5 * h * rmat[i, i]
             v[i] = np.linalg.solve(lhs, g[i] - acc)
@@ -469,15 +472,15 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
     n = ck.n
     h = 1.0 / n
     t = np.linspace(0.0, 1.0, n + 1)
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
+    w = _trapezoid_weights(n)
     terms = []
+    kp, km = ck.kplus.data[n], ck.kminus.data[n]  # K+/-(1, .) is all Delta_Q reads
     for l, b in ((1, b1), (2, b2)):
         g = (
-            m[3, 2] * ck.get(1, l, 1)[n]
-            + m[4, 2] * ck.get(2, l, 1)[n]
-            + m[1, 3] * ck.get(1, l, 2)[n]
-            + m[1, 4] * ck.get(2, l, 2)[n]
+            m[3, 2] * _combo(kp, km, 1, l, 1)
+            + m[4, 2] * _combo(kp, km, 2, l, 1)
+            + m[1, 3] * _combo(kp, km, 1, l, 2)
+            + m[1, 4] * _combo(kp, km, 2, l, 2)
         )
         wg = h * w * g
         terms.append((b * h, np.stack([wg, 1j * b * t * wg], axis=1)))
@@ -548,7 +551,7 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
     payload = kernel.data[np.tril_indices(n + 1)].astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(_KERNEL_MAGIC.pack(n, payload.size))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_kernel(path) -> TriangularKernel:

@@ -250,8 +250,11 @@ class TestExitCodes:
             {"n": None},
             {"system": {"b1": 1, "b2": 1.0}},
             {"system": {"b1": -1.0, "b2": 1.0, "potential": {"kind": "trig", "q21": {"x": 1.0}}}},
+            {"tolerances": 5},
+            {"system": {"b1": -1.0, "b2": 1.0, "potential": 3}},
         ],
-        ids=["n-string", "n-null", "b1-positive", "trig-key-not-integer"],
+        ids=["n-string", "n-null", "b1-positive", "trig-key-not-integer", "tolerances-not-object",
+             "potential-not-object"],
     )
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, patch):
         # these reached the numerics and surfaced as a traceback or as a
@@ -276,8 +279,54 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_mistyped_system_key_is_refused(self, tmp_path, capsys, task):
+        # stability, bari and fourier never checked the system keys and ran
+        # with the default b2 = 1.0 (exit 0)
+        payload = {"system": {"b1": -1.0, "b_2": 2.0}, "bc": {"canonical": [0, 1, 1, 0]}, "n": 32, "n_max": 2}
+        out = tmp_path / "o"
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert "b_2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task, tolerances",
+        [("stability", {"kernel_tol": 1e-300, "max_iter": 1}), ("spectrum", {"max_iter": 1})],
+    )
+    def test_tolerance_the_task_does_not_read_is_refused(self, tmp_path, capsys, task, tolerances):
+        # both ran to completion (exit 0) with the tolerances ignored
+        payload = {"system": {"b1": -1.0, "b2": 2.0}, "bc": {"canonical": [0.5, 1, 1, 0.5]}, "n": 32, "n_max": 2,
+                   "pairs": 1, "tolerances": tolerances}
+        out = tmp_path / "o"
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert "max_iter" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kernels_task_reads_both_tolerances(self, tmp_path, capsys):
+        potential = {"kind": "trig", "q12": {"1": [0.5, 0.0]}, "q21": {"0": [0.5, 0.0]}}
+        payload = {"system": {"b1": -1.0, "b2": 1.0, "potential": potential},
+                   "n": 32, "tolerances": {"kernel_tol": 1e-300, "max_iter": 3}}
+        assert main(["kernels", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert "tol=1e-300 in 3 sweeps" in capsys.readouterr().err
+
+    def test_kernels_task_peak_allocation(self, tmp_path):
+        # each kernel owns the array its builder made, so the traced peak
+        # is about 4.1 dense kernels of 64 (N+1)^2 bytes; one more copy of
+        # a kernel in its constructor puts it at about 4.7
+        n = 256
+        potential = {"kind": "trig", "q12": {"1": [0.3, 0.1], "-1": [0.1, 0.0]}, "q21": {"0": [0.2, -0.1]}}
+        cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0, "potential": potential}, "n": n})
+        tracemalloc.start()
+        try:
+            code = main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4.25 * 64 * (n + 1) ** 2
+
     def test_memory_guard_refuses_before_numerics(self, tmp_path, capsys):
-        # dense kernels at N = 65536 need ~1.6 TB; the request must fail
+        # dense kernels at N = 65536 need ~1.4 TB; the request must fail
         # fast with the estimate instead of allocating
         cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0}, "n": 65536})
         out = tmp_path / "o"
@@ -294,7 +343,7 @@ class TestExitCodes:
 
     def test_memory_guard_uses_the_grid_the_task_runs(self, tmp_path, monkeypatch):
         # a stability config without "n" runs at N = 128 and must be
-        # estimated there: at N = 256 (25 MB) a 16 MB machine would refuse it
+        # estimated there: at N = 256 (21 MB) a 16 MB machine would refuse it
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         payload = {"system": {"b1": -1.0, "b2": 1.0}, "bc": {"canonical": [0, 1, 1, 0]},

@@ -104,6 +104,34 @@ class TestTriangularKernel:
         k = TriangularKernel(data)
         assert np.all(k.data[0, 5] == 0)
 
+    def test_fresh_array_is_adopted(self):
+        data = np.ones((9, 9, 2, 2), dtype=complex)
+        k = TriangularKernel(data)
+        assert np.shares_memory(k.data, data)
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[3, 1] = 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TriangularKernel(np.ones((9, 9, 2, 2), dtype=complex)).data,
+            lambda: np.ones((12, 12, 2, 2), dtype=complex)[:9, :9],
+            lambda: np.ones(9 * 9 * 4, dtype=complex).reshape(9, 9, 2, 2),
+            lambda: np.ones((9, 9, 2, 2)),
+        ],
+        ids=["other-kernel-data", "strided-view", "contiguous-view", "real-dtype"],
+    )
+    def test_borrowed_array_is_copied(self, make):
+        data = make()
+        before, writeable = data.copy(), data.flags.writeable
+        k = TriangularKernel(data)
+        assert not np.shares_memory(k.data, data)
+        assert np.array_equal(data, before) and data.flags.writeable == writeable
+        if data.base is not None:
+            assert data.base.flags.writeable
+        assert np.all(k.data[0, 5] == 0) and not k.data.flags.writeable
+
 
 class TestXNorm:
     def test_zero_kernel(self):

@@ -23,6 +23,7 @@ from diracbvp.spectrum import (
     zeros_delta0,
     zeros_deltaQ,
 )
+from diracbvp.transformop import build_kernels, combos, determinant_evaluator
 
 from conftest import smooth_potential
 
@@ -277,8 +278,6 @@ class TestZerosDeltaQ:
         sys = smooth_potential(63, n, l1_norm=0.4)
         bc = BoundaryConditions.from_canonical(0, 1, 1, 0)
         window = zeros_deltaQ(sys, bc, 8, n_grid=n)
-        from diracbvp.transformop import build_kernels, combos, determinant_evaluator
-
         ks = build_kernels(sys, n)
         delta = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
         radius = (abs(window.entry(5).lam0) + abs(window.entry(6).lam0)) / 2
@@ -306,6 +305,61 @@ class TestZerosDeltaQ:
         lams = window.lam_array()
         for lam in lams:
             assert np.abs(lams - lam.conjugate()).min() < 1e-6
+
+
+_T_ENTRY = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+def _kernel_route_window(sys, ck, bc):
+    delta = determinant_evaluator(bc, ck, sys.b1, sys.b2)
+    return zeros_deltaQ(sys, bc, 4, n_grid=ck.n, determinant=delta).entries
+
+
+@pytest.fixture(scope="module")
+def kernel_route_case():
+    """One N = 64 kernel build, and its window, shared by every drawn row
+    operation."""
+    n = 64
+    sys = smooth_potential(5, n, b1=-1.0, b2=2.0, l1_norm=0.5)
+    ks = build_kernels(sys, n)
+    ck = combos(ks.kplus, ks.kminus)
+    bc = BoundaryConditions.from_canonical(0.5, 1, 1, 0.5)
+    return sys, ck, bc, _kernel_route_window(sys, ck, bc)
+
+
+class TestRowOperations:
+    """The conditions T A and A have the same solutions for invertible T,
+    so the spectra must not change."""
+
+    @staticmethod
+    def _row_op(t):
+        t = np.array(t).reshape(2, 2)
+        assume(abs(np.linalg.det(t)) >= 0.2)
+        return t
+
+    @settings(max_examples=10, deadline=None)
+    @given(t=st.tuples(_T_ENTRY, _T_ENTRY, _T_ENTRY, _T_ENTRY))
+    @pytest.mark.parametrize(
+        "canonical, b2",
+        [((1.5 + 0.5j, 0, 0, 0.7), 1.0), ((0.3, 0.4, 0.5, 1.2), 2.0)],
+        ids=["progressions", "polynomial"],
+    )
+    def test_delta0_zeros(self, canonical, b2, t):
+        bc = BoundaryConditions.from_canonical(*canonical)
+        ref = zeros_delta0(bc, -1.0, b2, 10)
+        got = zeros_delta0(BoundaryConditions(self._row_op(t) @ bc.matrix), -1.0, b2, 10)
+        assert [(n, m) for n, _, m in got] == [(n, m) for n, _, m in ref]
+        for (_, lam, _), (_, lam_ref, _) in zip(got, ref):
+            assert abs(lam - lam_ref) <= 1e-12 * abs(lam_ref)
+
+    @settings(max_examples=10, deadline=None)
+    @given(t=st.tuples(_T_ENTRY, _T_ENTRY, _T_ENTRY, _T_ENTRY))
+    def test_deltaQ_zeros(self, kernel_route_case, t):
+        sys, ck, bc, ref = kernel_route_case
+        got = _kernel_route_window(sys, ck, BoundaryConditions(self._row_op(t) @ bc.matrix))
+        assert [(e.n, e.multiplicity, e.verified) for e in got] == [(e.n, e.multiplicity, e.verified) for e in ref]
+        for e, e_ref in zip(got, ref):
+            assert abs(e.lam - e_ref.lam) <= 1e-10 * abs(e_ref.lam)
 
 
 class TestIncompressibleDensity:
