@@ -3,6 +3,11 @@
 Usage:  diracbvp <task> --config cfg.json [--out DIR]
 with task one of classify, spectrum, kernels, stability, bari, fourier.
 
+Each task reads only its own keys, listed with their defaults in
+``_TASK_KEYS`` and in the README (``system.b1`` is the key ``b1`` of the
+object ``system``).  Any other key, or a value of the wrong type or out of
+range, is a config error, refused before the output directory is made.
+
 Every run writes a manifest (config echo, package version, timings) next
 to its outputs; output files cross-reference the manifest by the hash of
 the canonical config, so identical configs and seeds give byte-identical
@@ -29,9 +34,10 @@ from . import __version__
 from .bari import bari_criterion, selfadjoint_check
 from .boundary import BoundaryConditions, canonicalize, classify
 from .fourier import bessel_sum
-from .gridfn import IterationLimitError, SampledFunction
+from .gridfn import InvalidExponentError, IterationLimitError, PNorm, SampledFunction
 from .ode import DiracSystem
 from .spectrum import (
+    EPS_LADDER_DEFAULT,
     ContourTooCloseError,
     NonIntegerWindingError,
     NonRegularError,
@@ -40,7 +46,7 @@ from .spectrum import (
     zeros_deltaQ,
 )
 from .stability import PotentialBallSampler, run_ball_experiment
-from .transformop import build_kernels, write_kernel
+from .transformop import DEFAULT_MAX_ITER, DEFAULT_TOL, build_kernels, write_kernel
 
 TASKS = ("classify", "spectrum", "kernels", "stability", "bari", "fourier")
 
@@ -50,7 +56,7 @@ _NUMERIC_ERRORS = (
     ContourTooCloseError,
     NonIntegerWindingError,
     ArithmeticError,
-    ValueError,  # after ConfigError, which is handled first
+    ValueError,  # after ConfigError and InvalidExponentError, which are handled first
     np.linalg.LinAlgError,
 )
 
@@ -59,29 +65,38 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"expected number or [re, im] pair, got {value!r}")
-
-
 def _as_number(value, where: str, integer: bool = False):
-    """A JSON number (integral when ``integer``); booleans and strings are
-    config errors, not something for the numerics to trip over later."""
+    """A JSON number, kept as written (an int when ``integer``, which also
+    accepts an integral float); booleans and strings are config errors, not
+    something for the numerics to trip over later."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if ok and integer and isinstance(value, float):
         ok = value.is_integer()
     if not ok:
         raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return int(value) if integer else float(value)
+    return int(value) if integer else value
+
+
+def _as_complex(value, where: str) -> complex:
+    """A JSON number or [re, im] pair of numbers."""
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    return complex(*(_as_number(v, f"{where} (a number or [re, im] pair)") for v in pair))
+
+
+def _as_list(value, where: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ConfigError(f"{where} must be a list{f' of {length}' if length else ''}, got {value!r}")
+    return value
+
+
+def _as_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {obj!r}")
-    unknown = set(obj) - allowed
+    unknown = set(_as_object(obj, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
@@ -98,21 +113,22 @@ def load_potential(spec: dict, n: int, b1: float, b2: float) -> DiracSystem:
         entries = {}
         for key in ("q12", "q21"):
             vals = np.zeros(n + 1, dtype=complex)
-            for harm, coeff in (spec.get(key) or {}).items():
+            for harm, coeff in _as_object(spec.get(key) or {}, f"trig {key}").items():
                 try:
                     m = int(harm)
                 except ValueError:
                     raise ConfigError(f"trig harmonic {harm!r} in {key} is not an integer") from None
-                vals += _as_complex(coeff) * np.exp(2j * np.pi * m * x)
+                vals += _as_complex(coeff, f"trig {key}") * np.exp(2j * np.pi * m * x)
             entries[key] = SampledFunction(vals)
         return DiracSystem(b1, b2, entries["q12"], entries["q21"])
     if kind == "step":
-        breaks = np.asarray(spec.get("breakpoints", []), dtype=float)
+        breaks = _as_list(spec.get("breakpoints", []), "step breakpoints")
+        breaks = np.array([_as_number(v, "step breakpoints") for v in breaks], dtype=float)
         if breaks.size and np.any(np.diff(breaks) <= 0):
             raise ConfigError("step breakpoints must be strictly increasing")
         entries = {}
         for key in ("q12_values", "q21_values"):
-            levels = np.array([_as_complex(v) for v in spec.get(key, [0.0])])
+            levels = np.array([_as_complex(v, key) for v in _as_list(spec.get(key, [0.0]), key)])
             if levels.size != breaks.size + 1:
                 raise ConfigError(f"{key} must have len(breakpoints)+1 values")
             entries[key] = SampledFunction(levels[np.searchsorted(breaks, x)])
@@ -123,8 +139,8 @@ def load_potential(spec: dict, n: int, b1: float, b2: float) -> DiracSystem:
 
 
 def _load_potential_file(path, n: int, b1: float, b2: float) -> DiracSystem:
-    if path is None:
-        raise ConfigError("potential kind 'file' needs a path")
+    if not isinstance(path, str):
+        raise ConfigError(f"potential kind 'file' needs a path, got {path!r}")
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), 1):
@@ -160,80 +176,123 @@ def save_potential(sys: DiracSystem, path) -> None:
             )
 
 
-def _load_bc(spec: dict) -> BoundaryConditions:
-    _check_keys(spec, {"matrix", "canonical"}, "bc")
+def _load_bc(spec: dict, key: str) -> BoundaryConditions:
+    _check_keys(spec, {"matrix", "canonical"}, key)
     if "canonical" in spec:
-        vals = [_as_complex(v) for v in spec["canonical"]]
-        if len(vals) != 4:
-            raise ConfigError("canonical bc needs exactly (a, b, c, d)")
-        return BoundaryConditions.from_canonical(*vals)
+        vals = _as_list(spec["canonical"], f"{key}.canonical", 4)
+        return BoundaryConditions.from_canonical(*(_as_complex(v, f"{key}.canonical") for v in vals))
     if "matrix" in spec:
-        rows = spec["matrix"]
-        if len(rows) != 2 or any(len(r) != 4 for r in rows):
-            raise ConfigError("bc matrix must be 2x4")
-        return BoundaryConditions(np.array([[_as_complex(v) for v in r] for r in rows]))
-    raise ConfigError("bc needs either 'matrix' or 'canonical'")
+        rows = [_as_list(r, f"{key}.matrix row", 4) for r in _as_list(spec["matrix"], f"{key}.matrix", 2)]
+        return BoundaryConditions(np.array([[_as_complex(v, f"{key}.matrix") for v in r] for r in rows]))
+    raise ConfigError(f"{key} needs either 'matrix' or 'canonical'")
 
 
-_TOP_KEYS = {
-    "task", "system", "bc", "n", "n_max", "p", "r", "seed", "pairs",
-    "tolerances", "eps_ladder", "allow_nonstrict", "fourier", "family",
+def _check(rule: str, ok, read=lambda value, key: value):
+    """The check of one key: ``read`` parses its value and ``ok`` must hold
+    for the result, which is what the task runs with."""
+    def check(value, key):
+        parsed = read(value, key)
+        if not ok(parsed):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        return parsed
+    return check
+
+
+def _integer(lo: int, hi: int):
+    return _check(f"an integer in [{lo}, {hi}]", lambda v: lo <= v <= hi, lambda v, key: _as_number(v, key, integer=True))
+
+
+def _exponent(value, key: str):
+    """An L^p exponent, which PNorm checks (InvalidExponentError, exit 1)."""
+    PNorm(_as_number(value, key))
+    return value
+
+
+_POSITIVE = _check("positive", lambda v: v > 0.0, _as_number)
+_BOOLEAN = _check("true or false", lambda v: isinstance(v, bool))
+_COUNT = _integer(1, 4096)
+# One check per config key, by its dotted path.
+_CHECKS = {
+    "system.b1": _check("negative", lambda v: v < 0.0, _as_number),
+    "system.b2": _POSITIVE,
+    "system.potential": _as_object,
+    "bc": _load_bc,
+    "n": _integer(8, 1 << 16),
+    "n_max": _COUNT,
+    "pairs": _integer(0, 4096),
+    "seed": _integer(0, 2**63 - 1),
+    "p": _exponent,
+    "r": _POSITIVE,
+    "family": _check(f"one of {PotentialBallSampler.FAMILIES}", lambda v: v in PotentialBallSampler.FAMILIES),
+    "eps_ladder": _check(
+        "a non-empty list of positive numbers",
+        lambda v: isinstance(v, list) and v and all(_as_number(e, "eps_ladder entry") > 0.0 for e in v),
+    ),
+    "allow_nonstrict": _BOOLEAN,
+    "tolerances.kernel_tol": _POSITIVE,
+    "tolerances.max_iter": _integer(1, 1 << 31),
+    "fourier.g": _as_object,
+    "fourier.seq.kind": _check("harmonic or delta0_zeros", lambda v: v in ("harmonic", "delta0_zeros")),
+    "fourier.seq.n_max": _COUNT,
+    "fourier.weighted": _BOOLEAN,
+    "fourier.use_maximal": _BOOLEAN,
 }
-# The tolerance keys each task reads; any other is refused, not ignored.
-_TOLERANCE_KEYS = {"kernels": {"kernel_tol", "max_iter"}, "spectrum": {"kernel_tol"}}
+# Objects whose keys are config keys in their own right.
+_GROUPS = {key.rpartition(".")[0] for key in _CHECKS} - {""}
+
+_WEIGHTS = {"system.b1": -1.0, "system.b2": 1.0}
+_BC = {"bc": {"canonical": [1, 0, 0, 1]}}
+_GRID = {"n": 256}
+_P = {"p": 2.0}
+_TOL = {"tolerances.kernel_tol": DEFAULT_TOL}
+_SYSTEM = {**_WEIGHTS, "system.potential": {"kind": "zero"}, **_GRID}
+# The keys each task reads and their defaults, written as in a config (the
+# README lists them); a task refuses every other key.
+_TASK_KEYS = {
+    "classify": {**_WEIGHTS, **_BC},
+    "spectrum": {**_SYSTEM, **_BC, "n_max": 20, "eps_ladder": list(EPS_LADDER_DEFAULT), "allow_nonstrict": False, **_TOL},
+    "kernels": {**_SYSTEM, **_TOL, "tolerances.max_iter": DEFAULT_MAX_ITER},
+    "stability": {**_WEIGHTS, **_BC, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig"},
+    "bari": {**_WEIGHTS, **_BC, "n_max": 30},
+    "fourier": {
+        **_WEIGHTS, **_BC, **_GRID, **_P, "fourier.g": {"kind": "trig", "q12": {}, "q21": {"1": 1.0}},
+        "fourier.seq.kind": "harmonic", "fourier.seq.n_max": 50, "fourier.weighted": False, "fourier.use_maximal": True,
+    },
+}
 
 
-def _parse_config(path, task: str) -> dict:
+def _flatten(obj: dict, prefix: str = ""):
+    """(dotted path, value) for every key of a config, inside groups too."""
+    for key, value in obj.items():
+        if prefix + key in _GROUPS:
+            yield from _flatten(_as_object(value, prefix + key), prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def _parse_config(path, task: str) -> tuple[dict, dict]:
+    """The config as given, and the values the task runs with: one per key
+    of ``_TASK_KEYS[task]``, checked, defaults filled in, with ``bc`` as
+    BoundaryConditions and the potential specs (``system.potential``,
+    ``fourier.g``) as DiracSystems on the task's grid."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
-    if "task" in cfg and cfg["task"] != task:
+    given = dict(_flatten(_as_object(cfg, "config")))
+    if given.pop("task", task) != task:
         raise ConfigError(f"config task {cfg['task']!r} does not match subcommand {task!r}")
-    if "tolerances" in cfg:
-        _check_keys(cfg["tolerances"], _TOLERANCE_KEYS.get(task, set()), f"tolerances of task {task!r}")
-        for key, integer in (("kernel_tol", False), ("max_iter", True)):
-            if key in cfg["tolerances"]:
-                _as_number(cfg["tolerances"][key], f"tolerances.{key}", integer)
-    ranges = {"n": (8, 1 << 16), "n_max": (1, 4096), "pairs": (0, 4096), "seed": (0, 2**63 - 1)}
-    for key, (lo, hi) in ranges.items():
-        if key in cfg and not (lo <= _as_number(cfg[key], key, integer=True) <= hi):
-            raise ConfigError(f"{key} out of range [{lo}, {hi}]")
-    if "p" in cfg and not _as_number(cfg["p"], "p") >= 1.0:
-        raise ConfigError(f"p must be >= 1, got {cfg['p']!r}")
-    if "r" in cfg:
-        _as_number(cfg["r"], "r")
-    if "family" in cfg and cfg["family"] not in PotentialBallSampler.FAMILIES:
-        raise ConfigError(f"family must be one of {PotentialBallSampler.FAMILIES}, got {cfg['family']!r}")
-    if "eps_ladder" in cfg:
-        ladder = cfg["eps_ladder"]
-        if not (isinstance(ladder, list) and ladder and all(_as_number(e, "eps_ladder entry") > 0.0 for e in ladder)):
-            raise ConfigError(f"eps_ladder must be a non-empty list of positive numbers, got {ladder!r}")
-    _weights(cfg)
-    _check_memory(task, _grid_size(cfg, task))
-    return cfg
-
-
-def _weights(cfg: dict) -> tuple[float, float]:
-    """(b1, b2) from the config's ``system`` object, whose keys are checked;
-    the weights default to the Dirac pair (-1, 1)."""
-    system = cfg.get("system", {})
-    _check_keys(system, {"b1", "b2", "potential"}, "system")
-    b1 = _as_number(system.get("b1", -1.0), "system.b1")
-    b2 = _as_number(system.get("b2", 1.0), "system.b2")
-    if not b1 < 0.0 < b2:
-        raise ConfigError(f"weights must satisfy b1 < 0 < b2, got b1={b1}, b2={b2}")
-    return b1, b2
-
-
-def _grid_size(cfg: dict, task: str) -> int:
-    """N from the config, or the task's default: the memory estimate and
-    the run read the same value."""
-    return int(cfg.get("n", 128 if task == "stability" else 256))
+    keys = _TASK_KEYS[task]
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys for task {task!r}: {', '.join(unknown)}")
+    values = {key: _CHECKS[key](given.get(key, default), key) for key, default in keys.items()}
+    if task in _KERNEL_TASKS:
+        _check_memory(values["n"])
+    for key in {"system.potential", "fourier.g"} & set(values):
+        values[key] = load_potential(values[key], values["n"], values["system.b1"], values["system.b2"])
+    return cfg, values
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
@@ -243,11 +302,9 @@ _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 5
 
 
-def _check_memory(task: str, n: int) -> None:
+def _check_memory(n: int) -> None:
     """Refuse, before any numerics run, a request whose estimated peak
     exceeds the machine's physical memory."""
-    if task not in _KERNEL_TASKS:
-        return
     need = _LIVE_KERNELS * 64 * (n + 1) ** 2
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -263,15 +320,6 @@ def _check_memory(task: str, n: int) -> None:
 def _config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _system_from(cfg: dict, task: str) -> tuple[DiracSystem, int]:
-    spec = cfg.get("system")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs a 'system' object")
-    n = _grid_size(cfg, task)
-    sys_ = load_potential(spec.get("potential", {"kind": "zero"}), n, *_weights(cfg))
-    return sys_, n
 
 
 def _json_sanitize(obj):
@@ -302,87 +350,58 @@ def _complex_json(z: complex):
     return [z.real, z.imag]
 
 
-def run(task: str, cfg: dict, out_dir: Path) -> int:
-    """Dispatch a validated config; returns the exit status."""
+def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
+    """Run a task on ``v``, the checked values that ``_parse_config`` made
+    from the config ``cfg``; returns the exit status."""
     started = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
     mhash = _config_hash(cfg)
     timings = {}
-
-    bc = _load_bc(cfg.get("bc", {"canonical": [1, 0, 0, 1]}))
-    tol = float(cfg.get("tolerances", {}).get("kernel_tol", 1e-10))
-    max_iter = int(cfg.get("tolerances", {}).get("max_iter", 200))
+    bc, b1, b2 = v.get("bc"), v["system.b1"], v["system.b2"]
 
     if task == "classify":
-        sys_, _ = _system_from(cfg, task)
-        verdict = classify(bc, sys_.b1, sys_.b2)
+        verdict = classify(bc, b1, b2)
         _write_json(out_dir / "classify.json", {"kind": verdict.kind, "reason": verdict.reason, "ratio": verdict.ratio}, mhash)
     elif task == "spectrum":
-        sys_, n = _system_from(cfg, task)
         window = zeros_deltaQ(
-            sys_, bc, int(cfg.get("n_max", 20)),
-            eps_ladder=tuple(cfg.get("eps_ladder", (0.4, 0.2, 0.1, 0.05))),
-            n_grid=n, allow_nonstrict=bool(cfg.get("allow_nonstrict", False)),
-            tol=tol,
+            v["system.potential"], bc, v["n_max"], eps_ladder=v["eps_ladder"], n_grid=v["n"],
+            allow_nonstrict=v["allow_nonstrict"], tol=v["tolerances.kernel_tol"],
         )
         _write_csv(out_dir / "spectrum.csv", *csv_table(window), mhash)
         _write_json(out_dir / "spectrum.json", {"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash)
     elif task == "kernels":
-        sys_, n = _system_from(cfg, task)
-        ks = build_kernels(sys_, n, max_iter=max_iter, tol=tol)
+        ks = build_kernels(v["system.potential"], v["n"], max_iter=v["tolerances.max_iter"], tol=v["tolerances.kernel_tol"])
         write_kernel(ks.r, out_dir / "kernel_r.bin")
         write_kernel(ks.kplus, out_dir / "kernel_kplus.bin")
         write_kernel(ks.kminus, out_dir / "kernel_kminus.bin")
-        _write_json(out_dir / "kernels.json", {"n": n, "residuals": ks.residuals}, mhash)
+        _write_json(out_dir / "kernels.json", {"n": v["n"], "residuals": ks.residuals}, mhash)
     elif task == "stability":
-        b1, b2 = _weights(cfg)
-        sampler = PotentialBallSampler(
-            float(cfg.get("p", 2.0)), float(cfg.get("r", 1.0)), int(cfg.get("seed", 0)),
-            family=cfg.get("family", "trig"),
-        )
-        rows, summary = run_ball_experiment(
-            sampler, bc, int(cfg.get("pairs", 4)), int(cfg.get("n_max", 12)),
-            float(cfg.get("p", 2.0)), n_grid=_grid_size(cfg, task), b1=b1, b2=b2,
-        )
-        csv_rows = [
-            [
-                r["pair"], repr(float(r["dq_norm"])), repr(float(r["kernel_dev"])), repr(float(r["eigen_dev"])),
-                repr(float(r["eigenfunction_dev"])), repr(float(r["kernel_ratio"])), repr(float(r["eigen_ratio"])),
-                repr(float(r["eigenfunction_ratio"])),
-            ]
-            for r in rows
-        ]
-        _write_csv(
-            out_dir / "stability.csv",
-            ["pair", "dq_norm", "kernel_dev", "eigen_dev", "eigenfunction_dev",
-             "kernel_ratio", "eigen_ratio", "eigenfunction_ratio"],
-            csv_rows, mhash,
-        )
-        per_n_rows = [
-            [r["pair"], n, repr(float(d)), flag]
-            for r in rows
-            for n, d, flag in r["eigen_rows"]
-        ]
+        sampler = PotentialBallSampler(v["p"], v["r"], v["seed"], family=v["family"])
+        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2)
+        columns = ["dq_norm", "kernel_dev", "eigen_dev", "eigenfunction_dev", "kernel_ratio", "eigen_ratio",
+                   "eigenfunction_ratio"]
+        csv_rows = [[r["pair"], *(repr(float(r[c])) for c in columns)] for r in rows]
+        _write_csv(out_dir / "stability.csv", ["pair", *columns], csv_rows, mhash)
+        per_n_rows = [[r["pair"], n, repr(float(d)), flag] for r in rows for n, d, flag in r["eigen_rows"]]
         _write_csv(out_dir / "stability_rows.csv", ["pair", "n", "eigen_dev", "flag"], per_n_rows, mhash)
         a, b, c, d = canonicalize(bc)
         _write_json(
             out_dir / "stability.json",
             {
                 "experiment_id": mhash,
-                "bc_canonical": [_complex_json(v) for v in (a, b, c, d)],
-                "p": cfg.get("p", 2.0),
-                "r": cfg.get("r", 1.0),
+                "bc_canonical": [_complex_json(z) for z in (a, b, c, d)],
+                "p": v["p"],
+                "r": v["r"],
                 "summary": summary,
                 "pairs": [
-                    {k: v for k, v in r.items() if k not in ("eigen_rows", "eigenfunction_rows")}
+                    {k: x for k, x in r.items() if k not in ("eigen_rows", "eigenfunction_rows")}
                     for r in rows
                 ],
             },
             mhash,
         )
     elif task == "bari":
-        b1, b2 = _weights(cfg)
-        report = bari_criterion(bc, b1, b2, int(cfg.get("n_max", 30)))
+        report = bari_criterion(bc, b1, b2, v["n_max"])
         payload = {
             "verdict": report.verdict,
             "gate_value": report.gate_value,
@@ -399,38 +418,22 @@ def run(task: str, cfg: dict, out_dir: Path) -> int:
         }
         _write_json(out_dir / "bari.json", payload, mhash)
     elif task == "fourier":
-        fcfg = cfg.get("fourier", {})
-        _check_keys(fcfg, {"g", "seq", "weighted", "use_maximal"}, "fourier")
-        n = _grid_size(cfg, task)
-        gspec = fcfg.get("g", {"kind": "trig", "q12": {}, "q21": {"1": 1.0}})
-        gsys = load_potential(gspec, n, -1.0, 1.0)
-        g = gsys.q21
-        seq_spec = fcfg.get("seq", {"kind": "harmonic", "n_max": 50})
-        _check_keys(seq_spec, {"kind", "n_max"}, "fourier.seq")
-        n_max = int(seq_spec.get("n_max", 50))
-        if seq_spec.get("kind") == "harmonic":
-            seq = [2 * math.pi * k for k in range(-n_max, n_max + 1)]
+        n_max = v["fourier.seq.n_max"]
+        if v["fourier.seq.kind"] == "harmonic":
             indices = list(range(-n_max, n_max + 1))
-        elif seq_spec.get("kind") == "delta0_zeros":
-            window = zeros_delta0(bc, *_weights(cfg), n_max)
+            seq = [2 * math.pi * k for k in indices]
+        else:
+            window = zeros_delta0(bc, b1, b2, n_max)
             seq = [lam for _, lam, _ in window]
             indices = [nn for nn, _, _ in window]
-        else:
-            raise ConfigError(f"unknown seq kind {seq_spec.get('kind')!r}")
-        report = bessel_sum(
-            g, seq, float(cfg.get("p", 2.0)),
-            weighted=bool(fcfg.get("weighted", False)),
-            use_maximal=bool(fcfg.get("use_maximal", True)),
-            indices=indices,
-        )
+        report = bessel_sum(v["fourier.g"].q21, seq, v["p"], weighted=v["fourier.weighted"],
+                            use_maximal=v["fourier.use_maximal"], indices=indices)
         _write_json(
             out_dir / "fourier.json",
             {"sum": report.total, "norm_ref": report.norm_ref, "ratio": report.ratio,
              "weighted": report.weighted, "p": report.p},
             mhash,
         )
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ConfigError(f"unknown task {task!r}")
 
     timings["total_s"] = time.time() - started
     artifacts = {
@@ -457,13 +460,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
     args = parser.parse_args(argv)
     try:
-        cfg = _parse_config(args.config, args.task)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(args.task, cfg, Path(args.out))
-    except ConfigError as exc:
+        cfg, values = _parse_config(args.config, args.task)
+        return run(args.task, cfg, values, Path(args.out))
+    except (ConfigError, InvalidExponentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:

@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from diracbvp.cli import ConfigError, load_potential, main, save_potential
 from diracbvp.gridfn import SampledFunction
 from diracbvp.ode import DiracSystem
 from diracbvp.transformop import read_kernel
+
+
+TRIG = {"system": {"potential": {"kind": "trig", "q21": {"1": [0.5, 0.0]}}}}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -78,7 +83,7 @@ class TestRunTasks:
             tmp_path,
             {
                 "task": "classify",
-                "system": {"b1": -1.0, "b2": 1.0, "potential": {"kind": "zero"}},
+                "system": {"b1": -1.0, "b2": 1.0},
                 "bc": {"canonical": [1, 0, 0, 1]},
             },
         )
@@ -113,7 +118,7 @@ class TestRunTasks:
         cfg = write_config(
             tmp_path,
             {
-                "system": {"b1": -1.0, "b2": 2.0, "potential": {"kind": "zero"}},
+                "system": {"b1": -1.0, "b2": 2.0},
                 "bc": {"canonical": [1, 0, 0, 2]},
                 "n_max": 24,
             },
@@ -129,7 +134,6 @@ class TestRunTasks:
             tmp_path,
             {
                 "system": {"b1": -1.0, "b2": 1.0, "potential": {"kind": "trig", "q21": {"1": [0.5, 0.0]}}},
-                "bc": {"canonical": [0, 1, 1, 0]},
                 "n": 32,
             },
         )
@@ -302,6 +306,59 @@ class TestExitCodes:
         assert "max_iter" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "task, patch",
+        [
+            ("spectrum", {"allow_nonstrict": "false"}),
+            ("fourier", {"fourier": {"weighted": "false"}}),
+            ("fourier", {"fourier": {"use_maximal": 0}}),
+        ],
+        ids=["allow_nonstrict-string", "weighted-string", "use_maximal-int"],
+    )
+    def test_switch_must_be_a_json_boolean(self, tmp_path, capsys, task, patch):
+        # bool("false") is True: the spectrum run paired against a
+        # non-strict Delta_0 and exited 0, where false exits 2
+        payload = {"bc": {"canonical": [1, 0, 0, 1]}, "n": 32, **patch}
+        out = tmp_path / "o"
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+        if task == "spectrum":  # the JSON boolean is read
+            payload["allow_nonstrict"] = False
+            assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "bc",
+        [{"matrix": 5}, {"canonical": 5}, {"matrix": [[1, 0, 0, 0], 5]}, {"canonical": [["a", "b"], 0, 0, 1]}],
+        ids=["matrix-number", "canonical-number", "matrix-row-number", "canonical-pair-strings"],
+    )
+    def test_malformed_bc_is_a_config_error(self, tmp_path, capsys, bc):
+        # each raised a TypeError traceback
+        out = tmp_path / "o"
+        assert main(["classify", "--config", write_config(tmp_path, {"bc": bc}), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task, payload",
+        [
+            ("kernels", {**TRIG, "n": 32, "tolerances": {"kernel_tol": 0.0}}),
+            ("kernels", {**TRIG, "n": 32, "tolerances": {"kernel_tol": -1.0}}),
+            ("kernels", {**TRIG, "n": 32, "tolerances": {"max_iter": 0}}),
+            ("stability", {"n": 32, "n_max": 2, "pairs": 1, "r": -1}),
+            ("fourier", {"n": 32, "p": 3}),
+            ("fourier", {"n": 32, "fourier": {"seq": {"n_max": "abc"}}}),
+            ("kernels", {"n": 32, "system": {"potential": {"kind": "step", "breakpoints": "x"}}}),
+        ],
+        ids=["kernel_tol-zero", "kernel_tol-negative", "max_iter-zero", "r-negative", "fourier-p-3",
+             "seq-n_max-string", "step-breakpoints-string"],
+    )
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, task, payload):
+        # these exited 2 ("did not reach tol=-1.0 in 200 sweeps", "Bessel
+        # sums require p in (1, 2]", ...) or ran (r = -1, exit 0)
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_kernels_task_reads_both_tolerances(self, tmp_path, capsys):
         potential = {"kind": "trig", "q12": {"1": [0.5, 0.0]}, "q21": {"0": [0.5, 0.0]}}
         payload = {"system": {"b1": -1.0, "b2": 1.0, "potential": potential},
@@ -355,8 +412,60 @@ class TestExitCodes:
     def test_io_failure(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            {"system": {"b1": -1.0, "b2": 1.0, "potential": {"kind": "zero"}}, "bc": {"canonical": [0, 1, 1, 0]}},
+            {"system": {"b1": -1.0, "b2": 1.0}, "bc": {"canonical": [0, 1, 1, 0]}},
         )
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         assert main(["classify", "--config", cfg, "--out", str(blocker)]) == 3
+
+
+# A valid value for every top-level and system key, and the keys each task
+# reads; everything else must be refused.
+SAMPLE = {
+    "system.b1": -1.0, "system.b2": 2.0, "system.potential": {"kind": "zero"}, "bc": {"canonical": [0, 1, 1, 0]},
+    "n": 16, "n_max": 2, "pairs": 1, "seed": 3, "p": 1.5, "r": 0.5, "family": "step", "eps_ladder": [0.3],
+    "allow_nonstrict": True, "tolerances": {"kernel_tol": 1e-9}, "fourier": {"weighted": True},
+}
+READS = {
+    "classify": {"system.b1", "system.b2", "bc"},
+    "spectrum": {"system.b1", "system.b2", "system.potential", "bc", "n", "n_max", "eps_ladder", "allow_nonstrict",
+                 "tolerances"},
+    "kernels": {"system.b1", "system.b2", "system.potential", "n", "tolerances"},
+    "stability": {"system.b1", "system.b2", "bc", "n", "n_max", "pairs", "seed", "p", "r", "family"},
+    "bari": {"system.b1", "system.b2", "bc", "n_max"},
+    "fourier": {"system.b1", "system.b2", "bc", "n", "p", "fourier"},
+}
+
+
+def nested(keys):
+    cfg = {}
+    for key in keys:
+        head, _, tail = key.partition(".")
+        if tail:
+            cfg.setdefault(head, {})[tail] = SAMPLE[key]
+        else:
+            cfg[key] = SAMPLE[key]
+    return cfg
+
+
+class TestTaskKeys:
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_each_task_accepts_only_the_keys_it_reads(self, tmp_path, capsys, task):
+        # one key set for all tasks let e.g. a stability config carry a
+        # system.potential that the ball sampler never reads (exit 0)
+        for key in sorted(set(SAMPLE) - READS[task]):
+            out = tmp_path / "o"
+            assert main([task, "--config", write_config(tmp_path, nested([key])), "--out", str(out)]) == 1, key
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+        cli._parse_config(write_config(tmp_path, nested(READS[task])), task)
+
+    def test_readme_configs_parse_and_list_every_task_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, flags=re.S)]
+        assert blocks
+        for block in blocks:
+            cli._parse_config(write_config(tmp_path, block), block["task"])
+        flat = [dict(cli._flatten(block)) for block in blocks]
+        for task in cli.TASKS:
+            assert {"task": task, **cli._TASK_KEYS[task]} in flat, task
