@@ -183,7 +183,11 @@ def _load_bc(spec: dict, key: str) -> BoundaryConditions:
         return BoundaryConditions.from_canonical(*(_as_complex(v, f"{key}.canonical") for v in vals))
     if "matrix" in spec:
         rows = [_as_list(r, f"{key}.matrix row", 4) for r in _as_list(spec["matrix"], f"{key}.matrix", 2)]
-        return BoundaryConditions(np.array([[_as_complex(v, f"{key}.matrix") for v in r] for r in rows]))
+        matrix = np.array([[_as_complex(v, f"{key}.matrix") for v in r] for r in rows])
+        try:
+            return BoundaryConditions(matrix)
+        except ValueError as exc:  # rows of rank < 2 define no problem
+            raise ConfigError(f"{key}.matrix: {exc}") from exc
     raise ConfigError(f"{key} needs either 'matrix' or 'canonical'")
 
 
@@ -242,6 +246,9 @@ _GROUPS = {key.rpartition(".")[0] for key in _CHECKS} - {""}
 
 _WEIGHTS = {"system.b1": -1.0, "system.b2": 1.0}
 _BC = {"bc": {"canonical": [1, 0, 0, 1]}}
+# (1, 0, 0, 1) is regular but not strictly regular under the default
+# weights (-1, 1), which the tasks that pair spectra refuse
+_BC_STRICT = {"bc": {"canonical": [0, 1, 1, 0]}}
 _GRID = {"n": 256}
 _P = {"p": 2.0}
 _TOL = {"tolerances.kernel_tol": DEFAULT_TOL}
@@ -250,9 +257,9 @@ _SYSTEM = {**_WEIGHTS, "system.potential": {"kind": "zero"}, **_GRID}
 # README lists them); a task refuses every other key.
 _TASK_KEYS = {
     "classify": {**_WEIGHTS, **_BC},
-    "spectrum": {**_SYSTEM, **_BC, "n_max": 20, "eps_ladder": list(EPS_LADDER_DEFAULT), "allow_nonstrict": False, **_TOL},
+    "spectrum": {**_SYSTEM, **_BC_STRICT, "n_max": 20, "eps_ladder": list(EPS_LADDER_DEFAULT), "allow_nonstrict": False, **_TOL},
     "kernels": {**_SYSTEM, **_TOL, "tolerances.max_iter": DEFAULT_MAX_ITER},
-    "stability": {**_WEIGHTS, **_BC, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig"},
+    "stability": {**_WEIGHTS, **_BC_STRICT, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig"},
     "bari": {**_WEIGHTS, **_BC, "n_max": 30},
     "fourier": {
         **_WEIGHTS, **_BC, **_GRID, **_P, "fourier.g": {"kind": "trig", "q12": {}, "q21": {"1": 1.0}},
@@ -296,8 +303,8 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 4.2 of them
-# at N = 1024 and 4.05 at N = 2048 (during assemble_K), so five bound it.
+# bytes each.  The kernels task's peak RSS above import measured 4.1 of them
+# at N = 1024 and 3.8 at N = 2048 (during assemble_K), so five bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 5
 

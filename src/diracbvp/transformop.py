@@ -8,8 +8,8 @@ gamma_k = b_j/b_k, alpha_k = b_j/(b_j-b_k), j = 3-k):
                 - i b_j int_{alpha_k x + alpha_j t}^{x}
                         Q_jk(s) R_kk(s, gamma_k (s-x) + t) ds,
 
-by successive approximation; the diagonal matrices P+/- solve a
-second-kind Volterra system driven by the t = 0 traces of R; finally
+the diagonal matrices P+/- solve a second-kind Volterra system driven by
+the t = 0 traces of R; finally
 
     K(x,t) = R(x,t) + P(x-t) + int_t^x R(x,s) P(s-t) ds.
 
@@ -21,11 +21,21 @@ fractional position handled by linear interpolation.  That path is the
 characteristic t - gamma_k x = const; every node on one characteristic
 shares its integrand, so R_jk is a cumulative trapezoid sum along lines
 spaced 1/q grid unit apart (alpha_k = p/q with q <= 8, else q = 2 and
-nodes interpolate between neighbouring lines).  One sweep costs O(q N^2).
+nodes interpolate between neighbouring lines).
+
+In these coordinates the system is Volterra in m: diagonal m reads only
+earlier diagonals and itself.  One march over m = 0..N solves the
+discrete equations, carrying each line's running sum and solving each
+diagonal's end-term coupling as a linear recurrence along it (the
+characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
+Comp. 58, 1992).  Fixed-point sweeps of the same equations then certify
+the result: the stopping rule is the sweep increment.  Both the march and
+a sweep cost O(q N^2).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,10 +147,10 @@ def _lerp_clamped(values: np.ndarray, start, top, pos, frac) -> np.ndarray:
     within rows ``start .. start + top``.  The interpolating pair is clamped
     into the row, so points just past either end are extrapolated from the
     end cell."""
-    i0 = np.clip(pos, 0, np.maximum(top - 1, 0))
+    i0 = np.minimum(np.maximum(pos, 0), np.maximum(top - 1, 0))
     t = (pos - i0) + frac
-    i1 = np.minimum(i0 + 1, top)
-    return (1.0 - t) * values[start + i0] + t * values[start + i1]
+    lower = values[start + i0]
+    return lower + t * (values[start + np.minimum(i0 + 1, top)] - lower)
 
 
 class _LinePlan(NamedTuple):
@@ -174,13 +184,18 @@ class _LinePlan(NamedTuple):
     def locate(self, nodes: np.ndarray):
         """Diagonal, lower line and weight of the upper line per node."""
         m, l = np.divmod(nodes, self.n + 1)
+        return (m, *self.line_of(m, l))
+
+    def line_of(self, m, l):
+        """Lower line and weight of the upper line of the nodes (m, l)."""
         coord = self.q * l + self.step * m
         line = np.floor(coord)
-        return m, line.astype(np.intp), coord - line
+        return line.astype(np.intp), coord - line
 
 
 class _RSweeper:
-    """One fixed-point sweep of the coupled R system in diagonal layout."""
+    """The coupled R system in diagonal layout: its march and its
+    fixed-point sweep."""
 
     def __init__(self, sys: DiracSystem, n: int):
         self.n = n
@@ -207,9 +222,76 @@ class _RSweeper:
             self.explicit[(j, k)] = c0 * expl
             self.lines[k] = _LinePlan.build(self.alpha[k], self.valid)
 
-    def zero_state(self) -> dict:
-        npts = self.n + 1
-        return {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    def _crossings(self, k: int, rflat: np.ndarray, lines, diag) -> np.ndarray:
+        """Integrand Q_jk R_kk of the R_jk update where ``lines`` cross the
+        diagonals ``diag`` (broadcast): line C meets diagonal l at position
+        s = (C - step*l)/q, and R_kk is read from its flat state ``rflat``."""
+        n = self.n
+        plan = self.lines[k]
+        coord = (lines - plan.step * diag) / plan.q
+        whole = np.floor(coord)
+        pos = whole.astype(np.intp)
+        frac = coord - whole
+        f = _lerp_clamped(self.q_nodes[(3 - k, k)], 0, n, pos + diag, frac)
+        f *= _lerp_clamped(rflat, diag * (n + 1), n - diag, pos, frac)
+        return f
+
+    def march(self) -> dict:
+        """The discrete equations solved diagonal by diagonal, m = 0..N.
+
+        On diagonal m, R_kk reads R_jk on the same diagonal at positions
+        <= l, and R_jk reads R_kk on earlier diagonals plus, through the
+        trapezoid end term, the node itself.  ``sums`` holds every line's
+        trapezoid sum over the diagonals passed, so a node's line value A_l
+        leaves the end-term coupling R_jk[m, l] = A_l + c Q_jk(m+l) R_kk[m, l],
+        and the trapezoid along the diagonal turns it into the recurrence
+        (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l, s = m + l,
+        whose factors depend on s alone.  When every node lies on a line
+        (rational alpha_k) this is the sweep's fixed point; otherwise a node
+        reads its two lines weighted (1 - w, w), its end term is taken at
+        the node, and the result is a predictor for the sweeps."""
+        n = self.n
+        npts = n + 1
+        idx = np.arange(npts)
+        rd = {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+        for k in (1, 2):
+            j = 3 - k
+            plan = self.lines[k]
+            last = plan.q * n
+            explicit = self.explicit[(j, k)]
+            rkk, rjk = rd[(k, k)], rd[(j, k)]
+            rflat = rkk.reshape(-1)
+            coeff = -1j * self.b[j] * self.alpha[j] * self.h
+            # half trapezoid weights: along the diagonal, and the end term
+            diag_half = (-0.5j * self.b[k] * self.h) * self.q_nodes[(k, j)]
+            end_half = (0.5 * coeff) * self.q_nodes[(j, k)]
+            d = diag_half * end_half
+            growth = np.ones(npts, dtype=complex)
+            growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
+            np.cumprod(growth, out=growth)
+            scale = 1.0 / ((1.0 - d) * growth)
+            sums = np.zeros(last + 2, dtype=complex)  # line last + 1 is read with weight 0 only
+            for m in range(npts):
+                top = n - m
+                line, w = plan.line_of(m, idx[: top + 1])
+                lower = sums[line]
+                a = explicit[m, : top + 1] + coeff * (lower + w * (sums[line + 1] - lower))
+                pa = diag_half[m:] * a
+                x = rkk[m, : top + 1]  # x[0] = 0: a path of one point
+                if m:
+                    x[1:] = growth[m + 1 :] * np.cumsum((pa[:-1] + pa[1:]) * scale[m + 1 :])
+                    rjk[m, : top + 1] = a + end_half[m:] * x
+                else:  # no end term either
+                    x[1:] = np.cumsum(pa[:-1] + pa[1:])
+                    rjk[m, : top + 1] = a
+                if m == n:
+                    break
+                # only the lines that nodes on diagonals > m read
+                lo = math.floor(plan.step * (m + 1))
+                hi = min(math.floor(plan.q * (top - 1) + plan.step * (m + 1)) + 1, last)
+                f = self._crossings(k, rflat, np.arange(lo, hi + 1), m)
+                sums[lo : hi + 1] += f if m else 0.5 * f
+        return rd
 
     def _update_diagonal(self, rd: dict, k: int) -> np.ndarray:
         """R_kk from R_jk: exact-node trapezoid along each diagonal."""
@@ -232,24 +314,17 @@ class _RSweeper:
         integrand is Q_jk(s + l) R_kk(l, s); a node on diagonal m takes the
         trapezoid sum over l = 0..m of its line (or of the two lines around
         it, weighted linearly)."""
-        n = self.n
         j = 3 - k
         out = self.explicit[(j, k)].copy()
         rkk = rd[(k, k)]
         if not rkk.any():
             return out
         plan = self.lines[k]
-        qjk = self.q_nodes[(j, k)]
         rflat = rkk.reshape(-1)
         oflat = out.reshape(-1)
         coeff = -1j * self.b[j] * self.alpha[j] * self.h
         for lo, hi, s, e, depth in plan.blocks:
-            diag = np.arange(depth + 1)
-            whole, rem = np.divmod(np.arange(lo, hi + 1)[:, None] - plan.step * diag, plan.q)
-            pos = whole.astype(np.intp)
-            frac = rem / plan.q
-            f = _lerp_clamped(qjk, 0, n, pos + diag, frac)
-            f *= _lerp_clamped(rflat, diag * (n + 1), n - diag, pos, frac)
+            f = self._crossings(k, rflat, np.arange(lo, hi + 1)[:, None], np.arange(depth + 1))
             g = np.cumsum(f, axis=1)
             g -= 0.5 * (f[:, :1] + f)
             nodes = plan.nodes[s:e]
@@ -295,16 +370,19 @@ def solve_R(
     tol: float = DEFAULT_TOL,
     return_residual: bool = False,
 ):
-    """Successive approximation for the kernel R on the N-grid.
+    """The kernel R on the N-grid: one march along the diagonals, certified
+    by fixed-point sweeps.
 
-    Starts from zero (so the first sweep installs the explicit Q term) and
-    iterates until the max-node increment, which bounds the equation
-    residual of the previous iterate, drops below ``tol``.
+    The march solves the discrete equations diagonal by diagonal (exactly
+    when alpha_k = p/q with q <= 8, as a predictor otherwise).  Sweeps then
+    run until the max-node increment, which bounds the equation residual of
+    the previous iterate, drops below ``tol``: one sweep after an exact
+    march, a few after a predictor.
     """
     if n < 8:
         raise ValueError("grid size N must be >= 8 for the kernel solve")
     sweeper = _RSweeper(sys, n)
-    rd = sweeper.zero_state()
+    rd = sweeper.march()
     residual = np.inf
     for _ in range(max_iter):
         rd, residual = sweeper.sweep(rd)
@@ -371,9 +449,11 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_
 
 
 def _toeplitz_lower(column: np.ndarray) -> np.ndarray:
-    """T[i, j] = column[i - j] on and below the diagonal, zero above."""
-    idx = np.arange(column.shape[0])
-    return np.tril(column[np.subtract.outer(idx, idx)])
+    """T[i, j] = column[i - j] on and below the diagonal, zero above, as a
+    read-only strided view of the reversed column padded with N zeros."""
+    n = column.shape[0] - 1
+    padded = np.concatenate([column[::-1], np.zeros(n, dtype=column.dtype)])
+    return np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]
 
 
 def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunction, n: int):
@@ -390,7 +470,7 @@ def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunct
     for p in (pplus, pminus):
         data = rmat.copy()
         for bcomp in (0, 1):
-            col = np.ascontiguousarray(p.samples[:, bcomp])
+            col = p.samples[:, bcomp]
             toep = _toeplitz_lower(col)
             # P(x - t) on the diagonal slot, then the integral term entrywise:
             # (R * P)_ab = int R_ab(x,s) P_b(s-t) ds
@@ -401,8 +481,13 @@ def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunct
                 rab = rmat[:, :, acomp, bcomp]
                 if not rab.any():
                     continue
-                corr = 0.5 * rab * col[0] + 0.5 * rab[idx, idx][:, None] * toep
-                data[:, :, acomp, bcomp] += h * (rab @ toep - corr)
+                # trapezoid end corrections at s = t and s = x, in place
+                prod = rab @ toep
+                prod -= (0.5 * col[0]) * rab
+                prod -= (0.5 * rab[idx, idx])[:, None] * toep
+                prod *= h
+                data[:, :, acomp, bcomp] += prod
+                del prod  # freed before the next product is allocated
         out.append(TriangularKernel(data))
     return out[0], out[1]
 

@@ -177,6 +177,15 @@ class TestRunTasks:
         summary = json.loads((out / "stability.json").read_text())
         assert "kernel_ratio" in summary["summary"]
 
+    @pytest.mark.parametrize("task, payload", [("spectrum", {"n": 32, "n_max": 4}),
+                                               ("stability", {"n": 32, "n_max": 4, "pairs": 1})])
+    def test_default_bc_runs(self, tmp_path, task, payload):
+        # both exited 2: the shared default bc (1, 0, 0, 1) is not strictly
+        # regular under the default weights (-1, 1)
+        out = tmp_path / "out"
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -337,6 +346,16 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["classify", "--config", write_config(tmp_path, {"bc": bc}), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["classify", "bari", "spectrum"])
+    def test_dependent_bc_rows_are_a_config_error(self, tmp_path, capsys, task):
+        # each exited 2 as a numerical failure
+        out = tmp_path / "o"
+        payload = {"bc": {"matrix": [[1, 0, 0, 0], [2, 0, 0, 0]]}}
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "linearly dependent" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -103,6 +103,15 @@ def count_sweeps(monkeypatch, sys, n):
     return len(calls), r
 
 
+def count_zero_start_sweeps(monkeypatch, sys, n):
+    """``count_sweeps`` with the march replaced by the zero state."""
+    npts = n + 1
+    with monkeypatch.context() as patch:
+        patch.setattr(transformop._RSweeper, "march",
+                      lambda self: {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))})
+        return count_sweeps(monkeypatch, sys, n)
+
+
 def dirac_trig_system(n, b1, b2):
     x = np.linspace(0, 1, n + 1)
     q12 = 0.3 * np.cos(2 * np.pi * x) + 0.2j * np.sin(4 * np.pi * x)
@@ -168,6 +177,33 @@ class TestSolveR:
         ref_sweeps, ref = count_sweeps(monkeypatch, sys, n)
         assert sweeps == ref_sweeps
         assert np.abs(r.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+
+    @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0), (-1.0, np.sqrt(2.0))])
+    def test_march_reaches_the_swept_fixed_point(self, b, monkeypatch):
+        n = 64
+        tol = transformop.DEFAULT_TOL
+        sys = smooth_potential(26, n, *b, l1_norm=0.8)
+        _, ref = count_zero_start_sweeps(monkeypatch, sys, n)
+        assert np.abs(solve_R(sys, n).data - ref.data).max() <= 10 * tol
+
+    @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
+    def test_rational_march_needs_one_sweep(self, b, monkeypatch):
+        # every node lies on a line, so the march is the discrete fixed
+        # point and the certifying sweep moves it by roundoff
+        n = 64
+        sys = smooth_potential(27, n, *b, l1_norm=0.8)
+        sweeps, _ = count_sweeps(monkeypatch, sys, n)
+        _, increment = solve_R(sys, n, return_residual=True)
+        assert sweeps == 1
+        assert increment <= 1e-14
+
+    @pytest.mark.parametrize("b", [(-1.0, np.sqrt(2.0)), (-1.0, np.pi)])
+    def test_irrational_march_is_a_predictor(self, b, monkeypatch):
+        n = 64
+        sys = smooth_potential(28, n, *b, l1_norm=0.8)
+        sweeps, _ = count_sweeps(monkeypatch, sys, n)
+        zero_start, _ = count_zero_start_sweeps(monkeypatch, sys, n)
+        assert sweeps <= zero_start
 
     def test_irrational_line_interpolation_is_second_order(self, monkeypatch):
         # between-line interpolation departs from the per-node paths at
