@@ -211,13 +211,22 @@ class _RSweeper:
         self.shift_idx = np.clip(mm_grid + ll_grid, 0, n)  # (m, l) -> m + l
         self.explicit = {}
         self.lines = {}
+        windows = np.lib.stride_tricks.sliding_window_view
         for k in (1, 2):
             j = 3 - k
             c0 = 1j * self.b[j] * self.b[k] / (self.b[j] - self.b[k])
-            # Q_jk(alpha_k x + alpha_j t) is constant on a line: position l + alpha_k m
-            shift = self.alpha[k] * idx[:, None]
+            # Q_jk(alpha_k x + alpha_j t) is constant on a line: position
+            # l + alpha_k m, so diagonal m reads cells whole_m + l, all with
+            # the weight frac_m; one row of cells and differences per diagonal
+            q = self.q_nodes[(j, k)]
+            shift = self.alpha[k] * idx
             whole = np.floor(shift)
-            expl = _lerp_clamped(self.q_nodes[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
+            cells = whole.astype(np.intp)
+            lower = windows(np.concatenate([q, np.zeros(n, dtype=complex)]), npts)[cells]
+            diff = windows(np.concatenate([q[1:] - q[:-1], np.zeros(npts, dtype=complex)]), npts)[cells]
+            expl = lower + (shift - whole)[:, None] * diff
+            # diagonal 0 ends on the last node, read from the end cell
+            expl[0] = _lerp_clamped(q, 0, n, idx, 0.0)
             expl[~self.valid] = 0.0
             self.explicit[(j, k)] = c0 * expl
             self.lines[k] = _LinePlan.build(self.alpha[k], self.valid)
@@ -413,9 +422,10 @@ def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_TOL):
+def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """Diagonal factors P+/- from the second-kind Volterra system driven by
-    the t = 0 traces of R; forward substitution on the triangular grid.
+    the t = 0 traces of R; one forward substitution on the triangular grid
+    serves both signs, since the right-hand side is linear in the sign.
 
     Returns (pplus, pminus, residual) where the residual is the max-node
     defect of the discrete system (machine-level by construction).
@@ -425,27 +435,30 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int, tol: float = DEFAULT_
     h = 1.0 / n
     a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
     rmat = r.data  # (N+1, N+1, 2, 2)
-    r12_0 = rmat[:, 0, 0, 1]
-    r21_0 = rmat[:, 0, 1, 0]
+    idx = np.arange(n + 1)
+    signs = np.array([1.0, -1.0])
+    g = np.empty((n + 1, 2, 2), dtype=complex)  # g[i, component, sign]
+    g[:, 0] = (-a2 * rmat[:, 0, 0, 1])[:, None] * signs
+    g[:, 1] = (-a1 * rmat[:, 0, 1, 0])[:, None]
+    # the trapezoid's s = x_i node, moved to the left-hand side
+    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * rmat[idx, idx])
+    v = np.empty_like(g)
+    v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0, restored below
+    for i in range(1, n + 1):
+        acc = np.tensordot(rmat[i, :i], v[:i], axes=([0, 2], [0, 1]))
+        v[i] = inv[i] @ (g[i] - h * acc)
+    v[0] = g[0]
     out = {}
     residuals = []
-    for sign in (+1, -1):
-        g = np.stack([-sign * a2 * r12_0, -a1 * r21_0], axis=1)  # (N+1, 2)
-        v = np.zeros((n + 1, 2), dtype=complex)
-        v[0] = g[0]
-        eye = np.eye(2)
-        for i in range(1, n + 1):
-            w = _trapezoid_weights(i)
-            acc = np.einsum("j,jab,jb->a", w[:-1] * h, rmat[i, :i], v[:i])
-            lhs = eye + 0.5 * h * rmat[i, i]
-            v[i] = np.linalg.solve(lhs, g[i] - acc)
+    for col, sign in enumerate((+1, -1)):
+        vs = v[:, :, col]
         # defect of the discrete equations, all rows in one product
-        lhs = v + _volterra_trapezoid(rmat, v)
-        residuals.append(float(np.abs(lhs - g).max()))
-        p1 = sys.b1 * v[:, 0]
-        p2 = sign * sys.b2 * v[:, 1]
-        out[sign] = SampledFunction(np.stack([p1, p2], axis=1))
+        residuals.append(float(np.abs(vs + _volterra_trapezoid(rmat, vs) - g[:, :, col]).max()))
+        out[sign] = SampledFunction(np.stack([sys.b1 * vs[:, 0], sign * sys.b2 * vs[:, 1]], axis=1))
     return out[+1], out[-1], max(residuals)
+
+
+_K_BLOCK = 64  # rows and columns per block of the triangular products
 
 
 def _toeplitz_lower(column: np.ndarray) -> np.ndarray:
@@ -459,43 +472,63 @@ def _toeplitz_lower(column: np.ndarray) -> np.ndarray:
 def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunction, n: int):
     """K(x,t) = R(x,t) + P(x-t) + int_t^x R(x,s) P(s-t) ds for both signs.
 
-    R and the Toeplitz factor P(x - t) vanish above the diagonal, so every
-    term does too and no mask is applied."""
+    Only the lower-triangular blocks of the integral are formed: for each
+    block of rows I and block of columns J <= I, one matrix product takes
+    R's rows I for both first indices against the Toeplitz rows j0..i1 of
+    P_b with P_b(0) halved (the trapezoid weight at s = t), and the s = x
+    weight comes off as half of R(x, x) times the Toeplitz row P_b(x - t).
+    The halving touches that row only at t = x, where the one-point path
+    s = t = x integrates to zero and is set so.  Each block is scaled by h
+    and added into K; R and P vanish above the diagonal, so every term does
+    too and no mask is applied."""
     if r.n != n or pplus.n != n or pminus.n != n:
         raise GridMismatchError("kernel and P factors must share the grid")
     h = 1.0 / n
-    idx = np.arange(n + 1)
+    npts = n + 1
+    nb = min(_K_BLOCK, npts)
+    idx = np.arange(npts)
     rmat = r.data
-    out = []
+    rdiag = 0.5 * rmat[idx, idx].transpose(1, 2, 0)  # [a, b, i] = R_ab(x_i, x_i) / 2
+    datas = []
+    # per b: (data, Toeplitz view T[k, c] = P_b(k - c) with P_b(0) halved);
+    # its leading rows hold every block T[j0 + k, j0 + c]
+    factors = ([], [])
     for p in (pplus, pminus):
         data = rmat.copy()
-        for bcomp in (0, 1):
-            col = p.samples[:, bcomp]
-            toep = _toeplitz_lower(col)
-            # P(x - t) on the diagonal slot, then the integral term entrywise:
-            # (R * P)_ab = int R_ab(x,s) P_b(s-t) ds
-            data[:, :, bcomp, bcomp] += toep
-            if not col.any():
+        for b in (0, 1):
+            col = p.samples[:, b]
+            data[:, :, b, b] += _toeplitz_lower(col)
+            if col.any():
+                half = col.copy()
+                half[0] *= 0.5
+                factors[b].append((data, _toeplitz_lower(half)))
+        datas.append(data)
+    for i0 in range(0, npts, nb):
+        i1 = min(i0 + nb, npts)
+        rows = i1 - i0
+        for b in (0, 1):
+            if not factors[b]:
                 continue
-            for acomp in (0, 1):
-                rab = rmat[:, :, acomp, bcomp]
-                if not rab.any():
-                    continue
-                # trapezoid end corrections at s = t and s = x, in place
-                prod = rab @ toep
-                prod -= (0.5 * col[0]) * rab
-                prod -= (0.5 * rab[idx, idx])[:, None] * toep
-                prod *= h
-                data[:, :, acomp, bcomp] += prod
-                del prod  # freed before the next product is allocated
-        out.append(TriangularKernel(data))
-    return out[0], out[1]
+            # R's rows I for both a, stacked: (2 * rows) x i1
+            rrows = rmat[i0:i1, :i1, :, b].transpose(2, 0, 1).reshape(2 * rows, i1)
+            for data, toep in factors[b]:
+                for j0 in range(0, i1, nb):
+                    j1 = min(j0 + nb, i1)
+                    cols = j1 - j0
+                    block = (rrows[:, j0:] @ toep[: i1 - j0, :cols]).reshape(2, rows, cols)
+                    block -= rdiag[:, b, i0:i1, None] * toep[i0 - j0 : i1 - j0, :cols]
+                    if j0 == i0:
+                        block[:, idx[:rows], idx[:rows]] = 0.0
+                    block *= h
+                    data[i0:i1, j0:j1, :, b] += block.transpose(1, 2, 0)
+            del rrows  # freed before the next gather
+    return TriangularKernel(datas[0]), TriangularKernel(datas[1])
 
 
 def build_kernels(sys: DiracSystem, n: int, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL) -> KernelSet:
     """Full pipeline R -> P+/- -> K+/- with residual bookkeeping."""
     r, r_res = solve_R(sys, n, max_iter=max_iter, tol=tol, return_residual=True)
-    pplus, pminus, p_res = solve_P(r, sys, n, tol=tol)
+    pplus, pminus, p_res = solve_P(r, sys, n)
     kplus, kminus = assemble_K(r, pplus, pminus, n)
     boundary_defect = _boundary_relation_defect(sys, kplus, kminus)
     residuals = {"R": r_res, "P": p_res, "K_boundary": boundary_defect}
@@ -641,8 +674,14 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
 
 def read_kernel(path) -> TriangularKernel:
     with open(path, "rb") as fh:
-        n, count = _KERNEL_MAGIC.unpack(fh.read(_KERNEL_MAGIC.size))
-        payload = np.frombuffer(fh.read(), dtype="<c16")
+        header = fh.read(_KERNEL_MAGIC.size)
+        raw = fh.read()
+    if len(header) < _KERNEL_MAGIC.size:
+        raise ValueError("corrupt kernel dump: truncated header")
+    if len(raw) % 16:
+        raise ValueError("corrupt kernel dump: payload is not a whole number of complex doubles")
+    n, count = _KERNEL_MAGIC.unpack(header)
+    payload = np.frombuffer(raw, dtype="<c16")
     if payload.size != count or count != 4 * (n + 1) * (n + 2) // 2:
         raise ValueError("corrupt kernel dump: size mismatch")
     data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)

@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from diracbvp.gridfn import SampledFunction, TriangularKernel, x_norm
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 from diracbvp import transformop
 from diracbvp.transformop import (
+    assemble_K,
     build_kernels,
     combos,
     determinant_evaluator,
@@ -117,6 +120,62 @@ def dirac_trig_system(n, b1, b2):
     q12 = 0.3 * np.cos(2 * np.pi * x) + 0.2j * np.sin(4 * np.pi * x)
     q21 = 0.25 - 0.15j * np.cos(2 * np.pi * x) + 0.1 * np.sin(2 * np.pi * x)
     return DiracSystem(b1, b2, SampledFunction(q12), SampledFunction(q21))
+
+
+def dense_assemble_K(r, pplus, pminus, n):
+    """Reference K+/-: dense (N+1) x (N+1) products over the whole square,
+    the trapezoid end weights at s = t and s = x subtracted afterwards."""
+    h = 1.0 / n
+    idx = np.arange(n + 1)
+    rmat = r.data
+    out = []
+    for p in (pplus, pminus):
+        data = rmat.copy()
+        for b in (0, 1):
+            col = p.samples[:, b]
+            toep = np.tril(col[np.subtract.outer(idx, idx)])
+            data[:, :, b, b] += toep
+            for a in (0, 1):
+                rab = rmat[:, :, a, b]
+                prod = rab @ toep - (0.5 * col[0]) * rab - (0.5 * rab[idx, idx])[:, None] * toep
+                data[:, :, a, b] += h * prod
+        out.append(data)
+    return out
+
+
+def per_sign_solve_P(r, sys, n):
+    """Reference P+/-: one forward substitution per sign, with a 2x2 solve
+    at every node."""
+    h = 1.0 / n
+    rmat = r.data
+    out = []
+    for sign in (+1, -1):
+        g = np.stack([-sign * rmat[:, 0, 0, 1] / sys.b2, -rmat[:, 0, 1, 0] / sys.b1], axis=1)
+        v = np.zeros((n + 1, 2), dtype=complex)
+        v[0] = g[0]
+        for i in range(1, n + 1):
+            w = np.ones(i)
+            w[0] = 0.5
+            acc = h * np.einsum("j,jab,jb->a", w, rmat[i, :i], v[:i])
+            v[i] = np.linalg.solve(np.eye(2) + 0.5 * h * rmat[i, i], g[i] - acc)
+        out.append(np.stack([sys.b1 * v[:, 0], sign * sys.b2 * v[:, 1]], axis=1))
+    return out
+
+
+def q21_zero_system(n, b1=-1.0, b2=1.0):
+    x = np.linspace(0, 1, n + 1)
+    q12 = SampledFunction((0.4 * np.sin(2 * np.pi * x) + 0.1j).astype(complex))
+    return DiracSystem(b1, b2, q12, SampledFunction.zero(n))
+
+
+# weights crossing rational and irrational line spacings, and one potential
+# whose R, P and K have vanishing components
+KERNEL_SYSTEMS = {
+    "dirac": lambda n: dirac_trig_system(n, -1.0, 1.0),
+    "b=(-1,2)": lambda n: dirac_trig_system(n, -1.0, 2.0),
+    "b=(-1,sqrt2)": lambda n: dirac_trig_system(n, -1.0, math.sqrt(2.0)),
+    "q21=0": q21_zero_system,
+}
 
 
 class TestSolveR:
@@ -238,6 +297,23 @@ class TestSolveR:
         assert errors[256] <= 2 * 2.57e-5
         assert errors[128] / errors[256] >= 2.5, errors
 
+    @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, math.sqrt(2.0)), (-1.0, math.pi)])
+    @pytest.mark.parametrize("n", [8, 65])
+    def test_explicit_term_is_the_per_node_interpolation(self, b, n):
+        # one interpolation weight per diagonal gives the same bits as
+        # interpolating Q_jk at every node l + alpha_k m
+        sys = dirac_trig_system(n, *b)
+        sweeper = transformop._RSweeper(sys, n)
+        idx = np.arange(n + 1)
+        for k in (1, 2):
+            j = 3 - k
+            c0 = 1j * sweeper.b[j] * sweeper.b[k] / (sweeper.b[j] - sweeper.b[k])
+            shift = sweeper.alpha[k] * idx[:, None]
+            whole = np.floor(shift)
+            expl = transformop._lerp_clamped(sweeper.q_nodes[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
+            expl[~sweeper.valid] = 0.0
+            assert (c0 * expl).tobytes() == sweeper.explicit[(j, k)].tobytes()
+
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
             solve_R(DiracSystem.zero(-1.0, 1.0, 4), 4)
@@ -271,6 +347,15 @@ class TestSolveP:
         _, _, res = solve_P(r, sys, n)
         assert res < 1e-12
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    @pytest.mark.parametrize("n", [8, 65, 129])
+    def test_matches_per_sign_substitution(self, name, n):
+        sys = KERNEL_SYSTEMS[name](n)
+        r = solve_R(sys, n)
+        pp, pm, _ = solve_P(r, sys, n)
+        for got, ref in zip((pp.samples, pm.samples), per_sign_solve_P(r, sys, n)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
 
 class TestAssembleK:
     def test_zero(self):
@@ -296,6 +381,45 @@ class TestAssembleK:
         sys = smooth_potential(23, n, l1_norm=1.2)
         ks = build_kernels(sys, n, tol=1e-10)
         assert ks.residuals["K_boundary"] <= 10 * 1e-10
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    @pytest.mark.parametrize("n", [8, 63, 64, 65, 129])
+    def test_triangular_blocks_match_dense_products(self, name, n):
+        # the grid sizes put block edges on, just before and just after N
+        sys = KERNEL_SYSTEMS[name](n)
+        r = solve_R(sys, n)
+        pp, pm, _ = solve_P(r, sys, n)
+        for got, ref in zip(assemble_K(r, pp, pm, n), dense_assemble_K(r, pp, pm, n)):
+            assert np.abs(got.data - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_diagonal_is_r_plus_p_at_zero(self, name):
+        # the one-point path s = t = x adds nothing: K(x, x) = R(x, x) + P(0)
+        n = 65
+        sys = KERNEL_SYSTEMS[name](n)
+        r = solve_R(sys, n)
+        pp, pm, _ = solve_P(r, sys, n)
+        idx = np.arange(n + 1)
+        for k, p in zip(assemble_K(r, pp, pm, n), (pp, pm)):
+            assert np.array_equal(k.data[idx, idx], r.data[idx, idx] + np.diag(p.samples[0]))
+
+    def test_peak_allocation(self, rng):
+        # K+ and K- are two dense kernels of 64 (N+1)^2 bytes; the blocks
+        # add about 0.15 more, where dense products with full-size
+        # corrections put the peak at about 2.5
+        n = 512
+        shape = (n + 1, n + 1, 2, 2)
+        r = TriangularKernel(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        pp, pm = (SampledFunction(rng.standard_normal((n + 1, 2)) + 1j * rng.standard_normal((n + 1, 2)))
+                  for _ in range(2))
+        tracemalloc.start()
+        try:
+            kernels = assemble_K(r, pp, pm, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del kernels
+        assert peak <= 2.35 * 64 * (n + 1) ** 2
 
 
 class TestReconstruction:
@@ -537,6 +661,17 @@ class TestBinaryDump:
         path = tmp_path / "kernel.bin"
         write_kernel(kern, path)
         assert path.read_bytes() == expected
+
+    def test_malformed_dump_is_a_value_error(self, tmp_path):
+        # a file shorter than its header raised struct.error, and a payload
+        # of partial complex doubles raised numpy's buffer-size error
+        path = tmp_path / "kernel.bin"
+        write_kernel(TriangularKernel.zero(8), path)
+        raw = path.read_bytes()
+        for broken in (raw[:5], raw[:-3]):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError, match="corrupt kernel dump"):
+                read_kernel(path)
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "kernel.bin"
