@@ -155,7 +155,8 @@ class TriangularKernel:
             raise ValueError("kernel data must have shape (N+1, N+1, 2, 2)")
         if arr.shape[0] < 3:
             raise ValueError("grid size N must be >= 2")
-        arr[np.triu_indices(arr.shape[0], 1)] = 0.0
+        for i in range(arr.shape[0] - 1):
+            arr[i, i + 1 :] = 0.0
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

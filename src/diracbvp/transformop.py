@@ -29,8 +29,12 @@ discrete equations, carrying each line's running sum and solving each
 diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
 Comp. 58, 1992).  Fixed-point sweeps of the same equations then certify
-the result: the stopping rule is the sweep increment.  Both the march and
-a sweep cost O(q N^2).
+the result: the stopping rule is the sweep increment.  The march and the
+sweep's R_jk update take one step per diagonal: its lines start at
+floor(q alpha_k m) with one weight w, a node reads its two lines as
+strided slices of the line sums, and the lines cross the diagonal at
+(i - w)/q, so their integrand is the diagonal's R_kk row upsampled by q
+times Q_jk upsampled once.  Both cost O(q N^2).
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -115,18 +118,19 @@ class ComboKernels:
 
 
 def _diag_to_kernel(rd: dict) -> TriangularKernel:
-    """Solver layout rd[(a, b)][m, j] = R_ab((j+m)h, jh) -> (i, j) layout,
-    data[i, j, a-1, b-1] = rd[(a, b)][i - j, j] on the lower triangle."""
+    """Solver layout rd[(a, b)][m, j] = R_ab((j+m)h, jh) -> (i, j) layout: row i
+    of plane (a, b) is the strided run rd[(a, b)].flat[i(N+1) - jN], j = 0..i."""
     npts = rd[(1, 1)].shape[0]
-    ii, jj = np.tril_indices(npts)
     data = np.zeros((npts, npts, 2, 2), dtype=complex)
     for (a, b), arr in rd.items():
-        data[ii, jj, a - 1, b - 1] = arr[ii - jj, jj]
+        flat, plane = arr.reshape(-1), data[:, :, a - 1, b - 1]
+        for i in range(npts):
+            plane[i, : i + 1] = flat[i * npts :: 1 - npts][: i + 1]
     return TriangularKernel(data)
 
 
+_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))  # the planes R_ab of the diagonal layout
 _MAX_LINE_DENOMINATOR = 8  # alpha_k = p/q with q <= 8 puts every node on a line
-_LINE_BLOCK = 64           # lines per block: temporaries stay 65 x (N+1), not (qN+1) x (N+1)
 
 
 def _line_spacing(alpha: float) -> tuple[int, float]:
@@ -153,49 +157,25 @@ def _lerp_clamped(values: np.ndarray, start, top, pos, frac) -> np.ndarray:
     return lower + t * (values[start + np.minimum(i0 + 1, top)] - lower)
 
 
-class _LinePlan(NamedTuple):
-    """Characteristic lines of one R_jk update on the N-grid: spacing 1/q,
-    slope ``step`` line units per diagonal, the valid nodes (flat index
-    m*(N+1) + l) sorted by the line just below them, and blocks of lines
-    (first line, last line, node slice, deepest diagonal)."""
+def _upsample(values: np.ndarray, q: int, slots: np.ndarray) -> np.ndarray:
+    """The linear interpolant of ``values`` (nodes 0..top) at the ``slots``
+    i/q, i = -1 .. q*top + 1, the end slots extrapolated as ``_lerp_clamped`` does."""
+    top = values.shape[0] - 1
+    first, last = (values[1] - values[0], values[-1] - values[-2]) if top else (0.0, 0.0)
+    return np.interp(slots[: q * top + 3], slots[1 : q * top + 2 : q], values,
+                     left=values[0] - first / q, right=values[-1] + last / q)
 
-    n: int
-    q: int
-    step: float
-    nodes: np.ndarray
-    blocks: list
 
-    @classmethod
-    def build(cls, alpha: float, valid: np.ndarray) -> "_LinePlan":
-        n = valid.shape[0] - 1
-        q, step = _line_spacing(alpha)
-        nodes = np.flatnonzero(valid)
-        m, line, _ = cls(n, q, step, nodes, []).locate(nodes)
-        order = np.argsort(line, kind="stable")
-        line, m = line[order], m[order]
-        last = q * n
-        blocks = []
-        for lo in range(0, last + 1, _LINE_BLOCK):
-            s, e = np.searchsorted(line, [lo, lo + _LINE_BLOCK])
-            if e > s:
-                blocks.append((lo, min(lo + _LINE_BLOCK, last), s, e, int(m[s:e].max())))
-        return cls(n, q, step, nodes[order], blocks)
-
-    def locate(self, nodes: np.ndarray):
-        """Diagonal, lower line and weight of the upper line per node."""
-        m, l = np.divmod(nodes, self.n + 1)
-        return (m, *self.line_of(m, l))
-
-    def line_of(self, m, l):
-        """Lower line and weight of the upper line of the nodes (m, l)."""
-        coord = self.q * l + self.step * m
-        line = np.floor(coord)
-        return line.astype(np.intp), coord - line
+def _read_lines(sums: np.ndarray, base: int, w: float, q: int, top: int) -> np.ndarray:
+    """Line values at the nodes l = 0..top of one diagonal: line base + q*l
+    and the one above it, weighted (1 - w, w)."""
+    lower = sums[base : base + q * top + 1 : q]
+    return lower + w * (sums[base + 1 : base + q * top + 2 : q] - lower) if w else lower
 
 
 class _RSweeper:
     """The coupled R system in diagonal layout: its march and its
-    fixed-point sweep."""
+    fixed-point sweep, which share one step per diagonal."""
 
     def __init__(self, sys: DiracSystem, n: int):
         self.n = n
@@ -206,44 +186,67 @@ class _RSweeper:
         self.b = {1: sys.b1, 2: sys.b2}
         self.alpha = {1: sys.alpha1, 2: sys.alpha2}
         self.q_nodes = {(1, 2): sys.q12(grid), (2, 1): sys.q21(grid)}
-        mm_grid, ll_grid = np.meshgrid(idx, idx, indexing="ij")
-        self.valid = ll_grid <= n - mm_grid  # rd[m, l] valid for l <= N - m
-        self.shift_idx = np.clip(mm_grid + ll_grid, 0, n)  # (m, l) -> m + l
-        self.explicit = {}
-        self.lines = {}
+        self.valid = idx[None, :] <= n - idx[:, None]  # rd[m, l] valid for l <= N - m
         windows = np.lib.stride_tricks.sliding_window_view
+        self.hankel = {}
+        self.lines = {}
+        self.sources = {}
         for k in (1, 2):
             j = 3 - k
-            c0 = 1j * self.b[j] * self.b[k] / (self.b[j] - self.b[k])
-            # Q_jk(alpha_k x + alpha_j t) is constant on a line: position
-            # l + alpha_k m, so diagonal m reads cells whole_m + l, all with
-            # the weight frac_m; one row of cells and differences per diagonal
-            q = self.q_nodes[(j, k)]
+            # H[m, l] = Q_kj(m + l), zero past the last node
+            self.hankel[k] = windows(np.concatenate([self.q_nodes[(k, j)], np.zeros(n, dtype=complex)]), npts)
+            q, step = _line_spacing(self.alpha[k])
+            qjk = self.q_nodes[(j, k)]
+            slots = np.arange(-1, q * n + 2) / q
+            self.lines[k] = (q, step, slots, _upsample(qjk, q, slots))
+            # Q_jk(alpha_k x + alpha_j t) on diagonal m: cells floor(alpha_k m) + l, one weight
             shift = self.alpha[k] * idx
             whole = np.floor(shift)
-            cells = whole.astype(np.intp)
-            lower = windows(np.concatenate([q, np.zeros(n, dtype=complex)]), npts)[cells]
-            diff = windows(np.concatenate([q[1:] - q[:-1], np.zeros(npts, dtype=complex)]), npts)[cells]
-            expl = lower + (shift - whole)[:, None] * diff
-            # diagonal 0 ends on the last node, read from the end cell
-            expl[0] = _lerp_clamped(q, 0, n, idx, 0.0)
-            expl[~self.valid] = 0.0
-            self.explicit[(j, k)] = c0 * expl
-            self.lines[k] = _LinePlan.build(self.alpha[k], self.valid)
+            c0 = 1j * self.b[j] * self.b[k] / (self.b[j] - self.b[k])
+            self.sources[k] = (c0, whole.astype(np.intp), shift - whole, qjk[1:] - qjk[:-1])
 
-    def _crossings(self, k: int, rflat: np.ndarray, lines, diag) -> np.ndarray:
-        """Integrand Q_jk R_kk of the R_jk update where ``lines`` cross the
-        diagonals ``diag`` (broadcast): line C meets diagonal l at position
-        s = (C - step*l)/q, and R_kk is read from its flat state ``rflat``."""
-        n = self.n
-        plan = self.lines[k]
-        coord = (lines - plan.step * diag) / plan.q
-        whole = np.floor(coord)
-        pos = whole.astype(np.intp)
-        frac = coord - whole
-        f = _lerp_clamped(self.q_nodes[(3 - k, k)], 0, n, pos + diag, frac)
-        f *= _lerp_clamped(rflat, diag * (n + 1), n - diag, pos, frac)
-        return f
+    def _source_row(self, k: int, m: int) -> np.ndarray:
+        """Q_jk(alpha_k x + alpha_j t) at the nodes of diagonal m; the R_jk
+        equation's source term is c0 times it."""
+        _, cells, fracs, diff = self.sources[k]
+        qjk = self.q_nodes[(3 - k, k)]
+        top = self.n - m
+        if not m:  # diagonal 0 ends on the last node, read from the end cell
+            return _lerp_clamped(qjk, 0, self.n, np.arange(top + 1), 0.0)
+        cell = cells[m]
+        return qjk[cell : cell + top + 1] + fracs[m] * diff[cell : cell + top + 1]
+
+    @property
+    def explicit(self) -> dict:
+        """The source terms as (N+1, N+1) planes in diagonal layout."""
+        npts = self.n + 1
+        planes = {}
+        for k in (1, 2):
+            plane = np.zeros((npts, npts), dtype=complex)
+            for m in range(npts):
+                plane[m, : npts - m] = self._source_row(k, m)
+            planes[(3 - k, k)] = self.sources[k][0] * plane
+        return planes
+
+    def _diagonal(self, k: int, m: int) -> tuple[int, float]:
+        """Diagonal m's first line and its weight: node l lies between lines
+        base + q*l and base + q*l + 1, at w above the lower one."""
+        base = math.floor(self.lines[k][1] * m)
+        return base, self.lines[k][1] * m - base
+
+    def _line_integrand(self, k: int, m: int, row: np.ndarray, w: float) -> np.ndarray:
+        """Integrand Q_jk R_kk of the R_jk update where the lines base + i,
+        i = 0..q*top + 1, cross diagonal m, from its R_kk values ``row``
+        (nodes 0..top).  Line base + i meets the diagonal at (i - w)/q, so
+        both factors are read from interpolants upsampled by q, between the
+        slots i - 1 and i."""
+        q, _, slots, qup = self.lines[k]
+        top = row.shape[0] - 1
+        rup = _upsample(row, q, slots)
+        qs = qup[q * m : q * (m + top) + 3]
+        if w:
+            return (qs[1:] + w * (qs[:-1] - qs[1:])) * (rup[1:] + w * (rup[:-1] - rup[1:]))
+        return qs[1:] * rup[1:]
 
     def march(self) -> dict:
         """The discrete equations solved diagonal by diagonal, m = 0..N.
@@ -261,15 +264,12 @@ class _RSweeper:
         the node, and the result is a predictor for the sweeps."""
         n = self.n
         npts = n + 1
-        idx = np.arange(npts)
-        rd = {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+        rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
         for k in (1, 2):
             j = 3 - k
-            plan = self.lines[k]
-            last = plan.q * n
-            explicit = self.explicit[(j, k)]
+            q = self.lines[k][0]
+            c0 = self.sources[k][0]
             rkk, rjk = rd[(k, k)], rd[(j, k)]
-            rflat = rkk.reshape(-1)
             coeff = -1j * self.b[j] * self.alpha[j] * self.h
             # half trapezoid weights: along the diagonal, and the end term
             diag_half = (-0.5j * self.b[k] * self.h) * self.q_nodes[(k, j)]
@@ -279,12 +279,11 @@ class _RSweeper:
             growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
             np.cumprod(growth, out=growth)
             scale = 1.0 / ((1.0 - d) * growth)
-            sums = np.zeros(last + 2, dtype=complex)  # line last + 1 is read with weight 0 only
+            sums = np.zeros(q * n + 2, dtype=complex)  # line qN + 1 is read with weight 0 only
             for m in range(npts):
                 top = n - m
-                line, w = plan.line_of(m, idx[: top + 1])
-                lower = sums[line]
-                a = explicit[m, : top + 1] + coeff * (lower + w * (sums[line + 1] - lower))
+                base, w = self._diagonal(k, m)
+                a = c0 * self._source_row(k, m) + coeff * _read_lines(sums, base, w, q, top)
                 pa = diag_half[m:] * a
                 x = rkk[m, : top + 1]  # x[0] = 0: a path of one point
                 if m:
@@ -295,52 +294,52 @@ class _RSweeper:
                     rjk[m, : top + 1] = a
                 if m == n:
                     break
-                # only the lines that nodes on diagonals > m read
-                lo = math.floor(plan.step * (m + 1))
-                hi = min(math.floor(plan.q * (top - 1) + plan.step * (m + 1)) + 1, last)
-                f = self._crossings(k, rflat, np.arange(lo, hi + 1), m)
-                sums[lo : hi + 1] += f if m else 0.5 * f
+                f = self._line_integrand(k, m, x, w)
+                sums[base : base + q * top + 2] += f if m else 0.5 * f
         return rd
 
     def _update_diagonal(self, rd: dict, k: int) -> np.ndarray:
         """R_kk from R_jk: exact-node trapezoid along each diagonal."""
-        j = 3 - k
-        qkj = self.q_nodes[(k, j)]
-        if not rd[(j, k)].any():
+        rjk = rd[(3 - k, k)]
+        if not rjk.any():
             return np.zeros_like(rd[(k, k)])
-        g = qkj[self.shift_idx] * rd[(j, k)]  # g[m, l]
-        g[~self.valid] = 0.0
-        cs = np.cumsum(g, axis=1)
-        ct = cs - 0.5 * (g[:, :1] + g)
-        out = (-1j * self.b[k] * self.h) * ct
+        g = self.hankel[k] * rjk  # g[m, l] = Q_kj(m + l) R_jk[m, l], zero off the triangle
+        out = np.cumsum(g, axis=1)
+        g += g[:, :1]
+        g *= 0.5
+        out -= g
+        out *= -1j * self.b[k] * self.h
         out[~self.valid] = 0.0
         return out
 
     def _update_offdiagonal(self, rd: dict, k: int) -> np.ndarray:
         """R_jk from R_kk: cumulative trapezoid along characteristic lines.
 
-        Line C meets diagonal l at position s = (C - step*l)/q, where the
-        integrand is Q_jk(s + l) R_kk(l, s); a node on diagonal m takes the
-        trapezoid sum over l = 0..m of its line (or of the two lines around
-        it, weighted linearly)."""
-        j = 3 - k
-        out = self.explicit[(j, k)].copy()
+        One pass over the diagonals carries every line's sum, as the march
+        does; a node on diagonal m reads its line (or the two lines around
+        it, weighted linearly) with the half weights of diagonal 0 and of
+        its own diagonal, without the march's end-term recurrence."""
+        n = self.n
+        q = self.lines[k][0]
         rkk = rd[(k, k)]
-        if not rkk.any():
-            return out
-        plan = self.lines[k]
-        rflat = rkk.reshape(-1)
-        oflat = out.reshape(-1)
-        coeff = -1j * self.b[j] * self.alpha[j] * self.h
-        for lo, hi, s, e, depth in plan.blocks:
-            f = self._crossings(k, rflat, np.arange(lo, hi + 1)[:, None], np.arange(depth + 1))
-            g = np.cumsum(f, axis=1)
-            g -= 0.5 * (f[:, :1] + f)
-            nodes = plan.nodes[s:e]
-            m, line, w = plan.locate(nodes)
-            row = line - lo
-            upper = np.minimum(row + 1, hi - lo)
-            oflat[nodes] += coeff * ((1.0 - w) * g[row, m] + w * g[upper, m])
+        crossed = rkk.any()
+        c0 = self.sources[k][0]
+        coeff = -1j * self.b[3 - k] * self.alpha[3 - k] * self.h
+        out = np.zeros_like(rkk)
+        sums = np.zeros(q * n + 2, dtype=complex)
+        for m in range(n + 1):
+            top = n - m
+            row = c0 * self._source_row(k, m)
+            if crossed:
+                base, w = self._diagonal(k, m)
+                f = self._line_integrand(k, m, rkk[m, : top + 1], w)
+                span = sums[base : base + q * top + 2]
+                if m:
+                    row += coeff * _read_lines(span + 0.5 * f, 0, w, q, top)
+                    span += f
+                else:  # a path of one point
+                    span += 0.5 * f
+            out[m, : top + 1] = row
         return out
 
     def sweep(self, rd: dict) -> tuple[dict, float]:
@@ -363,12 +362,11 @@ class _RSweeper:
 def _rd_from_kernel(kernel: TriangularKernel) -> dict:
     """Inverse of ``_diag_to_kernel``; slots off the triangle stay zero."""
     npts = kernel.n + 1
-    ii, jj = np.tril_indices(npts)
-    rd = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            rd[(a, b)] = np.zeros((npts, npts), dtype=complex)
-            rd[(a, b)][ii - jj, jj] = kernel.data[ii, jj, a - 1, b - 1]
+    rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
+    for (a, b), arr in rd.items():
+        flat, plane = arr.reshape(-1), kernel.data[:, :, a - 1, b - 1]
+        for i in range(npts):
+            flat[i * npts :: 1 - npts][: i + 1] = plane[i, : i + 1]
     return rd
 
 
@@ -396,6 +394,7 @@ def solve_R(
     for _ in range(max_iter):
         rd, residual = sweeper.sweep(rd)
         if residual < tol:
+            del sweeper  # its tables go before the dense R is formed
             kernel = _diag_to_kernel(rd)
             return (kernel, residual) if return_residual else kernel
     raise IterationLimitError(f"kernel fixed point did not reach tol={tol} in {max_iter} sweeps", residual)

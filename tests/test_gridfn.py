@@ -100,9 +100,13 @@ class TestTriangularKernel:
             k.entry(3, 4)
 
     def test_data_outside_triangle_is_not_trusted(self):
+        # an adopted array loses every slot j > i and keeps the triangle
         data = np.ones((9, 9, 2, 2), dtype=complex)
         k = TriangularKernel(data)
-        assert np.all(k.data[0, 5] == 0)
+        upper = np.triu(np.ones((9, 9), dtype=bool), 1)
+        assert np.shares_memory(k.data, data)
+        assert not k.data[upper].any()
+        assert np.all(k.data[~upper] == 1)
 
     def test_fresh_array_is_adopted(self):
         data = np.ones((9, 9, 2, 2), dtype=complex)

@@ -92,6 +92,95 @@ def offdiagonal_oracle(sweeper, rd, k):
     return out
 
 
+def gathered_crossings(sweeper, k, rflat, lines, diag):
+    """Integrand Q_jk R_kk where ``lines`` cross the diagonals ``diag``
+    (broadcast), each point located and interpolated on its own."""
+    n = sweeper.n
+    q, step = transformop._line_spacing(sweeper.alpha[k])
+    coord = (lines - step * diag) / q
+    whole = np.floor(coord)
+    pos = whole.astype(np.intp)
+    frac = coord - whole
+    f = transformop._lerp_clamped(sweeper.q_nodes[(3 - k, k)], 0, n, pos + diag, frac)
+    f *= transformop._lerp_clamped(rflat, diag * (n + 1), n - diag, pos, frac)
+    return f
+
+
+def node_lines(sweeper, k, m, l):
+    """Lower line and weight of the upper line of the nodes (m, l)."""
+    q, step = transformop._line_spacing(sweeper.alpha[k])
+    coord = q * l + step * m
+    line = np.floor(coord)
+    return line.astype(np.intp), coord - line
+
+
+def gather_march(sweeper):
+    """Reference march: every node's lines and every crossing located by a
+    floor and interpolated by a gather, one diagonal at a time."""
+    n = sweeper.n
+    npts = n + 1
+    idx = np.arange(npts)
+    rd = {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    for k in (1, 2):
+        j = 3 - k
+        q, step = transformop._line_spacing(sweeper.alpha[k])
+        last = q * n
+        explicit = sweeper.explicit[(j, k)]
+        rkk, rjk = rd[(k, k)], rd[(j, k)]
+        rflat = rkk.reshape(-1)
+        coeff = -1j * sweeper.b[j] * sweeper.alpha[j] * sweeper.h
+        diag_half = (-0.5j * sweeper.b[k] * sweeper.h) * sweeper.q_nodes[(k, j)]
+        end_half = (0.5 * coeff) * sweeper.q_nodes[(j, k)]
+        d = diag_half * end_half
+        growth = np.ones(npts, dtype=complex)
+        growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
+        np.cumprod(growth, out=growth)
+        scale = 1.0 / ((1.0 - d) * growth)
+        sums = np.zeros(last + 2, dtype=complex)
+        for m in range(npts):
+            top = n - m
+            line, w = node_lines(sweeper, k, m, idx[: top + 1])
+            lower = sums[line]
+            a = explicit[m, : top + 1] + coeff * (lower + w * (sums[line + 1] - lower))
+            pa = diag_half[m:] * a
+            x = rkk[m, : top + 1]
+            if m:
+                x[1:] = growth[m + 1 :] * np.cumsum((pa[:-1] + pa[1:]) * scale[m + 1 :])
+                rjk[m, : top + 1] = a + end_half[m:] * x
+            else:
+                x[1:] = np.cumsum(pa[:-1] + pa[1:])
+                rjk[m, : top + 1] = a
+            if m == n:
+                break
+            lo = math.floor(step * (m + 1))
+            hi = min(math.floor(q * (top - 1) + step * (m + 1)) + 1, last)
+            f = gathered_crossings(sweeper, k, rflat, np.arange(lo, hi + 1), m)
+            sums[lo : hi + 1] += f if m else 0.5 * f
+    return rd
+
+
+def block_offdiagonal(sweeper, rd, k):
+    """Reference R_jk update: the crossings of every line with every
+    diagonal as one table, a cumulative trapezoid along each line, and each
+    node's two lines gathered from it."""
+    n = sweeper.n
+    j = 3 - k
+    out = sweeper.explicit[(j, k)].copy()
+    rkk = rd[(k, k)]
+    if not rkk.any():
+        return out
+    q, _ = transformop._line_spacing(sweeper.alpha[k])
+    coeff = -1j * sweeper.b[j] * sweeper.alpha[j] * sweeper.h
+    f = gathered_crossings(sweeper, k, rkk.reshape(-1), np.arange(q * n + 1)[:, None], np.arange(n + 1))
+    g = np.cumsum(f, axis=1)
+    g -= 0.5 * (f[:, :1] + f)
+    m, l = np.nonzero(sweeper.valid)
+    line, w = node_lines(sweeper, k, m, l)
+    upper = np.minimum(line + 1, q * n)
+    out[m, l] += coeff * ((1.0 - w) * g[line, m] + w * g[upper, m])
+    return out
+
+
 def count_sweeps(monkeypatch, sys, n):
     calls = []
     sweep = transformop._RSweeper.sweep
@@ -174,6 +263,14 @@ KERNEL_SYSTEMS = {
     "dirac": lambda n: dirac_trig_system(n, -1.0, 1.0),
     "b=(-1,2)": lambda n: dirac_trig_system(n, -1.0, 2.0),
     "b=(-1,sqrt2)": lambda n: dirac_trig_system(n, -1.0, math.sqrt(2.0)),
+    "q21=0": q21_zero_system,
+}
+
+# rational line spacings q = 2 and 3 with both orientations, irrational
+# ones, and a potential whose R_11 and R_21 vanish
+STEP_SYSTEMS = {
+    **{f"b=({b1:g},{b2:.4g})": (lambda n, b1=b1, b2=b2: smooth_potential(30, n, b1, b2, l1_norm=0.8))
+       for b1, b2 in ((-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0), (-1.0, math.sqrt(2.0)), (-1.0, math.pi))},
     "q21=0": q21_zero_system,
 }
 
@@ -313,6 +410,53 @@ class TestSolveR:
             expl = transformop._lerp_clamped(sweeper.q_nodes[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
             expl[~sweeper.valid] = 0.0
             assert (c0 * expl).tobytes() == sweeper.explicit[(j, k)].tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65])
+    @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+    def test_march_matches_the_gathered_march(self, name, n):
+        # one weight per diagonal and strided line reads give the per-node
+        # floors and gathers' numbers, irrational line interpolation included
+        sweeper = transformop._RSweeper(STEP_SYSTEMS[name](n), n)
+        got, ref = sweeper.march(), gather_march(sweeper)
+        scale = max(np.abs(arr).max() for arr in ref.values())
+        for key in ref:
+            assert np.abs(got[key] - ref[key]).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65])
+    @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+    def test_offdiagonal_matches_the_block_update(self, name, n, rng):
+        sweeper = transformop._RSweeper(STEP_SYSTEMS[name](n), n)
+        rd = sweeper.march()
+        rd[(1, 1)] = np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
+        for k in (1, 2):
+            ref = block_offdiagonal(sweeper, rd, k)
+            assert np.abs(sweeper._update_offdiagonal(rd, k) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+    def test_same_sweeps_as_the_gathered_step(self, name, monkeypatch):
+        n = 64
+        sys = STEP_SYSTEMS[name](n)
+        sweeps, r = count_sweeps(monkeypatch, sys, n)
+        monkeypatch.setattr(transformop._RSweeper, "march", gather_march)
+        monkeypatch.setattr(transformop._RSweeper, "_update_offdiagonal", block_offdiagonal)
+        ref_sweeps, ref = count_sweeps(monkeypatch, sys, n)
+        assert sweeps == ref_sweeps
+        assert np.abs(r.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+    def test_peak_allocation(self):
+        # the returned R is one dense kernel of 64 (N+1)^2 bytes; the swept
+        # diagonal planes and one sweep's updates add about 1.4 more, where
+        # tables of the whole grid put the peak at 3.14
+        n = 512
+        sys = smooth_potential(29, n, l1_norm=0.8)
+        tracemalloc.start()
+        try:
+            r = solve_R(sys, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del r
+        assert peak <= 2.6 * 64 * (n + 1) ** 2
 
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
