@@ -223,8 +223,8 @@ def classify(bc: BoundaryConditions, b1: float, b2: float, ratio_hint=None) -> R
     if abs(b1 + b2) <= 1e-14 * b2:
         # Dirac weights: strictly regular iff (a-d)^2 != -4bc
         if abs((a - d) ** 2 + 4 * b * c) > 1e-12:
-            return RegularityVerdict("strictly_regular", "dirac_discriminant_nonzero")
-        return RegularityVerdict("regular", "dirac_discriminant_zero")
+            return RegularityVerdict("strictly_regular", "dirac_discriminant_nonzero", (1, 1))
+        return RegularityVerdict("regular", "dirac_discriminant_zero", (1, 1))
 
     if abs(a) < 1e-14 and abs(d) < 1e-14:
         # regularity already established, so bc != 0 here

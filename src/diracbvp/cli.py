@@ -303,9 +303,9 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 3.67 of them
-# at N = 1024 and 3.66 at N = 2048, both while the dumps are written (solve_R
-# peaks at 2.35), so five bound it.
+# bytes each.  The kernels task's peak RSS above import measured 3.58 of them
+# at N = 1024, while the manifest hashes the dumps (assemble_K reaches 3.08,
+# solve_R 2.38), so five bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 5
 

@@ -24,17 +24,20 @@ spaced 1/q grid unit apart (alpha_k = p/q with q <= 8, else q = 2 and
 nodes interpolate between neighbouring lines).
 
 In these coordinates the system is Volterra in m: diagonal m reads only
-earlier diagonals and itself.  One march over m = 0..N solves the
-discrete equations, carrying each line's running sum and solving each
-diagonal's end-term coupling as a linear recurrence along it (the
+earlier diagonals and itself.  The discrete R_jk equation is one for
+every alpha_k: the line sums over the diagonals passed, read at the node,
+plus the trapezoid's end term at the node itself, where its path ends.
+One pass over m = 0..N evaluates it, carrying each line's running sum:
+its lines start at floor(q alpha_k m) with one weight w, a node reads its
+two lines as strided slices of the line sums, and the lines cross the
+diagonal at (i - w)/q, so their integrand is the diagonal's R_kk row
+upsampled by q times Q_jk upsampled once.  The march is that pass solving
+each diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
-Comp. 58, 1992).  Fixed-point sweeps of the same equations then certify
-the result: the stopping rule is the sweep increment.  The march and the
-sweep's R_jk update take one step per diagonal: its lines start at
-floor(q alpha_k m) with one weight w, a node reads its two lines as
-strided slices of the line sums, and the lines cross the diagonal at
-(i - w)/q, so their integrand is the diagonal's R_kk row upsampled by q
-times Q_jk upsampled once.  Both cost O(q N^2).
+Comp. 58, 1992), so it solves the discrete equations; the fixed-point
+sweep's R_jk update is the same pass reading R_kk, and one sweep
+certifies the march: the stopping rule is the sweep increment.  Both
+cost O(q N^2).
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def _read_lines(sums: np.ndarray, base: int, w: float, q: int, top: int) -> np.n
 
 class _RSweeper:
     """The coupled R system in diagonal layout: its march and its
-    fixed-point sweep, which share one step per diagonal."""
+    fixed-point sweep, which share one pass over the diagonals."""
 
     def __init__(self, sys: DiracSystem, n: int):
         self.n = n
@@ -248,54 +251,63 @@ class _RSweeper:
             return (qs[1:] + w * (qs[:-1] - qs[1:])) * (rup[1:] + w * (rup[:-1] - rup[1:]))
         return qs[1:] * rup[1:]
 
-    def march(self) -> dict:
-        """The discrete equations solved diagonal by diagonal, m = 0..N.
+    def _pass(self, k: int, rkk: np.ndarray, rjk: np.ndarray, solve: bool) -> None:
+        """One pass over the diagonals m = 0..N writing R_jk into ``rjk``.
 
-        On diagonal m, R_kk reads R_jk on the same diagonal at positions
-        <= l, and R_jk reads R_kk on earlier diagonals plus, through the
-        trapezoid end term, the node itself.  ``sums`` holds every line's
-        trapezoid sum over the diagonals passed, so a node's line value A_l
-        leaves the end-term coupling R_jk[m, l] = A_l + c Q_jk(m+l) R_kk[m, l],
-        and the trapezoid along the diagonal turns it into the recurrence
-        (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l, s = m + l,
-        whose factors depend on s alone.  When every node lies on a line
-        (rational alpha_k) this is the sweep's fixed point; otherwise a node
-        reads its two lines weighted (1 - w, w), its end term is taken at
-        the node, and the result is a predictor for the sweeps."""
+        ``sums`` holds every line's trapezoid sum over the diagonals passed
+        (half weight at diagonal 0); a node reads its line, or the two lines
+        around it weighted (1 - w, w), as A_l, and
+        R_jk[m, l] = c0 Q_jk(alpha_k x + alpha_j t) + coeff A_l
+        + coeff/2 Q_jk(m + l) R_kk[m, l]: the trapezoid's end term is taken
+        at the node, where its path ends (diagonal 0 has none).
+
+        With ``solve`` (the march) R_kk on diagonal m is solved into ``rkk``
+        first: it reads R_jk on the same diagonal at positions <= l, and the
+        trapezoid along the diagonal turns the end-term coupling into the
+        recurrence (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l,
+        s = m + l, whose factors depend on s alone.  Otherwise (the sweep)
+        R_kk is read from ``rkk``.  Either way that row's line integrand
+        then joins the sums."""
         n = self.n
-        npts = n + 1
-        rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
-        for k in (1, 2):
-            j = 3 - k
-            q = self.lines[k][0]
-            c0 = self.sources[k][0]
-            rkk, rjk = rd[(k, k)], rd[(j, k)]
-            coeff = -1j * self.b[j] * self.alpha[j] * self.h
-            # half trapezoid weights: along the diagonal, and the end term
+        j = 3 - k
+        q = self.lines[k][0]
+        c0 = self.sources[k][0]
+        coeff = -1j * self.b[j] * self.alpha[j] * self.h
+        end_half = (0.5 * coeff) * self.q_nodes[(j, k)]
+        if solve:
+            # half trapezoid weights along the diagonal, and the recurrence
             diag_half = (-0.5j * self.b[k] * self.h) * self.q_nodes[(k, j)]
-            end_half = (0.5 * coeff) * self.q_nodes[(j, k)]
             d = diag_half * end_half
-            growth = np.ones(npts, dtype=complex)
+            growth = np.ones(n + 1, dtype=complex)
             growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
             np.cumprod(growth, out=growth)
             scale = 1.0 / ((1.0 - d) * growth)
-            sums = np.zeros(q * n + 2, dtype=complex)  # line qN + 1 is read with weight 0 only
-            for m in range(npts):
-                top = n - m
-                base, w = self._diagonal(k, m)
-                a = c0 * self._source_row(k, m) + coeff * _read_lines(sums, base, w, q, top)
+        sums = np.zeros(q * n + 2, dtype=complex)  # line qN + 1 is read with weight 0 only
+        for m in range(n + 1):
+            top = n - m
+            base, w = self._diagonal(k, m)
+            a = c0 * self._source_row(k, m) + coeff * _read_lines(sums, base, w, q, top)
+            x = rkk[m, : top + 1]
+            if solve:  # x[0] = 0: a path of one point
                 pa = diag_half[m:] * a
-                x = rkk[m, : top + 1]  # x[0] = 0: a path of one point
                 if m:
                     x[1:] = growth[m + 1 :] * np.cumsum((pa[:-1] + pa[1:]) * scale[m + 1 :])
-                    rjk[m, : top + 1] = a + end_half[m:] * x
-                else:  # no end term either
+                else:
                     x[1:] = np.cumsum(pa[:-1] + pa[1:])
-                    rjk[m, : top + 1] = a
-                if m == n:
-                    break
-                f = self._line_integrand(k, m, x, w)
-                sums[base : base + q * top + 2] += f if m else 0.5 * f
+            rjk[m, : top + 1] = a + end_half[m:] * x if m else a
+            if m == n:
+                break
+            f = self._line_integrand(k, m, x, w)
+            sums[base : base + q * top + 2] += f if m else 0.5 * f
+
+    def march(self) -> dict:
+        """The discrete equations solved diagonal by diagonal: the pass
+        with R_kk solved on each diagonal.  Its result is the sweep's
+        fixed point for every alpha_k."""
+        npts = self.n + 1
+        rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
+        for k in (1, 2):
+            self._pass(k, rd[(k, k)], rd[(3 - k, k)], solve=True)
         return rd
 
     def _update_diagonal(self, rd: dict, k: int) -> np.ndarray:
@@ -313,33 +325,9 @@ class _RSweeper:
         return out
 
     def _update_offdiagonal(self, rd: dict, k: int) -> np.ndarray:
-        """R_jk from R_kk: cumulative trapezoid along characteristic lines.
-
-        One pass over the diagonals carries every line's sum, as the march
-        does; a node on diagonal m reads its line (or the two lines around
-        it, weighted linearly) with the half weights of diagonal 0 and of
-        its own diagonal, without the march's end-term recurrence."""
-        n = self.n
-        q = self.lines[k][0]
-        rkk = rd[(k, k)]
-        crossed = rkk.any()
-        c0 = self.sources[k][0]
-        coeff = -1j * self.b[3 - k] * self.alpha[3 - k] * self.h
-        out = np.zeros_like(rkk)
-        sums = np.zeros(q * n + 2, dtype=complex)
-        for m in range(n + 1):
-            top = n - m
-            row = c0 * self._source_row(k, m)
-            if crossed:
-                base, w = self._diagonal(k, m)
-                f = self._line_integrand(k, m, rkk[m, : top + 1], w)
-                span = sums[base : base + q * top + 2]
-                if m:
-                    row += coeff * _read_lines(span + 0.5 * f, 0, w, q, top)
-                    span += f
-                else:  # a path of one point
-                    span += 0.5 * f
-            out[m, : top + 1] = row
+        """R_jk from R_kk: the pass reading R_kk from ``rd``."""
+        out = np.zeros_like(rd[(k, k)])
+        self._pass(k, rd[(k, k)], out, solve=False)
         return out
 
     def sweep(self, rd: dict) -> tuple[dict, float]:
@@ -380,11 +368,11 @@ def solve_R(
     """The kernel R on the N-grid: one march along the diagonals, certified
     by fixed-point sweeps.
 
-    The march solves the discrete equations diagonal by diagonal (exactly
-    when alpha_k = p/q with q <= 8, as a predictor otherwise).  Sweeps then
-    run until the max-node increment, which bounds the equation residual of
-    the previous iterate, drops below ``tol``: one sweep after an exact
-    march, a few after a predictor.
+    The march solves the discrete equations diagonal by diagonal, for
+    every weight ratio.  Sweeps then run until the max-node increment,
+    which bounds the equation residual of the previous iterate, drops
+    below ``tol``: after the march that is one sweep, whose increment is
+    roundoff.
     """
     if n < 8:
         raise ValueError("grid size N must be >= 8 for the kernel solve")
@@ -663,12 +651,14 @@ _KERNEL_MAGIC = struct.Struct("<II")
 def write_kernel(kernel: TriangularKernel, path) -> None:
     """Binary dump: little-endian header (N, complex count) followed by the
     triangle's nodes in ``np.tril_indices(N+1)`` (row-major) order, each
-    node as four complex doubles."""
+    node as four complex doubles, written row by row from the contiguous
+    slices ``data[i, :i+1]``."""
     n = kernel.n
-    payload = kernel.data[np.tril_indices(n + 1)].astype("<c16", copy=False)
+    data = kernel.data.astype("<c16", copy=False)
     with open(path, "wb") as fh:
-        fh.write(_KERNEL_MAGIC.pack(n, payload.size))
-        fh.write(payload)
+        fh.write(_KERNEL_MAGIC.pack(n, 4 * (n + 1) * (n + 2) // 2))
+        for i in range(n + 1):
+            fh.write(data[i, : i + 1])
 
 
 def read_kernel(path) -> TriangularKernel:

@@ -88,10 +88,13 @@ class TestClassify:
         v = classify(bc, -1.0, 1.0)
         assert v.kind == "regular"
         assert v.reason == "dirac_discriminant_zero"
+        assert v.ratio == (1, 1)
 
     def test_dirac_strictly_regular_when_discriminant_nonzero(self):
         bc = BoundaryConditions.from_canonical(2, 0, 0, 1)
-        assert classify(bc, -1.0, 1.0).kind == "strictly_regular"
+        v = classify(bc, -1.0, 1.0)
+        assert v.kind == "strictly_regular"
+        assert v.ratio == (1, 1)
 
     def test_antiperiodic_unequal_weights(self):
         # n1 = 1, n2 = 2: n1 - n2 odd -> strictly regular

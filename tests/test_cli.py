@@ -92,6 +92,7 @@ class TestRunTasks:
         verdict = json.loads((out / "classify.json").read_text())
         assert verdict["kind"] == "regular"
         assert verdict["reason"] == "dirac_discriminant_zero"
+        assert verdict["ratio"] == [1, 1]
 
     def test_spectrum_free_separated(self, tmp_path):
         cfg = write_config(

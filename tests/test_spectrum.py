@@ -93,7 +93,7 @@ class TestZerosDelta0:
         # z = e^{i lam}.  Both roots are negative reals here, so the two
         # zero families sit on the same lines Re lam = pi + 2 pi k.
         a, b, c, d = 0.4, 0.3, -0.2, 1.2
-        window = zeros_delta0(BoundaryConditions.from_canonical(a, b, c, d), -1.0, 1.0, 10)
+        window = zeros_delta0(BoundaryConditions.from_canonical(a, b, c, d), -1.0, 1.0, 10, method="sweep")
         assert [n for n, _, _ in window] == list(range(-10, 11))
         assert all(mult == 1 for _, _, mult in window)
         roots = np.roots([1.0, a + d, a * d - b * c])
@@ -104,6 +104,23 @@ class TestZerosDelta0:
         got = np.array([lam for _, lam, _ in window])
         start = int(np.argmin(np.abs(np.array(expected) - got[0])))
         assert np.abs(got - np.array(expected[start : start + 21])).max() < 1e-9
+
+    @pytest.mark.parametrize("quad, mult, tol", [((0.4, 0.3, -0.2, 1.2), 1, 1e-12), ((2, 1, -1, 0), 2, 1e-6)])
+    def test_dirac_weights_take_the_polynomial_route(self, quad, mult, tol, monkeypatch):
+        # Dirac weights have ratio (1, 1): Delta_0 = e^{-i lam} P(e^{i lam})
+        # with P quadratic, so no box sweep runs; (2, 1, -1, 0) has
+        # (a - d)^2 + 4bc = 0 and a double root
+        bc = BoundaryConditions.from_canonical(*quad)
+        swept = zeros_delta0(bc, -1.0, 1.0, 10, method="sweep")
+
+        def no_sweep(*args):
+            raise AssertionError("box sweep ran")
+
+        monkeypatch.setattr(spectrum, "_sweep_zeros", no_sweep)
+        exact = zeros_delta0(bc, -1.0, 1.0, 10)
+        assert [(n, m) for n, _, m in exact] == [(n, m) for n, _, m in swept]
+        assert all(m == mult for _, _, m in exact)
+        assert max(abs(l1 - l2) for (_, l1, _), (_, l2, _) in zip(exact, swept)) <= tol
 
     def test_sweep_newton_step_evaluates_delta0_once(self, monkeypatch):
         # the sweep's Newton takes Delta_0' from its closed form, so each
