@@ -303,9 +303,9 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 3.58 of them
-# at N = 1024, while the manifest hashes the dumps (assemble_K reaches 3.08,
-# solve_R 2.38), so five bound it.
+# bytes each.  The kernels task's peak RSS above import measured 3.08 of them
+# at N = 1024, reached in assemble_K and not raised by the dumps or the
+# manifest's chunked hashes (solve_R reaches 2.38), so five bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 5
 
@@ -328,6 +328,16 @@ def _check_memory(n: int) -> None:
 def _config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _file_digest(path: Path) -> str:
+    """First 16 hex digits of the file's sha256, read 1 MiB at a time, so
+    that a kernel dump is never held whole next to the kernels."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()[:16]
 
 
 def _json_sanitize(obj):
@@ -445,7 +455,7 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
 
     timings["total_s"] = time.time() - started
     artifacts = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        p.name: _file_digest(p)
         for p in sorted(out_dir.iterdir())
         if p.is_file() and p.name != "manifest.json"
     }

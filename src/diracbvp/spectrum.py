@@ -229,7 +229,29 @@ def _value_and_slope(f):
     return value_and_slope
 
 
-def _newton(value_and_slope, z0: complex, tol: float = 1e-13, max_iter: int = 60) -> complex | None:
+def _newton(value_and_slope, z0, tol: float = 1e-13, max_iter: int = 60):
+    """Newton's method on (f, f') = value_and_slope(z) from the start z0:
+    the root, or None when f' vanishes or max_iter steps do not meet
+    |dz| < tol (1 + |z|).  For a 1-d array of starts it returns a list with
+    one such result per start; each iteration makes one batched call over
+    the starts still running (per point when the callable rejects
+    arrays), and each start keeps its own stopping test."""
+    if np.ndim(z0):
+        z = np.array(z0, dtype=complex)
+        roots: list[complex | None] = [None] * z.size
+        live = np.arange(z.size)
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            value, d = _eval_many(value_and_slope, z[live])
+            live, value, d = live[d != 0], value[d != 0], d[d != 0]
+            dz = value / d
+            z[live] -= dz
+            done = np.abs(dz) < tol * (1.0 + np.abs(z[live]))
+            for k in live[done]:
+                roots[k] = complex(z[k])
+            live = live[~done]
+        return roots
     z = z0
     for _ in range(max_iter):
         value, d = value_and_slope(z)
@@ -276,8 +298,8 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     # deduplicate across boxes, then let a local winding decide multiplicity
     reps = [rep for rep, _ in _cluster(found, 1e-6)]
     out: list[tuple[complex, int]] = []
-    for i, rep in enumerate(reps):
-        r = max(min(0.05, _separation_to_others(reps, i) / 3.0), 1e-5)
+    for rep, sep in zip(reps, _separation_to_others(reps)):
+        r = max(min(0.05, float(sep) / 3.0), 1e-5)
         mult = _winding(f, _rectangle(rep.real - r, rep.real + r, rep.imag - r, rep.imag + r))
         if mult > 0:
             out.append((rep, mult))
@@ -338,14 +360,15 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
 
 def _eval_many(f, z: np.ndarray) -> np.ndarray:
     """Evaluate f on a 1-d array of points, using vectorized evaluation
-    when the callable supports it."""
+    when the callable supports it.  A callable returning a pair, such as
+    (value, slope), gives an array of shape (2, z.size)."""
     try:
         out = np.asarray(f(z), dtype=complex)
-        if out.shape == z.shape:
+        if out.shape[-1:] == z.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([f(zk) for zk in z], dtype=complex)
+    return np.array([f(zk) for zk in z], dtype=complex).T
 
 
 def count_zeros_disk(delta, center: complex, radius: float, quad_nodes: int = 256) -> int:
@@ -355,12 +378,15 @@ def count_zeros_disk(delta, center: complex, radius: float, quad_nodes: int = 25
     return _winding(delta, center + radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, quad_nodes, endpoint=False)))
 
 
-def _separation_to_others(reps: list[complex], k: int) -> float:
-    best = math.inf
-    for i, z in enumerate(reps):
-        if i != k:
-            best = min(best, abs(z - reps[k]))
-    return best
+def _separation_to_others(reps: list[complex]) -> np.ndarray:
+    """For each representative, the distance to the nearest other one
+    (inf when it is alone).  np.hypot is libm's hypot, as abs() of a
+    Python complex; np.abs of a complex array rounds differently."""
+    z = np.array(reps, dtype=complex)
+    diff = z[:, None] - z[None, :]
+    gaps = np.hypot(diff.real, diff.imag)
+    np.fill_diagonal(gaps, math.inf)
+    return gaps.min(axis=1)
 
 
 def zeros_deltaQ(
@@ -376,7 +402,8 @@ def zeros_deltaQ(
 ) -> SpectrumWindow:
     """Perturbed zeros paired with the unperturbed ones.
 
-    Each lam_n^0 seeds a Newton iteration on Delta_Q; the pairing is
+    Each lam_n^0 seeds a Newton iteration on Delta_Q (one batched run
+    over the window's cluster representatives); the pairing is
     accepted at the smallest ladder radius eps at which the disk around
     lam_n^0 separates from the other unperturbed zeros and the winding
     count inside it matches the sought multiplicity.  Unresolved clusters
@@ -416,10 +443,9 @@ def zeros_deltaQ(
 
     ladder = sorted(eps_ladder, reverse=True)
     cluster_result: dict[int, tuple[complex, int, float, bool]] = {}
-    for k, rep in enumerate(reps):
+    roots = _newton(newton_f, np.array(reps))
+    for k, (rep, sep, lam) in enumerate(zip(reps, _separation_to_others(reps), roots)):
         mult_sought = cluster_of.count(k)
-        sep = _separation_to_others(reps, k)
-        lam = _newton(newton_f, rep)
         usable = [eps for eps in ladder if 2 * eps < sep]
         eps_used = math.nan
         verified = False

@@ -551,14 +551,13 @@ def combos(kplus: TriangularKernel, kminus: TriangularKernel) -> ComboKernels:
     return ComboKernels(kplus, kminus)
 
 
-def _power_table(out: np.ndarray, step: float, lam: np.ndarray) -> np.ndarray:
-    """Fill the (L, N+1) array ``out`` with z^j, z = e^{i step lam}, for a
-    flat array of L values lam, and return it: e^{i b lam t_j} on the
-    uniform grid t_j = j h, with step = b h, by one running product instead
-    of an exponential per entry."""
-    out[:, 0] = 1.0
-    out[:, 1:] = np.exp(1j * step * lam)[:, None]
-    return np.cumprod(out, axis=1, out=out)
+def _step_powers(z: np.ndarray, count: int) -> np.ndarray:
+    """z^0 .. z^{count-1} for the last axis of z, by one running product
+    along the new second-to-last axis: shape z.shape[:-1] + (count, L)."""
+    out = np.empty(z.shape[:-1] + (count, z.shape[-1]), dtype=complex)
+    out[..., 0, :] = 1.0
+    out[..., 1:, :] = z[..., None, :]
+    return np.cumprod(out, axis=-2, out=out)
 
 
 def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b2: float):
@@ -570,15 +569,25 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
               + J13 K_{1l,2}(1,.) + J14 K_{2l,2}(1,.).
 
     ``delta(lam, slope=True)`` returns (Delta_Q, Delta_Q'); the derivative
-    is the same trace integral with the extra factor i b_l t, so both come
-    from one power table and one matrix product per weight.
+    is the same trace integral with the extra factor i b_l t.  On the grid
+    t_j = j h each trace sum is a polynomial sum_j c_j z^j in
+    z = e^{i b_l lam h}, evaluated by baby and giant steps (Paterson &
+    Stockmeyer, SIAM J. Comput. 2, 1973): with B = ceil(sqrt(N+1)) and
+    A = ceil((N+1)/B), z^{aB+r} = (z^B)^a z^r, so a (2A, B) coefficient
+    matrix per weight meets the B baby powers in one batched product and
+    the A giant powers weight its blocks.  Both powers are running products, so
+    z^{aB+r} carries about aB+r ulps, as a running product of length N+1.
     """
     m = minors(bc)
     n = ck.n
     h = 1.0 / n
     t = np.linspace(0.0, 1.0, n + 1)
     w = _trapezoid_weights(n)
-    terms = []
+    base = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
+    blocks = -(-(n + 1) // base)
+    # terms[l, j, c]: coefficient of z^j in column c (value, slope) of
+    # weight l, zero-padded to A B terms
+    terms = np.zeros((2, blocks * base, 2), dtype=complex)
     kp, km = ck.kplus.data[n], ck.kminus.data[n]  # K+/-(1, .) is all Delta_Q reads
     for l, b in ((1, b1), (2, b2)):
         g = (
@@ -588,21 +597,26 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
             + m[1, 4] * _combo(kp, km, 2, l, 2)
         )
         wg = h * w * g
-        terms.append((b * h, np.stack([wg, 1j * b * t * wg], axis=1)))
+        terms[l - 1, : n + 1] = np.stack([wg, 1j * b * t * wg], axis=1)
+    # coeffs[l, (a, c), r] = terms[l, aB + r, c], a contiguous copy
+    coeffs = terms.reshape(2, blocks, base, 2).transpose(0, 1, 3, 2).reshape(2, 2 * blocks, base)
+    steps = np.array([b1 * h, b2 * h])[:, None]
 
     def delta(lam, slope=False):
         lam_arr = np.asarray(lam, dtype=complex)
         flat = lam_arr.reshape(-1)
-        # one table buffer serves both weights and is freed before the
-        # results are allocated; a second table-sized allocation per call
-        # raised the stability workload's peak RSS by about 1 MB
-        powers = np.empty((flat.size, n + 1), dtype=complex)
-        i1, i2 = (_power_table(powers, step, flat) @ weights for step, weights in terms)
-        del powers
-        value = (delta0(m, b1, b2, flat) + i1[:, 0] + i2[:, 0]).reshape(lam_arr.shape)
+        z = np.exp(1j * steps * flat)  # (2, L): both weights at once
+        baby = _step_powers(z, base)
+        giant = _step_powers(baby[:, -1] * z, blocks)
+        # (2, 2A, B) @ (2, B, L): every block's partial sum for every lam,
+        # then each block weighted by its giant power and all added up
+        partial = (coeffs @ baby).reshape(2, blocks, 2, flat.size)
+        partial *= giant[:, :, None, :]
+        sums = partial.sum(axis=(0, 1))
+        value = (delta0(m, b1, b2, flat) + sums[0]).reshape(lam_arr.shape)
         if not slope:
             return complex(value) if lam_arr.ndim == 0 else value
-        deriv = (_delta0_slope(m, b1, b2, flat) + i1[:, 1] + i2[:, 1]).reshape(lam_arr.shape)
+        deriv = (_delta0_slope(m, b1, b2, flat) + sums[1]).reshape(lam_arr.shape)
         return (complex(value), complex(deriv)) if lam_arr.ndim == 0 else (value, deriv)
 
     return delta

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import tracemalloc
@@ -224,6 +225,15 @@ class TestRunTasks:
         # the manifest carries a digest of every artifact (the linkage used
         # by fixed-format binary outputs)
         assert set(manifest["artifacts"]) == {"spectrum.csv", "spectrum.json"}
+        for name, digest in manifest["artifacts"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+
+    def test_artifact_digest_reads_in_chunks(self, tmp_path):
+        # a file over several 1 MiB reads hashes as if it were read whole
+        path = tmp_path / "blob.bin"
+        data = np.random.default_rng(3).bytes(3 * 2**20 + 5)
+        path.write_bytes(data)
+        assert cli._file_digest(path) == hashlib.sha256(data).hexdigest()[:16]
 
 
 class TestExitCodes:

@@ -15,7 +15,10 @@ from diracbvp.spectrum import (
     ContourTooCloseError,
     NonIntegerWindingError,
     NonRegularError,
+    _newton,
     _rectangle,
+    _separation_to_others,
+    _value_and_slope,
     _winding,
     count_zeros_disk,
     export_csv,
@@ -322,6 +325,119 @@ class TestZerosDeltaQ:
         lams = window.lam_array()
         for lam in lams:
             assert np.abs(lams - lam.conjugate()).min() < 1e-6
+
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        c=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        quad=st.sampled_from([(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)]),
+    )
+    def test_drawn_symmetric_instances_are_closed_under_conjugation(self, c, quad):
+        # the family above, drawn: real Q12, Q21 in cos(2 pi m x), m <= 2,
+        # so Q(1-x) = Q(x); both conditions are reflection-invariant.  The
+        # discrete zeros are symmetric to O(h^2): at most 1.5e-5 at N = 256
+        # over the corners c = +-1, about 6x that at N = 128
+        n = 256
+        x = np.linspace(0, 1, n + 1)
+        waves = np.stack([np.ones_like(x), np.cos(2 * np.pi * x), np.cos(4 * np.pi * x)], axis=1) * [0.2, 0.2, 0.1]
+        q12, q21 = (SampledFunction((waves @ np.array(part)).astype(complex)) for part in (c[:3], c[3:]))
+        window = zeros_deltaQ(DiracSystem(-1.0, 2.0, q12, q21), BoundaryConditions.from_canonical(*quad), 6, n_grid=n)
+        lams = window.lam_array()
+        assert max(np.abs(lams - lam.conjugate()).min() for lam in lams) < 1e-4
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        l1_norm=st.floats(0.05, 0.8),
+        corners=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-3.0, 0.0), st.floats(0.0, 3.0)),
+    )
+    def test_window_matches_an_independent_count(self, seed, l1_norm, corners):
+        # a rectangle inside the window's real span, 0.05 from every zero:
+        # the multiplicities of the entries inside it add up to the
+        # winding count along its boundary
+        n = 128
+        sys = smooth_potential(seed, n, b1=-1.0, b2=2.0, l1_norm=l1_norm)
+        ks = build_kernels(sys, n)
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        delta = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
+        window = zeros_deltaQ(sys, bc, 6, n_grid=n, determinant=delta)
+        lo, hi = window.entry(-6).lam.real, window.entry(6).lam.real
+        u0, u1, y0, y1 = corners
+        x0, x1 = lo + (hi - lo) * min(u0, u1), lo + (hi - lo) * max(u0, u1)
+        assume(x1 - x0 > 0.1)
+        zeros = {e.lam: e.multiplicity for e in window.entries}
+        assume(all(min(abs(z.real - x0), abs(z.real - x1), abs(z.imag - y0), abs(z.imag - y1)) >= 0.05 for z in zeros))
+        inside = sum(m for z, m in zeros.items() if x0 < z.real < x1 and y0 < z.imag < y1)
+        assert _winding(delta, _rectangle(x0, x1, y0, y1)) == inside
+
+
+class TestNewton:
+    @staticmethod
+    def quadratic(z, slope=False):
+        # z^2 + 1: f'(0) = 0 exactly, and real starts stay real, so they
+        # never converge
+        value = z * z + 1.0
+        return (value, 2.0 * z) if slope else value
+
+    STARTS = [0.8 + 0.5j, -1.5 - 0.3j, 0.0, 0.7, 3.0 + 2.0j, 1e-9 + 1j]
+
+    @pytest.mark.parametrize("max_iter", [3, 60])
+    def test_array_starts_match_scalar_starts(self, max_iter):
+        # one start hits f' = 0, one never converges, and max_iter = 3
+        # stops all but the start next to i: each gives None in both forms,
+        # and the rest converge to the same roots
+        newton_f = _value_and_slope(self.quadratic)
+        got = _newton(newton_f, np.array(self.STARTS), max_iter=max_iter)
+        want = [_newton(newton_f, z0, max_iter=max_iter) for z0 in self.STARTS]
+        assert [z is None for z in got] == [z is None for z in want]
+        assert sum(z is not None for z in want) == (4 if max_iter == 60 else 1)
+        assert want[2] is None and want[3] is None
+        for z, ref in zip(got, want):
+            if ref is not None:
+                assert abs(z - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    def test_one_batched_call_per_iteration(self):
+        # the starts still running share one call, so the start at f' = 0
+        # leaves after the first; a callable that rejects arrays is
+        # evaluated per point and gives the same roots
+        sizes = []
+
+        def batched(z):
+            sizes.append(np.size(z))
+            return self.quadratic(z, slope=True)
+
+        def scalar_only(z):
+            return self.quadratic(complex(z), slope=True)
+
+        starts = np.array(self.STARTS)
+        got = _newton(batched, starts)
+        assert sizes[:2] == [6, 5] and all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert len(sizes) == 60
+        assert _newton(scalar_only, starts) == got
+
+    def test_kernel_representatives(self, kernel_route_case):
+        sys, ck, bc, window = kernel_route_case
+        newton_f = _value_and_slope(determinant_evaluator(bc, ck, sys.b1, sys.b2))
+        starts = np.array([e.lam0 for e in window])
+        got = _newton(newton_f, starts)
+        for z, z0 in zip(got, starts):
+            ref = _newton(newton_f, complex(z0))
+            assert abs(z - ref) <= 1e-13 * (1.0 + abs(ref))
+
+
+def test_separation_to_others_matches_the_loop():
+    def loop(reps, k):
+        best = math.inf
+        for i, z in enumerate(reps):
+            if i != k:
+                best = min(best, abs(z - reps[k]))
+        return best
+
+    rng = np.random.default_rng(8)
+    for reps in ([2.5 - 1j], [0.0, 1.0 + 1j], [complex(v) for v in rng.standard_normal(40) * 20 + 1j * rng.standard_normal(40)]):
+        got = _separation_to_others(reps)
+        assert got.tolist() == [loop(reps, k) for k in range(len(reps))]
+    assert _separation_to_others([2.5 - 1j]).tolist() == [math.inf]
 
 
 _T_ENTRY = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracbvp.boundary import BoundaryConditions, delta0
-from diracbvp.gridfn import SampledFunction, TriangularKernel, x_norm
+from diracbvp.boundary import BoundaryConditions, _delta0_slope, delta0, minors
+from diracbvp.gridfn import SampledFunction, TriangularKernel, _trapezoid_weights, x_norm
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 from diracbvp import transformop
 from diracbvp.transformop import (
@@ -739,15 +739,77 @@ class TestDetViaKernels:
         assert np.abs(via_kernels - char_det_direct(sys, bc, lams, n)).max() <= 1e-3
 
     def test_power_table_matches_exponentials(self):
-        # e^{i b lam t_j} by a running product of z = e^{i b lam h}
+        # e^{i b lam t_j}, j = aB + r, as the giant power (z^B)^a times the
+        # baby power z^r, both running products of z = e^{i b lam h}
         n = 1024
+        base = math.isqrt(n) + 1
+        blocks = -(-(n + 1) // base)
         t = np.linspace(0.0, 1.0, n + 1)
         rng = np.random.default_rng(5)
         lams = rng.uniform(-300, 300, 64) + 1j * rng.uniform(-2, 2, 64)
         for b in (-1.0, np.sqrt(2.0), 3.0):
-            table = transformop._power_table(np.empty((lams.size, n + 1), dtype=complex), b / n, lams)
+            z = np.exp(1j * b / n * lams)
+            baby = transformop._step_powers(z, base)
+            giant = transformop._step_powers(baby[-1] * z, blocks)
+            table = (giant[:, None, :] * baby[None, :, :]).reshape(blocks * base, lams.size)[: n + 1].T
             ref = np.exp(1j * b * np.multiply.outer(lams, t))
             assert np.abs(table / ref - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("b2", [1.0, 2.0, np.sqrt(2.0)], ids=["dirac", "two", "sqrt2"])
+    @pytest.mark.parametrize("n", [8, 63, 64, 128, 512])
+    def test_baby_giant_steps_match_the_power_table(self, n, b2):
+        # the same trace sums as one (L, N+1) table of z^j times the
+        # weights, for B (N+1) a perfect square or not, on a small circle
+        # and on a wide grid; every array call agrees with the scalar calls
+        sys = smooth_potential(11, n, b1=-1.0, b2=b2, l1_norm=0.8)
+        ks = build_kernels(sys, n)
+        ck = combos(ks.kplus, ks.kminus)
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        ev = determinant_evaluator(bc, ck, sys.b1, sys.b2)
+        table = power_table_evaluator(bc, ck, sys.b1, sys.b2)
+        circle = 3.0 + 0.4 * np.exp(2j * np.pi * np.arange(256) / 256)
+        grid = (np.linspace(-600, 600, 121)[:, None] + 1j * np.linspace(-3, 3, 7)).ravel()
+        for lams in (circle, grid):
+            value, slope = ev(lams, slope=True)
+            ref_value, ref_slope = table(lams)
+            assert np.abs(value / ref_value - 1.0).max() <= 1e-13
+            assert np.abs(slope / ref_slope - 1.0).max() <= 1e-13
+            assert np.array_equal(value, ev(lams))
+            pointwise = np.array([ev(lam, slope=True) for lam in lams[::9]])
+            assert np.abs(pointwise[:, 0] / value[::9] - 1.0).max() <= 1e-14
+            assert np.abs(pointwise[:, 1] / slope[::9] - 1.0).max() <= 1e-14
+
+
+def power_table_evaluator(bc, ck, b1, b2):
+    """Reference route: one (L, N+1) table of z^j, z = e^{i b_l lam h}, by
+    a running product, and one matrix product per weight; returns
+    (Delta_Q, Delta_Q') for a 1-d array of lam."""
+    m = minors(bc)
+    n = ck.n
+    h = 1.0 / n
+    t = np.linspace(0.0, 1.0, n + 1)
+    w = _trapezoid_weights(n)
+    kp, km = ck.kplus.data[n], ck.kminus.data[n]
+    terms = []
+    for l, b in ((1, b1), (2, b2)):
+        g = sum(
+            m[r, c] * transformop._combo(kp, km, j, l, k)
+            for (r, c), j, k in (((3, 2), 1, 1), ((4, 2), 2, 1), ((1, 3), 1, 2), ((1, 4), 2, 2))
+        )
+        wg = h * w * g
+        terms.append((b * h, np.stack([wg, 1j * b * t * wg], axis=1)))
+
+    def delta(lam):
+        powers = np.empty((lam.size, n + 1), dtype=complex)
+        sums = []
+        for step, weights in terms:
+            powers[:, 0] = 1.0
+            powers[:, 1:] = np.exp(1j * step * lam)[:, None]
+            sums.append(np.cumprod(powers, axis=1) @ weights)
+        return (delta0(m, b1, b2, lam) + sums[0][:, 0] + sums[1][:, 0],
+                _delta0_slope(m, b1, b2, lam) + sums[0][:, 1] + sums[1][:, 1])
+
+    return delta
 
 
 class TestDeviationNorms:
