@@ -46,7 +46,7 @@ from .spectrum import (
     zeros_deltaQ,
 )
 from .stability import PotentialBallSampler, run_ball_experiment
-from .transformop import DEFAULT_MAX_ITER, DEFAULT_TOL, build_kernels, write_kernel
+from .transformop import DEFAULT_TOL, build_kernels, write_kernel
 
 TASKS = ("classify", "spectrum", "kernels", "stability", "bari", "fourier")
 
@@ -234,7 +234,6 @@ _CHECKS = {
     ),
     "allow_nonstrict": _BOOLEAN,
     "tolerances.kernel_tol": _POSITIVE,
-    "tolerances.max_iter": _integer(1, 1 << 31),
     "fourier.g": _as_object,
     "fourier.seq.kind": _check("harmonic or delta0_zeros", lambda v: v in ("harmonic", "delta0_zeros")),
     "fourier.seq.n_max": _COUNT,
@@ -258,7 +257,7 @@ _SYSTEM = {**_WEIGHTS, "system.potential": {"kind": "zero"}, **_GRID}
 _TASK_KEYS = {
     "classify": {**_WEIGHTS, **_BC},
     "spectrum": {**_SYSTEM, **_BC_STRICT, "n_max": 20, "eps_ladder": list(EPS_LADDER_DEFAULT), "allow_nonstrict": False, **_TOL},
-    "kernels": {**_SYSTEM, **_TOL, "tolerances.max_iter": DEFAULT_MAX_ITER},
+    "kernels": {**_SYSTEM, **_TOL},
     "stability": {**_WEIGHTS, **_BC_STRICT, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig"},
     "bari": {**_WEIGHTS, **_BC, "n_max": 30},
     "fourier": {
@@ -303,9 +302,9 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 3.08 of them
+# bytes each.  The kernels task's peak RSS above import measured 3.09 of them
 # at N = 1024, reached in assemble_K and not raised by the dumps or the
-# manifest's chunked hashes (solve_R reaches 2.38), so five bound it.
+# manifest's chunked hashes (solve_R reaches 1.99), so five bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 5
 
@@ -388,7 +387,7 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         _write_csv(out_dir / "spectrum.csv", *csv_table(window), mhash)
         _write_json(out_dir / "spectrum.json", {"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash)
     elif task == "kernels":
-        ks = build_kernels(v["system.potential"], v["n"], max_iter=v["tolerances.max_iter"], tol=v["tolerances.kernel_tol"])
+        ks = build_kernels(v["system.potential"], v["n"], tol=v["tolerances.kernel_tol"])
         write_kernel(ks.r, out_dir / "kernel_r.bin")
         write_kernel(ks.kplus, out_dir / "kernel_kplus.bin")
         write_kernel(ks.kminus, out_dir / "kernel_kminus.bin")

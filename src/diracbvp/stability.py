@@ -51,12 +51,18 @@ class DeviationReport:
     p: float
     reference: float  # ||Q - Q~||_p
     head: int
-    lp_sum: float          # sum dev^{p'} over the window
+    lp_sum: float          # sum dev^{p'} over the window (max dev at p = 1)
     weighted_sum: float    # sum (1+|n|)^{p-2} dev^p
     sup: float
     tail_lp_sum: float
     tail_weighted_sum: float
     detail: dict = field(default_factory=dict)
+
+
+def _lp_sum(devs, pc: float) -> float:
+    """sum d^{p'} over ``devs``; at p' = inf (p = 1), where the bound is on
+    sup_n |lam_n - lam~_n|, max d, which is also its own p'-th root."""
+    return max(devs, default=0.0) if math.isinf(pc) else sum(d**pc for d in devs)
 
 
 def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
@@ -65,11 +71,11 @@ def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
     head = max(wa.head_estimate, wb.head_estimate)
     pc = PNorm(p).conjugate().p
     ok = [(n, d) for n, d, flag in rows if flag == "ok"]
-    lp = sum(d**pc for _, d in ok)
+    lp = _lp_sum([d for _, d in ok], pc)
     wt = sum((1 + abs(n)) ** (p - 2.0) * d**p for n, d in ok)
     sup = max((d for _, d in ok), default=0.0)
     tail = [(n, d) for n, d in ok if abs(n) > head]
-    tail_lp = sum(d**pc for _, d in tail)
+    tail_lp = _lp_sum([d for _, d in tail], pc)
     tail_wt = sum((1 + abs(n)) ** (p - 2.0) * d**p for n, d in tail)
     return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tail_lp, tail_wt, detail or {})
 
@@ -292,8 +298,7 @@ def run_ball_experiment(
         ev = _eigen_report(wa, wb, p, dq)
         ef = _eigenfunction_report(qa, qb, bc, wa, wb, p, math.inf, n_grid, dq)
         kernel_dev = dev_inf + dev_one
-        eigen_dev = ev.tail_lp_sum ** (1.0 / pc)
-        ef_dev = ef.tail_lp_sum ** (1.0 / pc)
+        eigen_dev, ef_dev = (r.tail_lp_sum if math.isinf(pc) else r.tail_lp_sum ** (1.0 / pc) for r in (ev, ef))
         rows.append(
             {
                 "pair": idx,

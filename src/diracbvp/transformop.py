@@ -34,10 +34,10 @@ diagonal at (i - w)/q, so their integrand is the diagonal's R_kk row
 upsampled by q times Q_jk upsampled once.  The march is that pass solving
 each diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
-Comp. 58, 1992), so it solves the discrete equations; the fixed-point
-sweep's R_jk update is the same pass reading R_kk, and one sweep
-certifies the march: the stopping rule is the sweep increment.  Both
-cost O(q N^2).
+Comp. 58, 1992), so it solves the discrete equations.  R is the march
+state, certified by one substitution check: each equation's right-hand
+side evaluated at that state (the R_jk one is the same pass reading R_kk),
+whose largest change must fall below the tolerance.  Both cost O(q N^2).
 """
 
 from __future__ import annotations
@@ -80,13 +80,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class KernelSet:
     """R, P+/- and K+/- for one system on one grid, with the residuals
-    achieved by the iterative solves."""
+    that certify the solves."""
 
     r: TriangularKernel
     pplus: SampledFunction   # samples shape (N+1, 2): diagonal entries
@@ -134,6 +133,7 @@ def _diag_to_kernel(rd: dict) -> TriangularKernel:
 
 _KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))  # the planes R_ab of the diagonal layout
 _MAX_LINE_DENOMINATOR = 8  # alpha_k = p/q with q <= 8 puts every node on a line
+_ROW_BLOCK = 64  # diagonals per block of the R_kk update
 
 
 def _line_spacing(alpha: float) -> tuple[int, float]:
@@ -177,8 +177,9 @@ def _read_lines(sums: np.ndarray, base: int, w: float, q: int, top: int) -> np.n
 
 
 class _RSweeper:
-    """The coupled R system in diagonal layout: its march and its
-    fixed-point sweep, which share one pass over the diagonals."""
+    """The coupled R system in diagonal layout: its march, and the
+    substitution check that certifies it; the march and the check's R_jk
+    update share one pass over the diagonals."""
 
     def __init__(self, sys: DiracSystem, n: int):
         self.n = n
@@ -265,7 +266,7 @@ class _RSweeper:
         first: it reads R_jk on the same diagonal at positions <= l, and the
         trapezoid along the diagonal turns the end-term coupling into the
         recurrence (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l,
-        s = m + l, whose factors depend on s alone.  Otherwise (the sweep)
+        s = m + l, whose factors depend on s alone.  Otherwise (the check)
         R_kk is read from ``rkk``.  Either way that row's line integrand
         then joins the sums."""
         n = self.n
@@ -302,8 +303,7 @@ class _RSweeper:
 
     def march(self) -> dict:
         """The discrete equations solved diagonal by diagonal: the pass
-        with R_kk solved on each diagonal.  Its result is the sweep's
-        fixed point for every alpha_k."""
+        with R_kk solved on each diagonal, for every alpha_k."""
         npts = self.n + 1
         rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
         for k in (1, 2):
@@ -311,15 +311,17 @@ class _RSweeper:
         return rd
 
     def _update_diagonal(self, rd: dict, k: int) -> np.ndarray:
-        """R_kk from R_jk: exact-node trapezoid along each diagonal."""
+        """R_kk from R_jk: exact-node trapezoid along each diagonal, formed
+        a block of diagonals at a time so that its temporaries stay small."""
         rjk = rd[(3 - k, k)]
-        if not rjk.any():
-            return np.zeros_like(rd[(k, k)])
-        g = self.hankel[k] * rjk  # g[m, l] = Q_kj(m + l) R_jk[m, l], zero off the triangle
-        out = np.cumsum(g, axis=1)
-        g += g[:, :1]
-        g *= 0.5
-        out -= g
+        out = np.empty_like(rjk)
+        for m0 in range(0, self.n + 1, _ROW_BLOCK):
+            rows = slice(m0, m0 + _ROW_BLOCK)
+            g = self.hankel[k][rows] * rjk[rows]  # g[m, l] = Q_kj(m + l) R_jk[m, l], zero off the triangle
+            cum = np.cumsum(g, axis=1, out=out[rows])
+            g += g[:, :1]
+            g *= 0.5
+            cum -= g
         out *= -1j * self.b[k] * self.h
         out[~self.valid] = 0.0
         return out
@@ -330,21 +332,21 @@ class _RSweeper:
         self._pass(k, rd[(k, k)], out, solve=False)
         return out
 
-    def sweep(self, rd: dict) -> tuple[dict, float]:
-        """Gauss-Seidel sweep (diagonal entries refreshed first); the
-        increment bounds the equation residual of the input state."""
-        increment = 0.0
-        new = dict(rd)
+    def residual(self, rd: dict) -> float:
+        """Substitution check: the largest change at any node when every
+        plane is recomputed from the state ``rd`` alone (Jacobi), i.e. the
+        max-node defect of the discrete equations at ``rd``.  Each update is
+        reduced to its max |update - state| in place; no new state is kept."""
+        # an update lives until the next is formed: dropping it first left
+        # solve_R's peak as it was and raised the kernels CLI peak RSS by 3%
+        worst = 0.0
         for k in (1, 2):
-            upd = self._update_diagonal(new, k)
-            increment = max(increment, float(np.abs(upd - new[(k, k)]).max()))
-            new[(k, k)] = upd
-        for k in (1, 2):
-            j = 3 - k
-            upd = self._update_offdiagonal(new, k)
-            increment = max(increment, float(np.abs(upd - new[(j, k)]).max()))
-            new[(j, k)] = upd
-        return new, increment
+            for key, update in (((k, k), self._update_diagonal), ((3 - k, k), self._update_offdiagonal)):
+                upd = update(rd, k)
+                upd -= rd[key]
+                np.abs(upd, out=upd)
+                worst = max(worst, float(upd.real.max()))
+        return worst
 
 
 def _rd_from_kernel(kernel: TriangularKernel) -> dict:
@@ -358,42 +360,32 @@ def _rd_from_kernel(kernel: TriangularKernel) -> dict:
     return rd
 
 
-def solve_R(
-    sys: DiracSystem,
-    n: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    return_residual: bool = False,
-):
+def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual: bool = False):
     """The kernel R on the N-grid: one march along the diagonals, certified
-    by fixed-point sweeps.
+    by one substitution check.
 
     The march solves the discrete equations diagonal by diagonal, for
-    every weight ratio.  Sweeps then run until the max-node increment,
-    which bounds the equation residual of the previous iterate, drops
-    below ``tol``: after the march that is one sweep, whose increment is
-    roundoff.
+    every weight ratio, so the check at its state is roundoff (1e-16 to
+    1e-15 of max |R|).  A check not below ``tol`` raises
+    IterationLimitError: no further iteration can certify R below the
+    check's own roundoff.
     """
     if n < 8:
         raise ValueError("grid size N must be >= 8 for the kernel solve")
     sweeper = _RSweeper(sys, n)
     rd = sweeper.march()
-    residual = np.inf
-    for _ in range(max_iter):
-        rd, residual = sweeper.sweep(rd)
-        if residual < tol:
-            del sweeper  # its tables go before the dense R is formed
-            kernel = _diag_to_kernel(rd)
-            return (kernel, residual) if return_residual else kernel
-    raise IterationLimitError(f"kernel fixed point did not reach tol={tol} in {max_iter} sweeps", residual)
+    residual = sweeper.residual(rd)
+    del sweeper  # its tables go before the dense R is formed
+    if not residual < tol:
+        raise IterationLimitError(f"kernel substitution check is not below tol={tol}", residual)
+    kernel = _diag_to_kernel(rd)
+    return (kernel, residual) if return_residual else kernel
 
 
 def r_equation_residual(sys: DiracSystem, r: TriangularKernel) -> float:
     """Max-node defect of both integral equations at the state ``r``
-    (substitution check: one sweep, measured increment)."""
-    sweeper = _RSweeper(sys, r.n)
-    _, increment = sweeper.sweep(_rd_from_kernel(r))
-    return increment
+    (substitution check: every update from ``r`` alone, largest change)."""
+    return _RSweeper(sys, r.n).residual(_rd_from_kernel(r))
 
 
 def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -512,9 +504,9 @@ def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunct
     return TriangularKernel(datas[0]), TriangularKernel(datas[1])
 
 
-def build_kernels(sys: DiracSystem, n: int, max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL) -> KernelSet:
+def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelSet:
     """Full pipeline R -> P+/- -> K+/- with residual bookkeeping."""
-    r, r_res = solve_R(sys, n, max_iter=max_iter, tol=tol, return_residual=True)
+    r, r_res = solve_R(sys, n, tol=tol, return_residual=True)
     pplus, pminus, p_res = solve_P(r, sys, n)
     kplus, kminus = assemble_K(r, pplus, pminus, n)
     boundary_defect = _boundary_relation_defect(sys, kplus, kminus)
@@ -634,14 +626,13 @@ def potential_diff_norm(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int) -> fl
     return float((lp_norm(d12, p) ** p.p + lp_norm(d21, p) ** p.p) ** (1.0 / p.p))
 
 
-def kernel_deviation_norms(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int,
-                           max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL):
+def kernel_deviation_norms(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int, tol: float = DEFAULT_TOL):
     """Worst-sign deviation of K+/- between two potentials, in both mixed
     norms, together with ||Q - Q~||_p; the ratio dev / ||Q - Q~||_p is the
     monitored Lipschitz quantity (the theory's constant is nonconstructive).
     """
-    ka = build_kernels(sys_a, n, max_iter=max_iter, tol=tol)
-    kb = build_kernels(sys_b, n, max_iter=max_iter, tol=tol)
+    ka = build_kernels(sys_a, n, tol=tol)
+    kb = build_kernels(sys_b, n, tol=tol)
     deviation = _kernel_deviation((ka.kplus, ka.kminus), (kb.kplus, kb.kminus), p)
     return (*deviation, potential_diff_norm(sys_a, sys_b, p, n))
 

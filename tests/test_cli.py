@@ -179,6 +179,23 @@ class TestRunTasks:
         summary = json.loads((out / "stability.json").read_text())
         assert "kernel_ratio" in summary["summary"]
 
+    def test_stability_task_at_p_one(self, tmp_path):
+        # every pair's eigen_dev read 1.0 (0 ** (1/inf)); at p = 1 it is the
+        # largest verified tail row
+        cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 2.0}, "bc": {"canonical": [0.5, 1, 1, 0.5]},
+                                      "n": 64, "n_max": 5, "pairs": 2, "p": 1, "seed": 11})
+        out = tmp_path / "out"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        heads = [pair["head"] for pair in json.loads((out / "stability.json").read_text())["pairs"]]
+        with open(out / "stability.csv", encoding="utf-8") as fh:
+            devs = [float(row[3]) for row in list(csv.reader(fh))[2:]]
+        with open(out / "stability_rows.csv", encoding="utf-8") as fh:
+            per_n = list(csv.reader(fh))[2:]
+        assert len(devs) == len(heads) == 2
+        for pair, (dev, head) in enumerate(zip(devs, heads)):
+            tail = [float(d) for i, n, d, flag in per_n if int(i) == pair and flag == "ok" and abs(int(n)) > head]
+            assert dev == max(tail)
+
     @pytest.mark.parametrize("task, payload", [("spectrum", {"n": 32, "n_max": 4}),
                                                ("stability", {"n": 32, "n_max": 4, "pairs": 1})])
     def test_default_bc_runs(self, tmp_path, task, payload):
@@ -318,7 +335,8 @@ class TestExitCodes:
         [("stability", {"kernel_tol": 1e-300, "max_iter": 1}), ("spectrum", {"max_iter": 1})],
     )
     def test_tolerance_the_task_does_not_read_is_refused(self, tmp_path, capsys, task, tolerances):
-        # both ran to completion (exit 0) with the tolerances ignored
+        # both ran to completion (exit 0) with the tolerances ignored; no
+        # task reads max_iter
         payload = {"system": {"b1": -1.0, "b2": 2.0}, "bc": {"canonical": [0.5, 1, 1, 0.5]}, "n": 32, "n_max": 2,
                    "pairs": 1, "tolerances": tolerances}
         out = tmp_path / "o"
@@ -385,16 +403,19 @@ class TestExitCodes:
     )
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, task, payload):
         # these exited 2 ("did not reach tol=-1.0 in 200 sweeps", "Bessel
-        # sums require p in (1, 2]", ...) or ran (r = -1, exit 0)
+        # sums require p in (1, 2]", ...) or ran (r = -1, exit 0); max_iter
+        # is no key of any task now, so it is refused as unknown
         assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_kernels_task_reads_both_tolerances(self, tmp_path, capsys):
+        # a kernel_tol below the substitution check's roundoff is refused
+        # as a numerical failure, naming the tolerance
         potential = {"kind": "trig", "q12": {"1": [0.5, 0.0]}, "q21": {"0": [0.5, 0.0]}}
         payload = {"system": {"b1": -1.0, "b2": 1.0, "potential": potential},
-                   "n": 32, "tolerances": {"kernel_tol": 1e-300, "max_iter": 3}}
+                   "n": 32, "tolerances": {"kernel_tol": 1e-300}}
         assert main(["kernels", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
-        assert "tol=1e-300 in 3 sweeps" in capsys.readouterr().err
+        assert "tol=1e-300" in capsys.readouterr().err
 
     def test_kernels_task_peak_allocation(self, tmp_path):
         # each kernel owns the array its builder made, so the traced peak

@@ -251,6 +251,17 @@ class TestBallExperiment:
             assert exact(row["eigen_rows"]) == exact(ev.rows)
             assert exact(row["eigenfunction_rows"]) == exact(ef.rows)
 
+    def test_p_one_reports_the_largest_tail_row(self):
+        # at p = 1 the conjugate exponent is inf: sum d^inf read 0 and
+        # 0 ** (1/inf) = 1, so every pair reported eigen_dev =
+        # eigenfunction_dev = 1.0; the p = 1 bound is on the sup of the rows
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        rows, _ = run_ball_experiment(PotentialBallSampler(1, 1.0, seed=11), bc, 2, 5, 1, n_grid=64, b1=-1.0, b2=2.0)
+        for row in rows:
+            for key in ("eigen", "eigenfunction"):
+                tail = [d for n, d, flag in row[f"{key}_rows"] if flag == "ok" and abs(n) > row["head"]]
+                assert row[f"{key}_dev"] == max(tail)
+
     def test_deterministic_rerun(self):
         sampler1 = PotentialBallSampler(2, 0.5, seed=7)
         sampler2 = PotentialBallSampler(2, 0.5, seed=7)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracbvp.boundary import BoundaryConditions, _delta0_slope, delta0, minors
-from diracbvp.gridfn import SampledFunction, TriangularKernel, _trapezoid_weights, x_norm
+from diracbvp.gridfn import IterationLimitError, SampledFunction, TriangularKernel, _trapezoid_weights, x_norm
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 from diracbvp import transformop
 from diracbvp.transformop import (
@@ -184,27 +184,46 @@ def block_offdiagonal(sweeper, rd, k):
     return out
 
 
-def count_sweeps(monkeypatch, sys, n):
-    calls = []
-    sweep = transformop._RSweeper.sweep
-
-    def counted(self, rd):
-        calls.append(None)
-        return sweep(self, rd)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(transformop._RSweeper, "sweep", counted)
-        r = solve_R(sys, n)
-    return len(calls), r
+def whole_plane_diagonal(sweeper, rd, k):
+    """Reference R_kk update: the exact-node trapezoid along every diagonal
+    of the whole plane at once."""
+    g = sweeper.hankel[k] * rd[(3 - k, k)]
+    out = np.cumsum(g, axis=1) - 0.5 * (g + g[:, :1])
+    out *= -1j * sweeper.b[k] * sweeper.h
+    out[~sweeper.valid] = 0.0
+    return out
 
 
-def count_zero_start_sweeps(monkeypatch, sys, n):
-    """``count_sweeps`` with the march replaced by the zero state."""
+def fixed_point_from_zero(sys, n, tol=transformop.DEFAULT_TOL, max_sweeps=200):
+    """Reference R: Gauss-Seidel fixed-point sweeps of the discrete
+    equations from the zero state, the diagonal planes refreshed first,
+    until the largest change drops below ``tol``."""
+    sweeper = transformop._RSweeper(sys, n)
     npts = n + 1
-    with monkeypatch.context() as patch:
-        patch.setattr(transformop._RSweeper, "march",
-                      lambda self: {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))})
-        return count_sweeps(monkeypatch, sys, n)
+    rd = {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    for _ in range(max_sweeps):
+        increment = 0.0
+        for k in (1, 2):
+            upd = sweeper._update_diagonal(rd, k)
+            increment = max(increment, float(np.abs(upd - rd[(k, k)]).max()))
+            rd[(k, k)] = upd
+        for k in (1, 2):
+            upd = sweeper._update_offdiagonal(rd, k)
+            increment = max(increment, float(np.abs(upd - rd[(3 - k, k)]).max()))
+            rd[(3 - k, k)] = upd
+        if increment < tol:
+            return transformop._diag_to_kernel(rd)
+    raise AssertionError(f"no fixed point in {max_sweeps} sweeps (last increment {increment:.3e})")
+
+
+def record_solver_calls(monkeypatch):
+    """The names of the ``_RSweeper`` march and check calls, in order."""
+    calls = []
+    for method in ("march", "residual"):
+        real = getattr(transformop._RSweeper, method)
+        monkeypatch.setattr(transformop._RSweeper, method,
+                            lambda self, *args, real=real, method=method: calls.append(method) or real(self, *args))
+    return calls
 
 
 def dirac_trig_system(n, b1, b2):
@@ -329,32 +348,35 @@ class TestSolveR:
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0)])
     def test_same_sweep_count_as_per_node_paths(self, b, monkeypatch):
+        # the check with the per-node path update certifies the march too,
+        # and both agree on R
         n = 64
         sys = smooth_potential(25, n, *b, l1_norm=0.8)
-        sweeps, r = count_sweeps(monkeypatch, sys, n)
+        r, check = solve_R(sys, n, return_residual=True)
         monkeypatch.setattr(transformop._RSweeper, "_update_offdiagonal", offdiagonal_oracle)
-        ref_sweeps, ref = count_sweeps(monkeypatch, sys, n)
-        assert sweeps == ref_sweeps
+        ref, ref_check = solve_R(sys, n, return_residual=True)
+        assert max(check, ref_check) <= 1e-14
         assert np.abs(r.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0), (-1.0, np.sqrt(2.0))])
-    def test_march_reaches_the_swept_fixed_point(self, b, monkeypatch):
+    def test_march_reaches_the_swept_fixed_point(self, b):
         n = 64
         tol = transformop.DEFAULT_TOL
         sys = smooth_potential(26, n, *b, l1_norm=0.8)
-        _, ref = count_zero_start_sweeps(monkeypatch, sys, n)
+        ref = fixed_point_from_zero(sys, n, tol)
         assert np.abs(solve_R(sys, n).data - ref.data).max() <= 10 * tol
 
     @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
     def test_march_needs_one_sweep(self, name, monkeypatch):
-        # the march solves the sweep's own equations, irrational alpha_k
-        # included, so the certifying sweep moves it by roundoff
+        # the march solves the discrete equations, irrational alpha_k
+        # included, so solve_R marches once and its one substitution check
+        # is roundoff
         n = 64
         sys = STEP_SYSTEMS[name](n)
-        sweeps, _ = count_sweeps(monkeypatch, sys, n)
-        _, increment = solve_R(sys, n, return_residual=True)
-        assert sweeps == 1
-        assert increment <= 1e-14
+        calls = record_solver_calls(monkeypatch)
+        _, check = solve_R(sys, n, return_residual=True)
+        assert calls == ["march", "residual"]
+        assert check <= 1e-14
 
     def test_irrational_line_interpolation_is_second_order(self, monkeypatch):
         # between-line interpolation departs from the per-node paths at
@@ -366,7 +388,7 @@ class TestSolveR:
             r = solve_R(sys, n)
             with monkeypatch.context() as patch:
                 patch.setattr(transformop._RSweeper, "_update_offdiagonal", offdiagonal_oracle)
-                ref = solve_R(sys, n)
+                ref = fixed_point_from_zero(sys, n)
             gaps[n] = np.abs(r.data - ref.data).max()
         assert gaps[64] <= 2e-6
         assert gaps[32] / gaps[64] >= 3.0, gaps
@@ -427,21 +449,58 @@ class TestSolveR:
             ref = block_offdiagonal(sweeper, rd, k)
             assert np.abs(sweeper._update_offdiagonal(rd, k) - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [8, 63, 64, 65, 129])
+    def test_diagonal_update_in_blocks_is_the_whole_plane_update(self, n, rng):
+        # the grid sizes put block edges on, just before and just after N
+        sweeper = transformop._RSweeper(STEP_SYSTEMS["b=(-1,2)"](n), n)
+        rd = {key: np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
+              for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+        for k in (1, 2):
+            assert np.array_equal(sweeper._update_diagonal(rd, k), whole_plane_diagonal(sweeper, rd, k))
+
     @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
     def test_same_sweeps_as_the_gathered_step(self, name, monkeypatch):
+        # the gathered march, checked by the block R_jk update, is certified
+        # as the strided one is, and both agree on R
         n = 64
         sys = STEP_SYSTEMS[name](n)
-        sweeps, r = count_sweeps(monkeypatch, sys, n)
+        r, check = solve_R(sys, n, return_residual=True)
         monkeypatch.setattr(transformop._RSweeper, "march", gather_march)
         monkeypatch.setattr(transformop._RSweeper, "_update_offdiagonal", block_offdiagonal)
-        ref_sweeps, ref = count_sweeps(monkeypatch, sys, n)
-        assert sweeps == ref_sweeps
+        ref, ref_check = solve_R(sys, n, return_residual=True)
+        assert max(check, ref_check) <= 1e-14
         assert np.abs(r.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
+    def test_check_below_its_roundoff_is_refused(self, monkeypatch):
+        # no iteration certifies R below the check's own roundoff: one march
+        # and one check, then IterationLimitError naming both numbers (the
+        # sweep loop ran all 200 sweeps here before raising)
+        n = 64
+        sys = smooth_potential(26, n, -1.0, math.sqrt(2.0), l1_norm=0.8)
+        calls = record_solver_calls(monkeypatch)
+        with pytest.raises(IterationLimitError, match="tol=1e-300") as err:
+            solve_R(sys, n, tol=1e-300)
+        assert calls == ["march", "residual"]
+        assert 0.0 < err.value.residual <= 1e-14
+
+    def test_check_is_the_jacobi_substitution(self, rng):
+        # every update reads the input state only, R_kk included
+        n = 32
+        sweeper = transformop._RSweeper(STEP_SYSTEMS["b=(-1,2)"](n), n)
+        rd = {key: np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
+              for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+        before = {key: arr.copy() for key, arr in rd.items()}
+        want = max(float(np.abs(update(rd, k) - rd[key]).max())
+                   for k in (1, 2)
+                   for key, update in (((k, k), sweeper._update_diagonal), ((3 - k, k), sweeper._update_offdiagonal)))
+        assert sweeper.residual(rd) == want
+        assert all(np.array_equal(rd[key], before[key]) for key in rd)
+
     def test_peak_allocation(self):
-        # the returned R is one dense kernel of 64 (N+1)^2 bytes; the swept
-        # diagonal planes and one sweep's updates add about 1.4 more, where
-        # tables of the whole grid put the peak at 3.14
+        # the returned R is one dense kernel of 64 (N+1)^2 bytes, formed
+        # while the march's diagonal planes (one more) are alive; the check
+        # holds at most two update planes (half a kernel), where the swept
+        # copy of the planes put the peak at 2.40
         n = 512
         sys = smooth_potential(29, n, l1_norm=0.8)
         tracemalloc.start()
@@ -451,7 +510,7 @@ class TestSolveR:
         finally:
             tracemalloc.stop()
         del r
-        assert peak <= 2.6 * 64 * (n + 1) ** 2
+        assert peak <= 2.1 * 64 * (n + 1) ** 2
 
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
