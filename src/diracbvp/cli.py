@@ -302,9 +302,10 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 3.09 of them
+# bytes each.  The kernels task's peak RSS above import measured 3.08 of them
 # at N = 1024, reached in assemble_K and not raised by the dumps or the
-# manifest's chunked hashes (solve_R reaches 1.99), so five bound it.
+# manifest's chunked hashes (solve_R, which fills R in place, reaches 1.01),
+# so five bound it.
 _KERNEL_TASKS = {"spectrum", "kernels", "stability"}
 _LIVE_KERNELS = 5
 

@@ -34,10 +34,12 @@ diagonal at (i - w)/q, so their integrand is the diagonal's R_kk row
 upsampled by q times Q_jk upsampled once.  The march is that pass solving
 each diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
-Comp. 58, 1992), so it solves the discrete equations.  R is the march
-state, certified by one substitution check: each equation's right-hand
-side evaluated at that state (the R_jk one is the same pass reading R_kk),
-whose largest change must fall below the tolerance.  Both cost O(q N^2).
+Comp. 58, 1992), so it solves the discrete equations.  It marches in the
+kernel array itself, diagonal m of a plane being a strided view of it, and
+certifies its state on the way: each diagonal's R_kk defect is its
+exact-node trapezoid along the diagonal less R_kk, and R_jk, written from
+its right-hand side, has none.  The same pass reading R instead of solving
+it is the substitution check of any state.  Both cost O(q N^2).
 """
 
 from __future__ import annotations
@@ -119,21 +121,7 @@ class ComboKernels:
         return _combo(self.kplus.data, self.kminus.data, j, l, k)
 
 
-def _diag_to_kernel(rd: dict) -> TriangularKernel:
-    """Solver layout rd[(a, b)][m, j] = R_ab((j+m)h, jh) -> (i, j) layout: row i
-    of plane (a, b) is the strided run rd[(a, b)].flat[i(N+1) - jN], j = 0..i."""
-    npts = rd[(1, 1)].shape[0]
-    data = np.zeros((npts, npts, 2, 2), dtype=complex)
-    for (a, b), arr in rd.items():
-        flat, plane = arr.reshape(-1), data[:, :, a - 1, b - 1]
-        for i in range(npts):
-            plane[i, : i + 1] = flat[i * npts :: 1 - npts][: i + 1]
-    return TriangularKernel(data)
-
-
-_KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))  # the planes R_ab of the diagonal layout
 _MAX_LINE_DENOMINATOR = 8  # alpha_k = p/q with q <= 8 puts every node on a line
-_ROW_BLOCK = 64  # diagonals per block of the R_kk update
 
 
 def _line_spacing(alpha: float) -> tuple[int, float]:
@@ -176,10 +164,19 @@ def _read_lines(sums: np.ndarray, base: int, w: float, q: int, top: int) -> np.n
     return lower + w * (sums[base + 1 : base + q * top + 2 : q] - lower) if w else lower
 
 
+def _kernel_diagonal(data: np.ndarray, m: int, a: int, b: int) -> np.ndarray:
+    """Diagonal m of plane R_ab in the (N+1, N+1, 2, 2) kernel array ``data``:
+    the nodes (m + l, l), l = 0..N-m, as a strided view of its flat storage;
+    writes land in ``data`` only if it is C-contiguous."""
+    npts = data.shape[0]
+    return data.reshape(-1)[4 * m * npts + 2 * (a - 1) + (b - 1) :: 4 * (npts + 1)][: npts - m]
+
+
 class _RSweeper:
-    """The coupled R system in diagonal layout: its march, and the
-    substitution check that certifies it; the march and the check's R_jk
-    update share one pass over the diagonals."""
+    """The coupled R system in diagonal coordinates, stored in the kernel
+    array itself: one pass over its diagonals per k either marches (solves
+    the discrete equations) or only reads R, and measures both equations'
+    defect on the way."""
 
     def __init__(self, sys: DiracSystem, n: int):
         self.n = n
@@ -190,15 +187,10 @@ class _RSweeper:
         self.b = {1: sys.b1, 2: sys.b2}
         self.alpha = {1: sys.alpha1, 2: sys.alpha2}
         self.q_nodes = {(1, 2): sys.q12(grid), (2, 1): sys.q21(grid)}
-        self.valid = idx[None, :] <= n - idx[:, None]  # rd[m, l] valid for l <= N - m
-        windows = np.lib.stride_tricks.sliding_window_view
-        self.hankel = {}
         self.lines = {}
         self.sources = {}
         for k in (1, 2):
             j = 3 - k
-            # H[m, l] = Q_kj(m + l), zero past the last node
-            self.hankel[k] = windows(np.concatenate([self.q_nodes[(k, j)], np.zeros(n, dtype=complex)]), npts)
             q, step = _line_spacing(self.alpha[k])
             qjk = self.q_nodes[(j, k)]
             slots = np.arange(-1, q * n + 2) / q
@@ -252,8 +244,10 @@ class _RSweeper:
             return (qs[1:] + w * (qs[:-1] - qs[1:])) * (rup[1:] + w * (rup[:-1] - rup[1:]))
         return qs[1:] * rup[1:]
 
-    def _pass(self, k: int, rkk: np.ndarray, rjk: np.ndarray, solve: bool) -> None:
-        """One pass over the diagonals m = 0..N writing R_jk into ``rjk``.
+    def _pass(self, k: int, data: np.ndarray, solve: bool) -> np.ndarray:
+        """One pass over the diagonals m = 0..N of R_kk and R_jk in the
+        kernel array ``data``; returns the largest R_kk defect, R_jk defect,
+        |R_kk| and |R_jk| over the nodes (the last two for ``solve`` only).
 
         ``sums`` holds every line's trapezoid sum over the diagonals passed
         (half weight at diagonal 0); a node reads its line, or the two lines
@@ -262,130 +256,100 @@ class _RSweeper:
         + coeff/2 Q_jk(m + l) R_kk[m, l]: the trapezoid's end term is taken
         at the node, where its path ends (diagonal 0 has none).
 
-        With ``solve`` (the march) R_kk on diagonal m is solved into ``rkk``
+        With ``solve`` (the march) R_kk on diagonal m is solved in place
         first: it reads R_jk on the same diagonal at positions <= l, and the
         trapezoid along the diagonal turns the end-term coupling into the
         recurrence (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l,
-        s = m + l, whose factors depend on s alone.  Otherwise (the check)
-        R_kk is read from ``rkk``.  Either way that row's line integrand
-        then joins the sums."""
+        s = m + l, whose factors depend on s alone; R_jk is then written from
+        its right-hand side, so its defect is zero.  Otherwise (the check)
+        both are read, and R_jk's right-hand side is compared with it.
+        Either way the diagonal's R_kk defect is its exact-node trapezoid of
+        Q_kj R_jk along the diagonal less R_kk, and the R_kk row's line
+        integrand then joins the sums."""
         n = self.n
         j = 3 - k
         q = self.lines[k][0]
         c0 = self.sources[k][0]
         coeff = -1j * self.b[j] * self.alpha[j] * self.h
         end_half = (0.5 * coeff) * self.q_nodes[(j, k)]
+        qkj = self.q_nodes[(k, j)]
         if solve:
             # half trapezoid weights along the diagonal, and the recurrence
-            diag_half = (-0.5j * self.b[k] * self.h) * self.q_nodes[(k, j)]
+            diag_half = (-0.5j * self.b[k] * self.h) * qkj
             d = diag_half * end_half
             growth = np.ones(n + 1, dtype=complex)
             growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
             np.cumprod(growth, out=growth)
             scale = 1.0 / ((1.0 - d) * growth)
         sums = np.zeros(q * n + 2, dtype=complex)  # line qN + 1 is read with weight 0 only
+        worst = np.zeros((n + 1, 4))  # per diagonal, in the order returned
         for m in range(n + 1):
             top = n - m
             base, w = self._diagonal(k, m)
             a = c0 * self._source_row(k, m) + coeff * _read_lines(sums, base, w, q, top)
-            x = rkk[m, : top + 1]
+            x = _kernel_diagonal(data, m, k, k)
+            y = _kernel_diagonal(data, m, j, k)
             if solve:  # x[0] = 0: a path of one point
                 pa = diag_half[m:] * a
                 if m:
                     x[1:] = growth[m + 1 :] * np.cumsum((pa[:-1] + pa[1:]) * scale[m + 1 :])
                 else:
                     x[1:] = np.cumsum(pa[:-1] + pa[1:])
-            rjk[m, : top + 1] = a + end_half[m:] * x if m else a
+            rjk = a + end_half[m:] * x if m else a
+            if solve:
+                y[:] = rjk
+                worst[m, 2:] = np.abs(x).max(), np.abs(y).max()
+            else:
+                rjk -= y
+                worst[m, 1] = np.abs(rjk).max()
+            g = qkj[m:] * y
+            update = np.cumsum(g)
+            g += g[0]
+            g *= 0.5
+            update -= g
+            update *= -1j * self.b[k] * self.h
+            update -= x
+            worst[m, 0] = np.abs(update).max()
             if m == n:
                 break
             f = self._line_integrand(k, m, x, w)
             sums[base : base + q * top + 2] += f if m else 0.5 * f
+        return worst.max(axis=0)
 
-    def march(self) -> dict:
-        """The discrete equations solved diagonal by diagonal: the pass
-        with R_kk solved on each diagonal, for every alpha_k."""
-        npts = self.n + 1
-        rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
-        for k in (1, 2):
-            self._pass(k, rd[(k, k)], rd[(3 - k, k)], solve=True)
-        return rd
-
-    def _update_diagonal(self, rd: dict, k: int) -> np.ndarray:
-        """R_kk from R_jk: exact-node trapezoid along each diagonal, formed
-        a block of diagonals at a time so that its temporaries stay small."""
-        rjk = rd[(3 - k, k)]
-        out = np.empty_like(rjk)
-        for m0 in range(0, self.n + 1, _ROW_BLOCK):
-            rows = slice(m0, m0 + _ROW_BLOCK)
-            g = self.hankel[k][rows] * rjk[rows]  # g[m, l] = Q_kj(m + l) R_jk[m, l], zero off the triangle
-            cum = np.cumsum(g, axis=1, out=out[rows])
-            g += g[:, :1]
-            g *= 0.5
-            cum -= g
-        out *= -1j * self.b[k] * self.h
-        out[~self.valid] = 0.0
-        return out
-
-    def _update_offdiagonal(self, rd: dict, k: int) -> np.ndarray:
-        """R_jk from R_kk: the pass reading R_kk from ``rd``."""
-        out = np.zeros_like(rd[(k, k)])
-        self._pass(k, rd[(k, k)], out, solve=False)
-        return out
-
-    def residual(self, rd: dict) -> float:
-        """Substitution check: the largest change at any node when every
-        plane is recomputed from the state ``rd`` alone (Jacobi), i.e. the
-        max-node defect of the discrete equations at ``rd``.  Each update is
-        reduced to its max |update - state| in place; no new state is kept."""
-        # an update lives until the next is formed: dropping it first left
-        # solve_R's peak as it was and raised the kernels CLI peak RSS by 3%
-        worst = 0.0
-        for k in (1, 2):
-            for key, update in (((k, k), self._update_diagonal), ((3 - k, k), self._update_offdiagonal)):
-                upd = update(rd, k)
-                upd -= rd[key]
-                np.abs(upd, out=upd)
-                worst = max(worst, float(upd.real.max()))
-        return worst
-
-
-def _rd_from_kernel(kernel: TriangularKernel) -> dict:
-    """Inverse of ``_diag_to_kernel``; slots off the triangle stay zero."""
-    npts = kernel.n + 1
-    rd = {key: np.zeros((npts, npts), dtype=complex) for key in _KEYS}
-    for (a, b), arr in rd.items():
-        flat, plane = arr.reshape(-1), kernel.data[:, :, a - 1, b - 1]
-        for i in range(npts):
-            flat[i * npts :: 1 - npts][: i + 1] = plane[i, : i + 1]
-    return rd
+    def sweep(self, data: np.ndarray, solve: bool) -> tuple[float, float]:
+        """The pass for every alpha_k: (max-node defect of the discrete
+        equations at ``data``, max |R|, or 0.0 without ``solve``)."""
+        worst = np.maximum(self._pass(1, data, solve), self._pass(2, data, solve))
+        return float(worst[:2].max()), float(worst[2:].max())
 
 
 def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual: bool = False):
-    """The kernel R on the N-grid: one march along the diagonals, certified
-    by one substitution check.
+    """The kernel R on the N-grid: one march along the diagonals of the
+    kernel array, which measures its own defect.
 
     The march solves the discrete equations diagonal by diagonal, for
-    every weight ratio, so the check at its state is roundoff (1e-16 to
-    1e-15 of max |R|).  A check not below ``tol`` raises
+    every weight ratio, so the defect at its state is roundoff (1e-16 to
+    1e-15 of max |R|).  A defect not below ``tol`` max(1, max |R|) raises
     IterationLimitError: no further iteration can certify R below the
-    check's own roundoff.
+    defect's own roundoff.
     """
     if n < 8:
         raise ValueError("grid size N must be >= 8 for the kernel solve")
-    sweeper = _RSweeper(sys, n)
-    rd = sweeper.march()
-    residual = sweeper.residual(rd)
-    del sweeper  # its tables go before the dense R is formed
-    if not residual < tol:
-        raise IterationLimitError(f"kernel substitution check is not below tol={tol}", residual)
-    kernel = _diag_to_kernel(rd)
+    # formed before the sweeper's tables: the kernels CLI's peak RSS moves
+    # with where glibc's heap places this array (BENCH_15.json has both orders)
+    data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
+    residual, size = _RSweeper(sys, n).sweep(data, solve=True)
+    if not residual < tol * max(1.0, size):
+        raise IterationLimitError(
+            f"kernel substitution check is not below tol={tol} times max(1, max|R|), max|R| = {size:.3e}", residual)
+    kernel = TriangularKernel(data)
     return (kernel, residual) if return_residual else kernel
 
 
 def r_equation_residual(sys: DiracSystem, r: TriangularKernel) -> float:
     """Max-node defect of both integral equations at the state ``r``
     (substitution check: every update from ``r`` alone, largest change)."""
-    return _RSweeper(sys, r.n).residual(_rd_from_kernel(r))
+    return _RSweeper(sys, r.n).sweep(r.data, solve=False)[0]
 
 
 def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:

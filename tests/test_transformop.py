@@ -51,6 +51,56 @@ def closed_forms(sys, n):
     return r21, p2, k22
 
 
+KEYS = ((1, 1), (1, 2), (2, 1), (2, 2))  # the planes R_ab
+
+
+def valid_mask(n):
+    """Diagonal layout rd[m, l] = R((l + m)h, lh) is meaningful for l <= N - m."""
+    idx = np.arange(n + 1)
+    return idx[None, :] <= n - idx[:, None]
+
+
+def to_diagonals(data):
+    """Kernel array (N+1, N+1, 2, 2) -> diagonal layout planes rd[(a, b)][m, l]
+    = R_ab((l + m)h, lh), zero for l > N - m."""
+    n = data.shape[0] - 1
+    m, l = np.nonzero(valid_mask(n))
+    rd = {}
+    for a, b in KEYS:
+        rd[(a, b)] = np.zeros((n + 1, n + 1), dtype=complex)
+        rd[(a, b)][m, l] = data[m + l, l, a - 1, b - 1]
+    return rd
+
+
+def to_kernel_array(rd):
+    """Inverse of ``to_diagonals``: a writeable kernel array."""
+    n = rd[(1, 1)].shape[0] - 1
+    m, l = np.nonzero(valid_mask(n))
+    data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
+    for a, b in KEYS:
+        data[m + l, l, a - 1, b - 1] = rd[(a, b)][m, l]
+    return data
+
+
+def random_state(n, rng):
+    """Random R in diagonal layout, zero off the triangle."""
+    valid = valid_mask(n)
+    return {key: np.where(valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
+            for key in KEYS}
+
+
+def march_state(sweeper):
+    """The march's R in diagonal layout."""
+    data = np.zeros((sweeper.n + 1, sweeper.n + 1, 2, 2), dtype=complex)
+    sweeper.sweep(data, solve=True)
+    return to_diagonals(data)
+
+
+def offdiagonal_defect(sweeper, rd, k):
+    """Largest change of R_jk when the pass recomputes it from R_kk of ``rd``."""
+    return sweeper._pass(k, to_kernel_array(rd), solve=False)[1]
+
+
 def gather_linear(values, base, offsets):
     """Linear interpolation of ``values`` at base[j] + offsets[l], shape
     (len(offsets), len(base)); out-of-range neighbours are clipped."""
@@ -88,7 +138,7 @@ def offdiagonal_oracle(sweeper, rd, k):
         w = np.ones(m + 1)
         w[0] = w[-1] = 0.5
         out[m, : n - m + 1] += coeff * np.einsum("l,lj->j", w, qv * rv)
-    out[~sweeper.valid] = 0.0
+    out[~valid_mask(n)] = 0.0
     return out
 
 
@@ -120,7 +170,7 @@ def gather_march(sweeper):
     n = sweeper.n
     npts = n + 1
     idx = np.arange(npts)
-    rd = {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    rd = {key: np.zeros((npts, npts), dtype=complex) for key in KEYS}
     for k in (1, 2):
         j = 3 - k
         q, step = transformop._line_spacing(sweeper.alpha[k])
@@ -175,7 +225,7 @@ def block_offdiagonal(sweeper, rd, k):
     f = gathered_crossings(sweeper, k, rkk.reshape(-1), np.arange(q * n + 1)[:, None], np.arange(n + 1))
     g = np.cumsum(f, axis=1) - f  # the diagonals before m, the first at half weight
     g[:, 1:] -= 0.5 * f[:, :1]
-    m, l = np.nonzero(sweeper.valid)
+    m, l = np.nonzero(valid_mask(n))
     line, w = node_lines(sweeper, k, m, l)
     upper = np.minimum(line + 1, q * n)
     # the end term at the node itself, where its path ends (none on diagonal 0)
@@ -186,43 +236,43 @@ def block_offdiagonal(sweeper, rd, k):
 
 def whole_plane_diagonal(sweeper, rd, k):
     """Reference R_kk update: the exact-node trapezoid along every diagonal
-    of the whole plane at once."""
-    g = sweeper.hankel[k] * rd[(3 - k, k)]
+    of the whole plane at once, from the Hankel table H[m, l] = Q_kj(m + l)."""
+    n = sweeper.n
+    qkj = np.concatenate([sweeper.q_nodes[(k, 3 - k)], np.zeros(n, dtype=complex)])
+    g = np.lib.stride_tricks.sliding_window_view(qkj, n + 1) * rd[(3 - k, k)]
     out = np.cumsum(g, axis=1) - 0.5 * (g + g[:, :1])
     out *= -1j * sweeper.b[k] * sweeper.h
-    out[~sweeper.valid] = 0.0
+    out[~valid_mask(n)] = 0.0
     return out
 
 
-def fixed_point_from_zero(sys, n, tol=transformop.DEFAULT_TOL, max_sweeps=200):
+def fixed_point_from_zero(sys, n, tol=transformop.DEFAULT_TOL, offdiagonal=block_offdiagonal, max_sweeps=200):
     """Reference R: Gauss-Seidel fixed-point sweeps of the discrete
-    equations from the zero state, the diagonal planes refreshed first,
-    until the largest change drops below ``tol``."""
+    equations from the zero state, the diagonal planes refreshed first and
+    R_jk by ``offdiagonal``, until the largest change drops below ``tol``."""
     sweeper = transformop._RSweeper(sys, n)
-    npts = n + 1
-    rd = {key: np.zeros((npts, npts), dtype=complex) for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+    rd = {key: np.zeros((n + 1, n + 1), dtype=complex) for key in KEYS}
     for _ in range(max_sweeps):
         increment = 0.0
         for k in (1, 2):
-            upd = sweeper._update_diagonal(rd, k)
+            upd = whole_plane_diagonal(sweeper, rd, k)
             increment = max(increment, float(np.abs(upd - rd[(k, k)]).max()))
             rd[(k, k)] = upd
         for k in (1, 2):
-            upd = sweeper._update_offdiagonal(rd, k)
+            upd = offdiagonal(sweeper, rd, k)
             increment = max(increment, float(np.abs(upd - rd[(3 - k, k)]).max()))
             rd[(3 - k, k)] = upd
         if increment < tol:
-            return transformop._diag_to_kernel(rd)
+            return TriangularKernel(to_kernel_array(rd))
     raise AssertionError(f"no fixed point in {max_sweeps} sweeps (last increment {increment:.3e})")
 
 
-def record_solver_calls(monkeypatch):
-    """The names of the ``_RSweeper`` march and check calls, in order."""
+def record_passes(monkeypatch):
+    """(k, solve) of every ``_RSweeper`` pass, in order."""
     calls = []
-    for method in ("march", "residual"):
-        real = getattr(transformop._RSweeper, method)
-        monkeypatch.setattr(transformop._RSweeper, method,
-                            lambda self, *args, real=real, method=method: calls.append(method) or real(self, *args))
+    real = transformop._RSweeper._pass
+    monkeypatch.setattr(transformop._RSweeper, "_pass",
+                        lambda self, k, data, solve: calls.append((k, solve)) or real(self, k, data, solve))
     return calls
 
 
@@ -319,44 +369,43 @@ class TestSolveR:
         assert r_equation_residual(sys, r) <= tol
 
     def test_diagonal_layout_round_trip(self, rng):
-        # solver layout rd[(a, b)][m, l] = R_ab((l+m)h, lh), meaningful for
-        # l <= N - m; the kernel layout holds it at (i, j) = (l + m, l)
-        n = 20
-        idx = np.arange(n + 1)
-        valid = idx[None, :] <= n - idx[:, None]
-        keys = ((1, 1), (1, 2), (2, 1), (2, 2))
-        rd = {key: rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)) for key in keys}
-        kernel = transformop._diag_to_kernel(rd)
-        m, l = np.nonzero(valid)
-        back = transformop._rd_from_kernel(kernel)
-        for a, b in keys:
-            assert np.array_equal(kernel.data[l + m, l, a - 1, b - 1], rd[(a, b)][m, l])
-            assert np.array_equal(back[(a, b)][valid], rd[(a, b)][valid])
-            assert not back[(a, b)][~valid].any()
+        # diagonal m of plane R_ab is a view of the kernel array's nodes
+        # (i, j) = (m + l, l), l = 0..N-m: reads see them, writes land there
+        for n in (8, 9):
+            data = rng.standard_normal((n + 1, n + 1, 2, 2)) + 1j * rng.standard_normal((n + 1, n + 1, 2, 2))
+            for m in (0, 1, n - 1, n):
+                l = np.arange(n + 1 - m)
+                for a, b in KEYS:
+                    view = transformop._kernel_diagonal(data, m, a, b)
+                    assert np.array_equal(view, data[m + l, l, a - 1, b - 1])
+                    new = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
+                    want = data.copy()
+                    want[m + l, l, a - 1, b - 1] = new
+                    view[:] = new
+                    assert np.array_equal(data, want)
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
     def test_line_sums_match_per_node_paths(self, b, rng):
+        # R_jk set to the per-node path update of a random R_kk: the pass's
+        # R_jk update departs from it by roundoff only
         n = 64
         sweeper = transformop._RSweeper(smooth_potential(24, n, *b), n)
-        rd = {
-            key: np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
-            for key in ((1, 1), (1, 2), (2, 1), (2, 2))
-        }
+        rd = random_state(n, rng)
         for k in (1, 2):
-            ref = offdiagonal_oracle(sweeper, rd, k)
-            assert np.abs(sweeper._update_offdiagonal(rd, k) - ref).max() <= 1e-13 * np.abs(ref).max()
+            rd[(3 - k, k)] = offdiagonal_oracle(sweeper, rd, k)
+        for k in (1, 2):
+            assert offdiagonal_defect(sweeper, rd, k) <= 1e-13 * np.abs(rd[(3 - k, k)]).max()
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0)])
-    def test_same_sweep_count_as_per_node_paths(self, b, monkeypatch):
-        # the check with the per-node path update certifies the march too,
-        # and both agree on R
+    def test_same_sweep_count_as_per_node_paths(self, b):
+        # the check with the per-node path update certifies the march too
         n = 64
         sys = smooth_potential(25, n, *b, l1_norm=0.8)
         r, check = solve_R(sys, n, return_residual=True)
-        monkeypatch.setattr(transformop._RSweeper, "_update_offdiagonal", offdiagonal_oracle)
-        ref, ref_check = solve_R(sys, n, return_residual=True)
+        sweeper = transformop._RSweeper(sys, n)
+        rd = to_diagonals(r.data)
+        ref_check = max(float(np.abs(offdiagonal_oracle(sweeper, rd, k) - rd[(3 - k, k)]).max()) for k in (1, 2))
         assert max(check, ref_check) <= 1e-14
-        assert np.abs(r.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0), (-1.0, np.sqrt(2.0))])
     def test_march_reaches_the_swept_fixed_point(self, b):
@@ -369,16 +418,24 @@ class TestSolveR:
     @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
     def test_march_needs_one_sweep(self, name, monkeypatch):
         # the march solves the discrete equations, irrational alpha_k
-        # included, so solve_R marches once and its one substitution check
-        # is roundoff
+        # included, so solve_R makes one pass per alpha_k and the defect it
+        # measures on the way is roundoff
         n = 64
         sys = STEP_SYSTEMS[name](n)
-        calls = record_solver_calls(monkeypatch)
+        calls = record_passes(monkeypatch)
         _, check = solve_R(sys, n, return_residual=True)
-        assert calls == ["march", "residual"]
+        assert calls == [(1, True), (2, True)]
         assert check <= 1e-14
 
-    def test_irrational_line_interpolation_is_second_order(self, monkeypatch):
+    @pytest.mark.parametrize("n", [8, 65])
+    @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
+    def test_check_is_the_equation_residual(self, name, n):
+        # the defect the march measures is the substitution check at its R
+        sys = STEP_SYSTEMS[name](n)
+        r, check = solve_R(sys, n, return_residual=True)
+        assert check == r_equation_residual(sys, r)
+
+    def test_irrational_line_interpolation_is_second_order(self):
         # between-line interpolation departs from the per-node paths at
         # O(h^2); dropping it (nearest line) would halve the gap per refinement
         b1, b2 = -1.0, np.sqrt(2.0)
@@ -386,9 +443,7 @@ class TestSolveR:
         for n in (32, 64):
             sys = dirac_trig_system(n, b1, b2)
             r = solve_R(sys, n)
-            with monkeypatch.context() as patch:
-                patch.setattr(transformop._RSweeper, "_update_offdiagonal", offdiagonal_oracle)
-                ref = fixed_point_from_zero(sys, n)
+            ref = fixed_point_from_zero(sys, n, offdiagonal=offdiagonal_oracle)
             gaps[n] = np.abs(r.data - ref.data).max()
         assert gaps[64] <= 2e-6
         assert gaps[32] / gaps[64] >= 3.0, gaps
@@ -425,7 +480,7 @@ class TestSolveR:
             shift = sweeper.alpha[k] * idx[:, None]
             whole = np.floor(shift)
             expl = transformop._lerp_clamped(sweeper.q_nodes[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
-            expl[~sweeper.valid] = 0.0
+            expl[~valid_mask(n)] = 0.0
             assert (c0 * expl).tobytes() == sweeper.explicit[(j, k)].tobytes()
 
     @pytest.mark.parametrize("n", [8, 9, 64, 65])
@@ -434,7 +489,7 @@ class TestSolveR:
         # one weight per diagonal and strided line reads give the per-node
         # floors and gathers' numbers, irrational line interpolation included
         sweeper = transformop._RSweeper(STEP_SYSTEMS[name](n), n)
-        got, ref = sweeper.march(), gather_march(sweeper)
+        got, ref = march_state(sweeper), gather_march(sweeper)
         scale = max(np.abs(arr).max() for arr in ref.values())
         for key in ref:
             assert np.abs(got[key] - ref[key]).max() <= 1e-14 * scale
@@ -442,65 +497,86 @@ class TestSolveR:
     @pytest.mark.parametrize("n", [8, 9, 64, 65])
     @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
     def test_offdiagonal_matches_the_block_update(self, name, n, rng):
+        # R_jk set to the block update of R_kk (R_11 random): the pass's
+        # R_jk update departs from it by roundoff only
         sweeper = transformop._RSweeper(STEP_SYSTEMS[name](n), n)
-        rd = sweeper.march()
-        rd[(1, 1)] = np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
+        rd = march_state(sweeper)
+        rd[(1, 1)] = random_state(n, rng)[(1, 1)]
         for k in (1, 2):
-            ref = block_offdiagonal(sweeper, rd, k)
-            assert np.abs(sweeper._update_offdiagonal(rd, k) - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("n", [8, 63, 64, 65, 129])
-    def test_diagonal_update_in_blocks_is_the_whole_plane_update(self, n, rng):
-        # the grid sizes put block edges on, just before and just after N
-        sweeper = transformop._RSweeper(STEP_SYSTEMS["b=(-1,2)"](n), n)
-        rd = {key: np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
-              for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
+            rd[(3 - k, k)] = block_offdiagonal(sweeper, rd, k)
         for k in (1, 2):
-            assert np.array_equal(sweeper._update_diagonal(rd, k), whole_plane_diagonal(sweeper, rd, k))
+            assert offdiagonal_defect(sweeper, rd, k) <= 1e-14 * np.abs(rd[(3 - k, k)]).max()
 
     @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
-    def test_same_sweeps_as_the_gathered_step(self, name, monkeypatch):
-        # the gathered march, checked by the block R_jk update, is certified
-        # as the strided one is, and both agree on R
+    def test_same_sweeps_as_the_gathered_step(self, name):
+        # the gathered march is certified by the check, the strided march by
+        # the block R_jk update, and both agree on R
         n = 64
         sys = STEP_SYSTEMS[name](n)
         r, check = solve_R(sys, n, return_residual=True)
-        monkeypatch.setattr(transformop._RSweeper, "march", gather_march)
-        monkeypatch.setattr(transformop._RSweeper, "_update_offdiagonal", block_offdiagonal)
-        ref, ref_check = solve_R(sys, n, return_residual=True)
-        assert max(check, ref_check) <= 1e-14
+        sweeper = transformop._RSweeper(sys, n)
+        ref = TriangularKernel(to_kernel_array(gather_march(sweeper)))
+        rd = to_diagonals(r.data)
+        block_check = max(float(np.abs(block_offdiagonal(sweeper, rd, k) - rd[(3 - k, k)]).max()) for k in (1, 2))
+        assert max(check, r_equation_residual(sys, ref), block_check) <= 1e-14
         assert np.abs(r.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
     def test_check_below_its_roundoff_is_refused(self, monkeypatch):
-        # no iteration certifies R below the check's own roundoff: one march
-        # and one check, then IterationLimitError naming both numbers (the
-        # sweep loop ran all 200 sweeps here before raising)
+        # no iteration certifies R below the check's own roundoff: one pass
+        # per alpha_k, then IterationLimitError naming the check and max |R|
+        # (the sweep loop ran all 200 sweeps here before raising)
         n = 64
         sys = smooth_potential(26, n, -1.0, math.sqrt(2.0), l1_norm=0.8)
-        calls = record_solver_calls(monkeypatch)
-        with pytest.raises(IterationLimitError, match="tol=1e-300") as err:
+        calls = record_passes(monkeypatch)
+        with pytest.raises(IterationLimitError, match=r"tol=1e-300 .*max\|R\| = ") as err:
             solve_R(sys, n, tol=1e-300)
-        assert calls == ["march", "residual"]
+        assert calls == [(1, True), (2, True)]
         assert 0.0 < err.value.residual <= 1e-14
 
+    def test_check_is_relative_to_the_size_of_R(self):
+        # an R of 1e6 good to roundoff has a check of 4e-10, above tol
+        # itself: the tolerance scales with max(1, max |R|)
+        n = 64
+        sys = smooth_potential(30, n, -1.0, 2.0, l1_norm=60)
+        r, check = solve_R(sys, n, return_residual=True)
+        size = np.abs(r.data).max()
+        assert size > 1e5
+        assert transformop.DEFAULT_TOL < check <= 1e-15 * size
+        with pytest.raises(IterationLimitError, match="tol=1e-300") as err:
+            solve_R(sys, n, tol=1e-300)
+        assert err.value.residual == check
+
+    def test_non_finite_R_is_refused(self):
+        # a NaN in Q spreads through R, and so into the check: R is refused
+        # (a check that dropped NaN read 0.0 and accepted it)
+        n = 16
+        q = np.full(n + 1, 0.1 + 0j)
+        bad = q.copy()
+        bad[5] = np.nan
+        sys = DiracSystem(-1.0, 1.0, SampledFunction(q), SampledFunction(bad))
+        with np.errstate(invalid="ignore"), pytest.raises(IterationLimitError) as err:
+            solve_R(sys, n)
+        assert math.isnan(err.value.residual)
+
     def test_check_is_the_jacobi_substitution(self, rng):
-        # every update reads the input state only, R_kk included
+        # every update reads the input state only, R_kk included, and the
+        # state is left as it was
         n = 32
         sweeper = transformop._RSweeper(STEP_SYSTEMS["b=(-1,2)"](n), n)
-        rd = {key: np.where(sweeper.valid, rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1)), 0)
-              for key in ((1, 1), (1, 2), (2, 1), (2, 2))}
-        before = {key: arr.copy() for key, arr in rd.items()}
-        want = max(float(np.abs(update(rd, k) - rd[key]).max())
-                   for k in (1, 2)
-                   for key, update in (((k, k), sweeper._update_diagonal), ((3 - k, k), sweeper._update_offdiagonal)))
-        assert sweeper.residual(rd) == want
-        assert all(np.array_equal(rd[key], before[key]) for key in rd)
+        rd = random_state(n, rng)
+        data = to_kernel_array(rd)
+        before = data.copy()
+        for k in (1, 2):
+            kk, jk = sweeper._pass(k, data, solve=False)[:2]
+            assert kk == np.abs(whole_plane_diagonal(sweeper, rd, k) - rd[(k, k)]).max()
+            assert jk == pytest.approx(np.abs(block_offdiagonal(sweeper, rd, k) - rd[(3 - k, k)]).max(), rel=1e-12)
+        assert np.array_equal(data, before)
 
     def test_peak_allocation(self):
-        # the returned R is one dense kernel of 64 (N+1)^2 bytes, formed
-        # while the march's diagonal planes (one more) are alive; the check
-        # holds at most two update planes (half a kernel), where the swept
-        # copy of the planes put the peak at 2.40
+        # the returned R is one dense kernel of 64 (N+1)^2 bytes, which the
+        # march fills in place; its tables and one diagonal's temporaries
+        # are O(q N).  Marched into diagonal planes and then copied, R put
+        # the peak at 2.00
         n = 512
         sys = smooth_potential(29, n, l1_norm=0.8)
         tracemalloc.start()
@@ -510,7 +586,7 @@ class TestSolveR:
         finally:
             tracemalloc.stop()
         del r
-        assert peak <= 2.1 * 64 * (n + 1) ** 2
+        assert peak <= 1.2 * 64 * (n + 1) ** 2
 
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
