@@ -126,7 +126,7 @@ def _tail_class(values_by_absn: list[tuple[int, float]]) -> str:
     return "ambiguous"
 
 
-def bari_criterion(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio_hint=None) -> BariReport:
+def bari_criterion(bc: BoundaryConditions, b1: float, b2: float, n_max: int) -> BariReport:
     """Evaluate the three-part criterion over the window |n| <= n_max.
 
     bari        : gate holds and both partial-sum tails are Cauchy;
@@ -135,7 +135,7 @@ def bari_criterion(bc: BoundaryConditions, b1: float, b2: float, n_max: int, rat
     """
     a, b, c, d = canonicalize(bc)
     gate = b1 * abs(c) + b2 * abs(b)
-    window = zeros_delta0(bc, b1, b2, n_max, ratio_hint=ratio_hint)
+    window = zeros_delta0(bc, b1, b2, n_max)
     lam0s = [lam for _, lam, _ in window]
 
     if abs(b) >= 1e-14:

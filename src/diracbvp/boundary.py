@@ -113,27 +113,21 @@ def _delta0_coefficients(coeffs) -> tuple:
     return d, a, a * d - b * c, 1.0
 
 
-def delta0(coeffs, b1: float, b2: float, lam):
+def delta0(coeffs, b1: float, b2: float, lam, slope: bool = False):
     """Unperturbed characteristic determinant, vectorised over lam:
     J12 + J34 e^{i(b1+b2) lam} + J32 e^{i b1 lam} + J14 e^{i b2 lam}, from
     ``Minors`` or from the canonical (a, b, c, d), i.e. minors (d, a, ad-bc, 1).
-    Scalars use ``cmath.exp``: bitwise equal to ``np.exp``, faster per call."""
+    With ``slope`` the pair (Delta_0, Delta_0') from the same three
+    exponentials: Delta_0' = i(b1+b2) J34 e^{i(b1+b2) lam} + i b1 J32 e^{i b1 lam}
+    + i b2 J14 e^{i b2 lam}.  Scalars use ``cmath.exp``: bitwise equal to
+    ``np.exp``, faster per call."""
     j12, j34, j32, j14 = _delta0_coefficients(coeffs)
     exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
-    return j12 + j34 * exp(1j * (b1 + b2) * lam) + j32 * exp(1j * b1 * lam) + j14 * exp(1j * b2 * lam)
-
-
-def _delta0_slope(coeffs, b1: float, b2: float, lam):
-    """d/dlam of ``delta0``, vectorised over lam like it (scalars through
-    ``cmath.exp``):
-    i(b1+b2) J34 e^{i(b1+b2) lam} + i b1 J32 e^{i b1 lam} + i b2 J14 e^{i b2 lam}."""
-    _, j34, j32, j14 = _delta0_coefficients(coeffs)
-    exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
-    return 1j * (
-        (b1 + b2) * j34 * exp(1j * (b1 + b2) * lam)
-        + b1 * j32 * exp(1j * b1 * lam)
-        + b2 * j14 * exp(1j * b2 * lam)
-    )
+    e12, e1, e2 = exp(1j * (b1 + b2) * lam), exp(1j * b1 * lam), exp(1j * b2 * lam)
+    value = j12 + j34 * e12 + j32 * e1 + j14 * e2
+    if not slope:
+        return value
+    return value, 1j * ((b1 + b2) * j34 * e12 + b1 * j32 * e1 + b2 * j14 * e2)
 
 
 @dataclass(frozen=True)
@@ -156,21 +150,13 @@ class RegularityVerdict:
         return self.kind == "strictly_regular"
 
 
-def _detect_rational(b1: float, b2: float, hint=None) -> tuple[int, int] | None:
+def _detect_rational(b1: float, b2: float) -> tuple[int, int] | None:
     """Return coprime (n1, n2) with b1 = -n1*beta, b2 = n2*beta, or None.
 
-    An explicit hint (Fraction or (n1, n2) tuple for |b1|/b2) is trusted
-    exactly; otherwise a continued-fraction approximation with denominators
-    capped at 64 is accepted only if it reproduces the ratio to 1e-12.
+    The ratio |b1|/b2 is taken from the weights alone: a continued-fraction
+    approximation with denominators capped at 64 is accepted only if it
+    reproduces the ratio to 1e-12.
     """
-    if hint is not None:
-        if isinstance(hint, tuple):
-            frac = Fraction(int(hint[0]), int(hint[1]))
-        else:
-            frac = Fraction(hint)
-        if frac <= 0:
-            raise ValueError("ratio hint must be a positive rational |b1|/b2")
-        return frac.numerator, frac.denominator
     ratio = abs(b1) / b2
     frac = Fraction(ratio).limit_denominator(_DENOMINATOR_CAP)
     if frac.numerator == 0:
@@ -203,14 +189,15 @@ def _delta0_polynomial(a: complex, b: complex, c: complex, d: complex, n1: int, 
     return coeffs
 
 
-def classify(bc: BoundaryConditions, b1: float, b2: float, ratio_hint=None) -> RegularityVerdict:
+def classify(bc: BoundaryConditions, b1: float, b2: float) -> RegularityVerdict:
     """Regularity / strict-regularity classifier.
 
     Dispatch: J_14 J_32 = 0 -> nonregular; Dirac weights -> discriminant;
     separated -> strictly regular; bc = 0 -> log/argument criterion;
-    rational weight ratio -> multiple-root test of the determinant
-    polynomial; a = 0 with real data -> explicit threshold; anything else
-    is honestly regular_unknown_strictness.
+    rational weight ratio (detected from b1 and b2 themselves) ->
+    multiple-root test of the determinant polynomial; a = 0 with real data
+    -> explicit threshold; anything else is honestly
+    regular_unknown_strictness.
     """
     if not (b1 < 0 < b2):
         raise ValueError("weights must satisfy b1 < 0 < b2")
@@ -230,7 +217,7 @@ def classify(bc: BoundaryConditions, b1: float, b2: float, ratio_hint=None) -> R
         # regularity already established, so bc != 0 here
         return RegularityVerdict("strictly_regular", "separated_bc")
 
-    rational = _detect_rational(b1, b2, ratio_hint)
+    rational = _detect_rational(b1, b2)
 
     if abs(b * c) < 1e-14:
         # bc = 0, ad != 0: two exponential factors; explicit criterion

@@ -7,6 +7,10 @@ sweep otherwise).  ``zeros_deltaQ`` Newton-polishes each perturbed zero
 from its unperturbed partner and certifies the pairing by winding counts
 over a shrinking ladder of disk radii -- a finite surrogate for the
 component-tracking construction that defines the canonical ordering.
+
+Every determinant callable, Delta_0 included, takes a 1-d array of lam and
+returns values of the same length; one that offers ``slope=True`` returns
+the pair (Delta, Delta'), which Newton uses in place of differences.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import cmath
 import csv
 import inspect
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_polynomial, _delta0_slope, canonicalize, classify, delta0
+from .boundary import BoundaryConditions, _delta0_polynomial, canonicalize, classify, delta0
 from .ode import DiracSystem, char_det_direct
 from .transformop import build_kernels, combos, determinant_evaluator
 
@@ -128,7 +134,7 @@ def _index_symmetrically(values: list[tuple[complex, int]], n_max: int):
     return out
 
 
-def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio_hint=None, method: str = "auto"):
+def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, method: str = "auto"):
     """Zeros of Delta_0 for |n| <= n_max, canonically ordered by real part
     and counting multiplicity.  Returns a list of (n, lam0, multiplicity).
 
@@ -136,7 +142,7 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, ratio
     polynomial roots, box sweep); ``method='sweep'`` forces the
     argument-principle sweep, which is useful as an independent oracle.
     """
-    verdict = classify(bc, b1, b2, ratio_hint=ratio_hint)
+    verdict = classify(bc, b1, b2)
     if not verdict.is_regular:
         raise NonRegularError("boundary conditions are not regular")
     a, b, c, d = canonicalize(bc)
@@ -234,8 +240,8 @@ def _newton(value_and_slope, z0, tol: float = 1e-13, max_iter: int = 60):
     the root, or None when f' vanishes or max_iter steps do not meet
     |dz| < tol (1 + |z|).  For a 1-d array of starts it returns a list with
     one such result per start; each iteration makes one batched call over
-    the starts still running (per point when the callable rejects
-    arrays), and each start keeps its own stopping test."""
+    the starts still running, which must return an array per component
+    (see ``_eval_many``), and each start keeps its own stopping test."""
     if np.ndim(z0):
         z = np.array(z0, dtype=complex)
         roots: list[complex | None] = [None] * z.size
@@ -270,12 +276,8 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     box, deduplicated, and each survivor gets its multiplicity from a local
     winding count."""
 
-    def f(lam):
-        return delta0((a, b, c, d), b1, b2, lam)
-
-    def newton_f(lam):
-        return f(lam), _delta0_slope((a, b, c, d), b1, b2, lam)
-
+    f = partial(delta0, (a, b, c, d), b1, b2)
+    newton_f = _value_and_slope(f)
     coeff_scale = max(1.0, abs(a), abs(d), abs(a * d - b * c))
     h = math.log(4.0 * coeff_scale) / min(b2, -b1) + 1.0
     density = (b2 - b1) / (2 * math.pi)
@@ -359,22 +361,22 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
 
 
 def _eval_many(f, z: np.ndarray) -> np.ndarray:
-    """Evaluate f on a 1-d array of points, using vectorized evaluation
-    when the callable supports it.  A callable returning a pair, such as
-    (value, slope), gives an array of shape (2, z.size)."""
-    try:
-        out = np.asarray(f(z), dtype=complex)
-        if out.shape[-1:] == z.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(zk) for zk in z], dtype=complex).T
+    """f on a 1-d array of points, in one call.  A callable returning a
+    pair, such as (value, slope), gives an array of shape (2, z.size).  A
+    callable that does not map the array to values of its length raises
+    TypeError: every determinant here takes arrays."""
+    out = np.asarray(f(z), dtype=complex)
+    if out.shape[-1:] != z.shape:
+        raise TypeError(f"callable mapped {z.size} points to shape {out.shape}; it must take 1-d arrays of lam")
+    return out
 
 
 def count_zeros_disk(delta, center: complex, radius: float, quad_nodes: int = 256) -> int:
     """Zero count inside a disk by the argument principle: the winding of
     Delta around the circle, walked from ``quad_nodes`` equally spaced
-    points (the starting number; coarse steps are bisected)."""
+    points (the starting number; coarse steps are bisected).  ``delta``
+    maps a 1-d array of lam to values of its length (TypeError
+    otherwise)."""
     return _winding(delta, center + radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, quad_nodes, endpoint=False)))
 
 
@@ -397,28 +399,31 @@ def zeros_deltaQ(
     n_grid: int = 256,
     determinant="kernels",
     allow_nonstrict: bool = False,
-    ratio_hint=None,
     tol: float = 1e-10,
 ) -> SpectrumWindow:
     """Perturbed zeros paired with the unperturbed ones.
 
-    Each lam_n^0 seeds a Newton iteration on Delta_Q (one batched run
-    over the window's cluster representatives); the pairing is
-    accepted at the smallest ladder radius eps at which the disk around
-    lam_n^0 separates from the other unperturbed zeros and the winding
-    count inside it matches the sought multiplicity.  Unresolved clusters
-    are reported with their winding multiplicity rather than split.
-    ``determinant`` is "kernels" (kernel traces), "direct" (RK4, batched
-    over each contour's points) or a prebuilt callable lam -> Delta_Q(lam),
-    e.g. ``determinant_evaluator``'s, which also gives Delta_Q' exactly.
+    Each distinct lam_n^0 of the window, counted with its multiplicity
+    there, seeds a Newton iteration on Delta_Q (one batched run over the
+    representatives); the pairing is accepted at the smallest ladder radius
+    eps at which the disk around lam_n^0 separates from the other
+    unperturbed zeros, holds the Newton root, and winds as often as the
+    sought multiplicity.  Unresolved clusters are reported with their
+    winding multiplicity rather than split; a representative whose Newton
+    fails is located by a subdivision search in its separating box and
+    reported unverified.  ``determinant`` is "kernels" (kernel traces),
+    "direct" (RK4, batched over each contour's points) or a prebuilt
+    callable that maps a 1-d array of lam to Delta_Q there (TypeError
+    otherwise), e.g. ``determinant_evaluator``'s, whose ``slope=True``
+    also gives Delta_Q' exactly.
     """
-    verdict = classify(bc, sys.b1, sys.b2, ratio_hint=ratio_hint)
+    verdict = classify(bc, sys.b1, sys.b2)
     if not verdict.is_strictly_regular and not allow_nonstrict:
         raise NonRegularError(
             f"boundary conditions are {verdict.kind} ({verdict.reason}); "
             "pass allow_nonstrict=True to pair against a non-strict Delta_0"
         )
-    window0 = zeros_delta0(bc, sys.b1, sys.b2, n_max, ratio_hint=ratio_hint)
+    window0 = zeros_delta0(bc, sys.b1, sys.b2, n_max)
 
     if callable(determinant):
         delta = determinant
@@ -431,54 +436,41 @@ def zeros_deltaQ(
         raise ValueError("determinant must be 'kernels', 'direct' or a callable")
     newton_f = _value_and_slope(delta)
 
-    # one representative per cluster
-    reps: list[complex] = []
-    cluster_of: list[int] = []
-    for _, lam0, _mult in window0:
-        if reps and abs(lam0 - reps[-1]) < 1e-9:
-            cluster_of.append(len(reps) - 1)
-        else:
-            reps.append(lam0)
-            cluster_of.append(len(reps) - 1)
-
-    ladder = sorted(eps_ladder, reverse=True)
-    cluster_result: dict[int, tuple[complex, int, float, bool]] = {}
-    roots = _newton(newton_f, np.array(reps))
-    for k, (rep, sep, lam) in enumerate(zip(reps, _separation_to_others(reps), roots)):
-        mult_sought = cluster_of.count(k)
+    # one representative per cluster, with its multiplicity in the window
+    mults = Counter(lam0 for _, lam0, _ in window0)
+    reps = list(mults)
+    ladder = sorted(eps_ladder)
+    paired = {}
+    for rep, sep, lam in zip(reps, _separation_to_others(reps), _newton(newton_f, np.array(reps))):
         usable = [eps for eps in ladder if 2 * eps < sep]
         eps_used = math.nan
         verified = False
-        count = mult_sought
-        for eps in sorted(usable):
+        count = mults[rep]
+        for eps in usable:
             if lam is not None and abs(lam - rep) >= eps:
                 continue
             try:
                 count = count_zeros_disk(delta, rep, eps)
             except (ContourTooCloseError, NonIntegerWindingError):
                 continue
-            if count == mult_sought and (lam is None or abs(lam - rep) < eps):
-                eps_used = eps
-                verified = lam is not None
-                break
             if count > 0:
-                # cluster or shifted zero: report what the winding shows
+                # any count but the sought multiplicity is a cluster or a
+                # shifted zero: report what the winding shows, unverified
                 eps_used = eps
-                verified = False
+                verified = lam is not None and count == mults[rep]
                 break
         if lam is None:
             # fallback: subdivision search in the separating box
-            eps0 = usable[-1] if usable else (min(ladder)) / 2
+            eps0 = usable[0] if usable else ladder[0] / 2
             try:
-                located = _locate_in_box(delta, newton_f, rep.real - eps0, rep.real + eps0, rep.imag - eps0, rep.imag + eps0, max(count, 1))
-                lam = located[0]
+                lam = _locate_in_box(delta, newton_f, rep.real - eps0, rep.real + eps0, rep.imag - eps0, rep.imag + eps0, max(count, 1))[0]
             except (ContourTooCloseError, NonIntegerWindingError):
                 lam = rep
-        cluster_result[k] = (lam, count, eps_used, verified)
+        paired[rep] = (lam, count, eps_used, verified)
 
     entries = []
-    for (n, lam0, mult0), k in zip(window0, cluster_of):
-        lam, count, eps_used, verified = cluster_result[k]
+    for n, lam0, mult0 in window0:
+        lam, count, eps_used, verified = paired[lam0]
         entries.append(SpectrumEntry(n, lam0, lam, max(count, mult0), eps_used, verified))
 
     strip = max(abs(e.lam.imag) for e in entries) + max(abs(e.lam0.imag) for e in entries) + 0.5

@@ -83,7 +83,7 @@ def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
 _K_PM = attrgetter("kplus", "kminus")
 
 
-def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint, kernel_p=None):
+def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, kernel_p=None):
     """Both paired spectra and the Delta~ evaluator from one kernel build per
     potential, plus the kernel deviation when ``kernel_p`` is given.  Only
     K+/- of each KernelSet is kept (R and P+/- are freed at once), and each
@@ -96,8 +96,8 @@ def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint, kernel_p=None):
     del ka
     delta_b = determinant_evaluator(bc, combos(*kb), sys_b.b1, sys_b.b2)
     del kb
-    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, determinant=delta_a, ratio_hint=ratio_hint)
-    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, determinant=delta_b, ratio_hint=ratio_hint)
+    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, determinant=delta_a)
+    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, determinant=delta_b)
     return wa, wb, delta_b, kernel_dev
 
 
@@ -117,12 +117,11 @@ def eigen_deviation(
     n_max: int,
     p,
     n_grid: int = 256,
-    ratio_hint=None,
 ) -> DeviationReport:
     """|lam_n - lam~_n| rows from the canonical pairings of both spectra
     against the shared unperturbed sequence."""
     p = PNorm(p).p
-    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint)
+    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
     return _eigen_report(wa, wb, p, potential_diff_norm(sys_a, sys_b, p, n_grid))
 
 
@@ -133,7 +132,6 @@ def two_sided_check(
     n_max: int,
     n_grid: int = 256,
     n_head: int | None = None,
-    ratio_hint=None,
 ):
     """Per-index ratios |lam_n - lam~_n| / |Delta~(lam_n)|.
 
@@ -141,7 +139,7 @@ def two_sided_check(
     rows are (n, ratio | None) and the summary holds min/max over the tail
     |n| > n_head.
     """
-    wa, wb, delta_b, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint)
+    wa, wb, delta_b, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
     if n_head is None:
         n_head = max(wa.head_estimate, wb.head_estimate)
     rows = []
@@ -213,14 +211,13 @@ def eigenfunction_deviation(
     p,
     s_norm=math.inf,
     n_grid: int = 256,
-    ratio_hint=None,
 ) -> DeviationReport:
     """Sup-norm eigenfunction deviation rows ||f_n - f~_n||_inf with
     L^{s_norm} normalization (default sup-norm).  Vanishing-norm entries
     (the head region where the formula may degenerate) are skipped and
     flagged."""
     p = PNorm(p).p
-    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, ratio_hint)
+    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
     ref = potential_diff_norm(sys_a, sys_b, p, n_grid)
     return _eigenfunction_report(sys_a, sys_b, bc, wa, wb, p, s_norm, n_grid, ref)
 
@@ -284,7 +281,6 @@ def run_ball_experiment(
     n_grid: int = 128,
     b1: float = -1.0,
     b2: float = 1.0,
-    ratio_hint=None,
 ):
     """Kernel / eigenvalue / eigenfunction deviation ratios over sampled
     pairs.  Returns (rows, summary); summary holds the max observed ratio
@@ -294,7 +290,7 @@ def run_ball_experiment(
     rows = []
     for idx, (qa, qb) in enumerate(sampler.pairs(pairs, b1, b2, n_grid)):
         dq = potential_diff_norm(qa, qb, p, n_grid)
-        wa, wb, _, (dev_inf, dev_one) = _pair_spectra(qa, qb, bc, n_max, n_grid, ratio_hint, kernel_p=p)
+        wa, wb, _, (dev_inf, dev_one) = _pair_spectra(qa, qb, bc, n_max, n_grid, kernel_p=p)
         ev = _eigen_report(wa, wb, p, dq)
         ef = _eigenfunction_report(qa, qb, bc, wa, wb, p, math.inf, n_grid, dq)
         kernel_dev = dev_inf + dev_one

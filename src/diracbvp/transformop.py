@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_slope, delta0, minors
+from .boundary import BoundaryConditions, delta0, minors
 from .gridfn import (
     GridMismatchError,
     IterationLimitError,
@@ -569,11 +569,11 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
         partial = (coeffs @ baby).reshape(2, blocks, 2, flat.size)
         partial *= giant[:, :, None, :]
         sums = partial.sum(axis=(0, 1))
+        if slope:
+            value, deriv = (np.asarray(delta0(m, b1, b2, flat, slope=True)) + sums).reshape(2, *lam_arr.shape)
+            return (complex(value), complex(deriv)) if lam_arr.ndim == 0 else (value, deriv)
         value = (delta0(m, b1, b2, flat) + sums[0]).reshape(lam_arr.shape)
-        if not slope:
-            return complex(value) if lam_arr.ndim == 0 else value
-        deriv = (_delta0_slope(m, b1, b2, flat) + sums[1]).reshape(lam_arr.shape)
-        return (complex(value), complex(deriv)) if lam_arr.ndim == 0 else (value, deriv)
+        return complex(value) if lam_arr.ndim == 0 else value
 
     return delta
 

@@ -131,11 +131,6 @@ class TestClassify:
         assert v.ratio == (1, 2)
         assert v.kind in ("regular", "strictly_regular")
 
-    def test_ratio_hint_is_trusted(self):
-        bc = BoundaryConditions.from_canonical(0.3, 0.4, 0.5, 1.2)
-        v = classify(bc, -1.0, 2.0, ratio_hint=(1, 2))
-        assert v.ratio == (1, 2)
-
     def test_row_operation_invariance(self, rng):
         for _ in range(5):
             quad = tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4))

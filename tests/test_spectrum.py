@@ -1,6 +1,7 @@
 import cmath
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from diracbvp.boundary import BoundaryConditions, delta0
 from diracbvp.gridfn import SampledFunction
 from diracbvp import spectrum
-from diracbvp.ode import DiracSystem
+from diracbvp.ode import DiracSystem, char_det_direct
 from diracbvp.spectrum import (
+    EPS_LADDER_DEFAULT,
     ContourTooCloseError,
     NonIntegerWindingError,
     NonRegularError,
@@ -63,11 +65,15 @@ class TestZerosDelta0:
             assert abs(lam - math.pi * round(lam.real / math.pi)) < 1e-12
 
     def test_rational_polynomial_route_against_delta0(self):
-        quad = (0.3, 0.4, 0.5, 1.2)
-        bc = BoundaryConditions.from_canonical(*quad)
-        window = zeros_delta0(bc, -1.0, 2.0, 10)
-        for _, lam, _ in window:
-            assert abs(delta0(quad, -1.0, 2.0, lam)) < 1e-8
+        # ratios 1/2 and 1/3; for (0.5, 1, 1, 0.5) at b = (-1, 3) the
+        # roots of the ratio-(1, 2) polynomial sit at |Delta_0| ~ 2, so a
+        # misdetected ratio shows here
+        for quad, b2 in (((0.3, 0.4, 0.5, 1.2), 2.0), ((0.3, 0.4, 0.5, 1.2), 3.0), ((0.5, 1, 1, 0.5), 3.0)):
+            bc = BoundaryConditions.from_canonical(*quad)
+            window = zeros_delta0(bc, -1.0, b2, 10)
+            assert len(window) == 21
+            for _, lam, _ in window:
+                assert abs(delta0(quad, -1.0, b2, lam)) < 1e-8
 
     def test_sweep_route_matches_exact(self):
         quad = (0.3, 0.4, 0.5, 1.2)
@@ -127,16 +133,17 @@ class TestZerosDelta0:
 
     def test_sweep_newton_step_evaluates_delta0_once(self, monkeypatch):
         # the sweep's Newton takes Delta_0' from its closed form, so each
-        # step makes one scalar Delta_0 call; batched contour walks pass
-        # arrays and are not counted
+        # step makes one scalar Delta_0 call, with slope=True; batched
+        # contour walks pass arrays and are not counted
         steps = 0
         scalar_calls = 0
         real_delta0, real_newton = spectrum.delta0, spectrum._newton
 
-        def counting_delta0(coeffs, b1, b2, lam):
+        def counting_delta0(coeffs, b1, b2, lam, slope=False):
             nonlocal scalar_calls
             scalar_calls += not isinstance(lam, np.ndarray)
-            return real_delta0(coeffs, b1, b2, lam)
+            assert slope or isinstance(lam, np.ndarray)
+            return real_delta0(coeffs, b1, b2, lam, slope=slope)
 
         def counting_newton(value_and_slope, z0, *args, **kwargs):
             def step(z):
@@ -189,6 +196,14 @@ class TestCountZeros:
         plain = []
         assert count_zeros_disk(lambda lam: plain.append(np.size(lam)) or self.delta_antiperiodic(lam), math.pi, 0.5) == 2
         assert plain == [256]
+
+    def test_scalar_only_callable_is_refused(self):
+        # contours are evaluated in one batched call; a callable that does
+        # not map a 1-d array to values of its length is a TypeError
+        with pytest.raises(TypeError):
+            count_zeros_disk(lambda z: cmath.exp(z) - 1.0, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            count_zeros_disk(lambda z: 1.0, 0.0, 1.0)
 
     def test_unresolved_argument_jump_is_refused(self):
         # a sign flip across Re z = 1/2 is an argument jump of pi that no
@@ -274,6 +289,60 @@ class TestZerosDeltaQ:
         w_kern = zeros_deltaQ(sys, bc, 5, n_grid=n)
         w_dir = zeros_deltaQ(sys, bc, 5, n_grid=n, determinant="direct")
         assert np.abs(w_kern.lam_array() - w_dir.lam_array()).max() < 1e-4
+
+    @pytest.fixture(scope="class")
+    def pairing_case(self):
+        """A small potential whose plain pairing verifies every entry at
+        the smallest radius, with its evaluator and that window."""
+        n = 64
+        sys = smooth_potential(61, n, l1_norm=0.2)
+        bc = BoundaryConditions.from_canonical(0, 1, 1, 0)
+        ks = build_kernels(sys, n)
+        delta = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
+        window = zeros_deltaQ(sys, bc, 4, determinant=delta)
+        assert all(e.verified and e.ladder_eps == min(EPS_LADDER_DEFAULT) for e in window.entries)
+        return sys, bc, delta, window
+
+    def test_failed_newton_falls_back_to_the_box_search(self, pairing_case, monkeypatch):
+        # the representatives are pi apart, so every radius is usable; the
+        # entry whose Newton fails is located by the subdivision search in
+        # the box of the smallest one and reported unverified
+        sys, bc, delta, plain = pairing_case
+        target = plain.entry(2).lam0
+        real_newton = spectrum._newton
+
+        def failing_newton(value_and_slope, z0, *args, **kwargs):
+            roots = real_newton(value_and_slope, z0, *args, **kwargs)
+            if np.ndim(z0):
+                roots = [None if start == target else root for start, root in zip(z0, roots)]
+            return roots
+
+        monkeypatch.setattr(spectrum, "_newton", failing_newton)
+        window = zeros_deltaQ(sys, bc, 4, determinant=delta)
+        entry = window.entry(2)
+        eps = min(EPS_LADDER_DEFAULT)
+        assert not entry.verified and entry.ladder_eps == eps and entry.multiplicity == 1
+        assert abs((entry.lam - target).real) <= eps and abs((entry.lam - target).imag) <= eps
+        assert abs(delta(entry.lam)) < 1e-10
+        assert abs(entry.lam - plain.entry(2).lam) < 1e-9
+        assert window.head_estimate == 3
+        assert [e for e in window.entries if e.n != 2] == [e for e in plain.entries if e.n != 2]
+
+    def test_contour_too_close_moves_to_the_next_radius(self, pairing_case, monkeypatch):
+        sys, bc, delta, plain = pairing_case
+        real_count = spectrum.count_zeros_disk
+        smallest, following = sorted(EPS_LADDER_DEFAULT)[:2]
+
+        def flaky_count(f, center, radius, *args, **kwargs):
+            if radius == smallest:
+                raise ContourTooCloseError("forced")
+            return real_count(f, center, radius, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "count_zeros_disk", flaky_count)
+        window = zeros_deltaQ(sys, bc, 4, determinant=delta)
+        assert all(e.verified and e.ladder_eps == following for e in window.entries)
+        assert window.lam_array().tolist() == plain.lam_array().tolist()
+        assert window.head_estimate == 0
 
     def test_nonstrict_requires_override(self):
         bc = BoundaryConditions.from_canonical(1, 0, 0, 1)  # Dirac antiperiodic
@@ -371,6 +440,42 @@ class TestZerosDeltaQ:
         assert _winding(delta, _rectangle(x0, x1, y0, y1)) == inside
 
 
+class TestDeterminantCallables:
+    """Every determinant the searches use maps a 1-d array of L points to
+    L values, and its Newton pair to two arrays of L values."""
+
+    def test_array_in_array_out(self):
+        n = 32
+        quad = (0.5, 1, 1, 0.5)
+        bc = BoundaryConditions.from_canonical(*quad)
+        sys = smooth_potential(3, n, b1=-1.0, b2=2.0, l1_norm=0.5)
+        ks = build_kernels(sys, n)
+        lam = np.linspace(-6.0, 6.0, 7) + 0.3j
+        for f in (
+            determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2),
+            lambda z: char_det_direct(sys, bc, z, n),
+            partial(delta0, quad, sys.b1, sys.b2),
+        ):
+            assert np.shape(f(lam)) == (7,)
+            value, slope = _value_and_slope(f)(lam)
+            assert np.shape(value) == np.shape(slope) == (7,)
+            assert value.tolist() == f(lam).tolist()
+
+    def test_delta0_slope(self):
+        # the slope comes from the same three exponentials as the value,
+        # which it leaves bitwise unchanged; scalars give complex pairs
+        quad = (0.3, 0.4, 0.5, 1.2)
+        lam = np.linspace(-6.0, 6.0, 7) + 0.3j
+        value, slope = delta0(quad, -1.0, 2.0, lam, slope=True)
+        assert value.tolist() == delta0(quad, -1.0, 2.0, lam).tolist()
+        step = 1e-6
+        diff = (delta0(quad, -1.0, 2.0, lam + step) - delta0(quad, -1.0, 2.0, lam - step)) / (2 * step)
+        assert np.abs(slope - diff).max() < 1e-8
+        pair = delta0(quad, -1.0, 2.0, complex(lam[2]), slope=True)
+        assert [type(v) for v in pair] == [complex, complex]
+        assert [pair[0], pair[1]] == [value[2], slope[2]]
+
+
 class TestNewton:
     @staticmethod
     def quadratic(z, slope=False):
@@ -398,8 +503,7 @@ class TestNewton:
 
     def test_one_batched_call_per_iteration(self):
         # the starts still running share one call, so the start at f' = 0
-        # leaves after the first; a callable that rejects arrays is
-        # evaluated per point and gives the same roots
+        # leaves after the first; a callable that rejects arrays is refused
         sizes = []
 
         def batched(z):
@@ -413,7 +517,8 @@ class TestNewton:
         got = _newton(batched, starts)
         assert sizes[:2] == [6, 5] and all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert len(sizes) == 60
-        assert _newton(scalar_only, starts) == got
+        with pytest.raises(TypeError):
+            _newton(scalar_only, starts)
 
     def test_kernel_representatives(self, kernel_route_case):
         sys, ck, bc, window = kernel_route_case

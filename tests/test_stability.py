@@ -6,8 +6,10 @@ import pytest
 from diracbvp.boundary import BoundaryConditions
 from diracbvp.gridfn import SampledFunction
 from diracbvp.ode import DiracSystem
+from diracbvp.spectrum import zeros_deltaQ
 from diracbvp.stability import (
     PotentialBallSampler,
+    _eigenfunctions,
     eigen_deviation,
     eigenfunction_deviation,
     run_ball_experiment,
@@ -145,6 +147,26 @@ class TestEigenfunctionDeviation:
         assert branch2
         for _, dev in branch2:
             assert dev < 1e-7
+
+    @pytest.mark.parametrize("l1_norm", [0.0, 0.2])
+    def test_b_c_zero_eigenfunctions_satisfy_the_boundary_forms(self, l1_norm):
+        # b = c = 0: Delta_0 = (d + e^{i lam}) (1 + a e^{-i lam}); lam0 on
+        # the (1 + a e^{-i lam}) family takes the G branch (6 rows here),
+        # the others F (7 rows), and the wrong branch vanishes there
+        n = 128
+        quad = (0.5, 0, 0, 2)
+        bc = BoundaryConditions.from_canonical(*quad)
+        sys = smooth_potential(17, n, l1_norm=l1_norm) if l1_norm else DiracSystem.zero(-1.0, 1.0, n)
+        window = zeros_deltaQ(sys, bc, 6, n_grid=n)
+        funcs = _eigenfunctions(sys, quad, window, n)
+        assert funcs.shape == (13, n + 1, 2)
+        a, b, c, d = quad
+        for f in funcs:
+            size = np.abs(f).max()
+            assert size > 0.1
+            u1 = f[0, 0] + b * f[0, 1] + a * f[-1, 0]
+            u2 = d * f[0, 1] + c * f[-1, 0] + f[-1, 1]
+            assert max(abs(u1), abs(u2)) <= 1e-3 * size
 
     def test_partial_sums_tail_decay(self):
         n = 256

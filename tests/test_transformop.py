@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracbvp.boundary import BoundaryConditions, _delta0_slope, delta0, minors
+from diracbvp.boundary import BoundaryConditions, delta0, minors
 from diracbvp.gridfn import IterationLimitError, SampledFunction, TriangularKernel, _trapezoid_weights, x_norm
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 from diracbvp import transformop
@@ -941,8 +941,8 @@ def power_table_evaluator(bc, ck, b1, b2):
             powers[:, 0] = 1.0
             powers[:, 1:] = np.exp(1j * step * lam)[:, None]
             sums.append(np.cumprod(powers, axis=1) @ weights)
-        return (delta0(m, b1, b2, lam) + sums[0][:, 0] + sums[1][:, 0],
-                _delta0_slope(m, b1, b2, lam) + sums[0][:, 1] + sums[1][:, 1])
+        value, slope = delta0(m, b1, b2, lam, slope=True)
+        return value + sums[0][:, 0] + sums[1][:, 0], slope + sums[0][:, 1] + sums[1][:, 1]
 
     return delta
 
