@@ -222,23 +222,22 @@ def lp_norm(f: SampledFunction, p: "PNorm | float") -> float:
 
 def _mat_norm_one_to_p(data: np.ndarray, p: float) -> np.ndarray:
     """|A|_{1->p} = max over columns of the column l^p norm (vectorized
-    over leading axes)."""
+    over leading axes), the 2x2 sums and maxima written out entry by entry."""
     a = np.abs(data)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     if math.isinf(p):
-        cols = a.max(axis=-2)
-    else:
-        cols = (a**p).sum(axis=-2) ** (1.0 / p)
-    return cols.max(axis=-1)
+        return np.maximum(np.maximum(a00, a10), np.maximum(a01, a11))
+    return np.maximum((a00**p + a10**p) ** (1.0 / p), (a01**p + a11**p) ** (1.0 / p))
 
 
 def _mat_norm_pc_to_inf(data: np.ndarray, p: float) -> np.ndarray:
-    """|A|_{p'->inf} = max over rows of the row l^p norm, 1/p + 1/p' = 1."""
+    """|A|_{p'->inf} = max over rows of the row l^p norm, 1/p + 1/p' = 1,
+    written out as ``_mat_norm_one_to_p``."""
     a = np.abs(data)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     if math.isinf(p):
-        rows = a.max(axis=-1)
-    else:
-        rows = (a**p).sum(axis=-1) ** (1.0 / p)
-    return rows.max(axis=-1)
+        return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))
+    return np.maximum((a00**p + a01**p) ** (1.0 / p), (a10**p + a11**p) ** (1.0 / p))
 
 
 def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:

@@ -44,7 +44,11 @@ __all__ = [
 ]
 
 EPS_LADDER_DEFAULT = (0.4, 0.2, 0.1, 0.05)
-_BISECTION_ROUNDS = 12
+_BISECTION_ROUNDS = 12  # the pi/2 rule's rounds
+_CERTIFIED_ROUNDS = 24  # the slope bound's rounds: pieces down to 2^-24 of their start
+_MAX_CONTOUR_NODES = 1 << 16
+_EVAL_CHUNK = 2048  # points per determinant call, bounding its memory
+_CERTIFIED_NODES, _PLAIN_NODES = 16, 256  # zeros_deltaQ's starting nodes per disk, with and without a slope bound
 
 
 class NonRegularError(ValueError):
@@ -183,39 +187,120 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, metho
     return window
 
 
-def _rectangle(x0, x1, y0, y1) -> np.ndarray:
-    """Counterclockwise points on a rectangle's boundary, at least 32 per
-    side and per unit of length, the first corner not repeated."""
+def _box_count(f, x0, x1, y0, y1) -> int:
+    """Zero count of f inside a rectangle: ``_winding`` along its boundary,
+    from at least 32 points per side and per unit of length, counterclockwise
+    from (x0, y0); raises what refuses the count."""
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     sides = []
     for za, zb in zip(corners, corners[1:] + corners[:1]):
         seg = max(32, int(32 * abs(zb - za)))
         sides.append(za + (zb - za) * np.arange(seg) / seg)
-    return np.concatenate(sides)
+    z = np.concatenate(sides)
+    return _counted(_winding(f, z, np.zeros(z.size, dtype=np.intp))[0])
 
 
-def _winding(f, z: np.ndarray) -> int:
-    """Winding number of f around the closed polygon through the points z
-    (in order, the first point not repeated): the sum of the argument
-    increments arg(f[k+1] / f[k]).  Segments whose increment exceeds pi/2
-    are bisected, all midpoints of a round in one batched evaluation; an
-    increment still above pi/2 after _BISECTION_ROUNDS rounds raises
-    instead of being counted."""
+def _counted(result):
+    """A count from ``_winding``'s list, or the error that refused it, raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _winding(f, nodes: np.ndarray, contour: np.ndarray, circles=None) -> list:
+    """Winding numbers of f around many closed contours at once: a list with
+    one entry per contour, its count or the error that refused it.
+
+    ``nodes`` holds the starting nodes of every contour in one flat array,
+    contour after contour, each counterclockwise with its first node not
+    repeated, and ``contour`` the index (0, 1, ...) of the contour of each.
+    A polygon gives its nodes as points, and a piece is bisected at its
+    chord midpoint.  Circles, ``circles=(centers, radii)``, give theirs as
+    angles, and a piece is bisected at its arc midpoint, so each count is
+    its disk's own.  The count is the sum of the argument increments
+    arg(f[k+1] / f[k]) over the accepted pieces; each round bisects the
+    others, the midpoints of every contour in one batched evaluation.
+
+    When f has ``slope_bound(y_lo, y_hi)`` (a bound on |f'| over the strip
+    y_lo <= Im lam <= y_hi, vectorised), a piece of length s (arc length on
+    a circle) is accepted when L s < max |f| at its two ends, L the bound
+    over the piece's Im range (its chord's, widened by the sagitta on a
+    circle).  f then has no zero on the piece and turns by less than pi/2
+    along it, so the count is certified up to rounding (Ying & Katz,
+    Numer. Math. 53, 1988).  A contour with a piece left after
+    _CERTIFIED_ROUNDS rounds, or grown past _MAX_CONTOUR_NODES nodes, is
+    refused by ContourTooCloseError.  Without a bound a piece is accepted
+    when its increment is at most pi/2, and an increment still above pi/2
+    after _BISECTION_ROUNDS rounds is refused by NonIntegerWindingError.
+    Either way, min |f| < 1e-12 max(max |f|, 1) on a contour is refused by
+    ContourTooCloseError."""
+    contour = np.asarray(contour, dtype=np.intp)
+    if circles is None:
+        z = np.asarray(nodes, dtype=complex)
+    else:
+        centers, radii = np.asarray(circles[0], dtype=complex), np.asarray(circles[1], dtype=float)
+        theta = np.asarray(nodes, dtype=float)
+        z = centers[contour] + radii[contour] * np.exp(1j * theta)
+    bound = getattr(f, "slope_bound", None)
+    rounds = _BISECTION_ROUNDS if bound is None else _CERTIFIED_ROUNDS
     values = _eval_many(f, z)
-    for rounds in range(_BISECTION_ROUNDS + 1):
+    coarse = np.ones(z.size, dtype=bool)  # piece k, node k to the next, not accepted yet
+    out: list = [None] * (int(contour[-1]) + 1)
+    for r in range(rounds + 1):
+        first = np.flatnonzero(np.diff(contour, prepend=-1))
+        ends = np.append(first[1:], contour.size)
+        nxt = np.arange(1, contour.size + 1)
+        nxt[ends - 1] = first  # each contour's last piece closes it
+        if circles is not None:
+            arc = theta[nxt] - theta
+            arc[ends - 1] += 2 * math.pi
         size = np.abs(values)
-        if size.min() < 1e-12 * max(size.max(), 1.0):
-            raise ContourTooCloseError("f vanishes on the counting contour")
-        steps = np.angle(np.roll(values, -1) / values)
-        coarse = np.flatnonzero(np.abs(steps) > math.pi / 2)
-        if coarse.size == 0 or rounds == _BISECTION_ROUNDS:
+        steps = np.angle(values[nxt] / values)
+        test = np.flatnonzero(coarse)
+        if bound is None:
+            coarse[test] = np.abs(steps[test]) > math.pi / 2
+        else:
+            end = nxt[test]
+            if circles is None:
+                length, sag = np.abs(z[end] - z[test]), 0.0
+            else:
+                length = radii[contour[test]] * arc[test]
+                sag = radii[contour[test]] * (1.0 - np.cos(0.5 * arc[test]))
+            y_lo = np.minimum(z[test].imag, z[end].imag) - sag
+            y_hi = np.maximum(z[test].imag, z[end].imag) + sag
+            coarse[test] = ~(bound(y_lo, y_hi) * length < np.maximum(size[test], size[end]))
+        close = np.minimum.reduceat(size, first) < 1e-12 * np.maximum(np.maximum.reduceat(size, first), 1.0)
+        left = np.add.reduceat(coarse, first)
+        turns = np.add.reduceat(steps, first) / (2 * math.pi)
+        for k, c in enumerate(contour[first]):
+            if close[k]:
+                out[c] = ContourTooCloseError("f vanishes on the counting contour")
+            elif not left[k]:
+                out[c] = int(round(turns[k]))
+            elif bound is None and r == rounds:
+                out[c] = NonIntegerWindingError(f"{left[k]} argument jumps above pi/2 left after {rounds} bisections")
+            elif bound is not None and (r == rounds or ends[k] - first[k] + left[k] > _MAX_CONTOUR_NODES):
+                out[c] = ContourTooCloseError(f"{left[k]} pieces not certified by the slope bound after {r} bisections")
+        live = np.array([res is None for res in out])
+        if not live.any():
             break
-        mid = 0.5 * (z[coarse] + z[(coarse + 1) % z.size])
-        z = np.insert(z, coarse + 1, mid)
-        values = np.insert(values, coarse + 1, _eval_many(f, mid))
-    if coarse.size:
-        raise NonIntegerWindingError(f"{coarse.size} argument jumps above pi/2 left after {_BISECTION_ROUNDS} bisections")
-    return int(round(steps.sum() / (2 * math.pi)))
+        # bisect the coarse pieces of the contours still open, drop the others
+        at = np.flatnonzero(coarse & live[contour])
+        if circles is None:
+            mid = 0.5 * (z[at] + z[nxt[at]])
+        else:
+            mid_theta = theta[at] + 0.5 * arc[at]
+            theta = np.insert(theta, at + 1, mid_theta)
+            mid = centers[contour[at]] + radii[contour[at]] * np.exp(1j * mid_theta)
+        z = np.insert(z, at + 1, mid)
+        values = np.insert(values, at + 1, _eval_many(f, mid))
+        coarse = np.insert(coarse, at + 1, True)
+        contour = np.insert(contour, at + 1, contour[at])
+        keep = live[contour]
+        z, values, coarse, contour = z[keep], values[keep], coarse[keep], contour[keep]
+        if circles is not None:
+            theta = theta[keep]
+    return out
 
 
 def _value_and_slope(f):
@@ -294,7 +379,7 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     edges = -width + offset + np.arange(nboxes + 1)
     found: list[complex] = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        count = _winding(f, _rectangle(t0, t1, -h, h))
+        count = _box_count(f, t0, t1, -h, h)
         if count > 0:
             found.extend(_locate_in_box(f, newton_f, t0, t1, -h, h, count))
     # deduplicate across boxes, then let a local winding decide multiplicity
@@ -302,7 +387,7 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     out: list[tuple[complex, int]] = []
     for rep, sep in zip(reps, _separation_to_others(reps)):
         r = max(min(0.05, float(sep) / 3.0), 1e-5)
-        mult = _winding(f, _rectangle(rep.real - r, rep.real + r, rep.imag - r, rep.imag + r))
+        mult = _box_count(f, rep.real - r, rep.real + r, rep.imag - r, rep.imag + r)
         if mult > 0:
             out.append((rep, mult))
     return out
@@ -325,10 +410,11 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
     the rectangle are rejected and the box is bisected instead, in Re and
     Im by turns so that zeros sharing a real part get separated too.  Both
     halves are winding-counted and must add up to ``count``, so every zero
-    is reported by exactly one box."""
+    is reported by exactly one box.  A root is in the rectangle when it is
+    within 1e-9 of it: any wider margin takes in a neighbour's zero."""
     if count == 0:
         return []
-    pad = max(1e-9, 0.02 * (x1 - x0))
+    pad = 1e-9
     if count == 1:
         z = _newton(newton_f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
         if z is not None and _in_box(z, x0, x1, y0, y1, pad):
@@ -349,7 +435,7 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
         halves = ((x0, cut, y0, y1), (cut, x1, y0, y1)) if split_re else ((x0, x1, y0, cut), (x0, x1, cut, y1))
         shift += (hi - lo) * 0.013
         try:
-            counts = [_winding(f, _rectangle(*box)) for box in halves]
+            counts = [_box_count(f, *box) for box in halves]
         except (ContourTooCloseError, NonIntegerWindingError):
             continue
         if sum(counts) == count:
@@ -361,23 +447,37 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
 
 
 def _eval_many(f, z: np.ndarray) -> np.ndarray:
-    """f on a 1-d array of points, in one call.  A callable returning a
-    pair, such as (value, slope), gives an array of shape (2, z.size).  A
-    callable that does not map the array to values of its length raises
-    TypeError: every determinant here takes arrays."""
-    out = np.asarray(f(z), dtype=complex)
-    if out.shape[-1:] != z.shape:
-        raise TypeError(f"callable mapped {z.size} points to shape {out.shape}; it must take 1-d arrays of lam")
-    return out
+    """f on a 1-d array of points, one call per _EVAL_CHUNK of them.  A
+    callable returning a pair, such as (value, slope), gives an array of
+    shape (2, z.size).  A callable that does not map the array to values of
+    its length raises TypeError: every determinant here takes arrays."""
+    parts = []
+    for lo in range(0, max(z.size, 1), _EVAL_CHUNK):
+        chunk = z[lo : lo + _EVAL_CHUNK]
+        out = np.asarray(f(chunk), dtype=complex)
+        if out.shape[-1:] != chunk.shape:
+            raise TypeError(f"callable mapped {chunk.size} points to shape {out.shape}; it must take 1-d arrays of lam")
+        parts.append(out)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _disk_counts(f, centers, radii, nodes: int) -> list:
+    """``_winding`` around the circles |lam - centers[k]| = radii[k], each
+    walked from ``nodes`` equally spaced starting points."""
+    theta = np.linspace(0.0, 2 * math.pi, nodes, endpoint=False)
+    return _winding(f, np.tile(theta, len(centers)), np.repeat(np.arange(len(centers)), nodes), circles=(centers, radii))
 
 
 def count_zeros_disk(delta, center: complex, radius: float, quad_nodes: int = 256) -> int:
     """Zero count inside a disk by the argument principle: the winding of
     Delta around the circle, walked from ``quad_nodes`` equally spaced
-    points (the starting number; coarse steps are bisected).  ``delta``
-    maps a 1-d array of lam to values of its length (TypeError
-    otherwise)."""
-    return _winding(delta, center + radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, quad_nodes, endpoint=False)))
+    points (the starting number; pieces are bisected at their arc
+    midpoints).  The count is certified when ``delta`` carries a
+    ``slope_bound``, as ``determinant_evaluator``'s callable does, and
+    follows the pi/2 rule otherwise (see ``_winding``); a refused count
+    raises ContourTooCloseError or NonIntegerWindingError.  ``delta`` maps
+    a 1-d array of lam to values of its length (TypeError otherwise)."""
+    return _counted(_disk_counts(delta, [center], [radius], quad_nodes)[0])
 
 
 def _separation_to_others(reps: list[complex]) -> np.ndarray:
@@ -411,11 +511,15 @@ def zeros_deltaQ(
     sought multiplicity.  Unresolved clusters are reported with their
     winding multiplicity rather than split; a representative whose Newton
     fails is located by a subdivision search in its separating box and
-    reported unverified.  ``determinant`` is "kernels" (kernel traces),
-    "direct" (RK4, batched over each contour's points) or a prebuilt
-    callable that maps a 1-d array of lam to Delta_Q there (TypeError
-    otherwise), e.g. ``determinant_evaluator``'s, whose ``slope=True``
-    also gives Delta_Q' exactly.
+    reported unverified.  The ladder is walked in rounds: each round counts
+    the next radius of every representative still unresolved, all disks in
+    one ``_winding`` call, from 16 nodes each when Delta_Q carries a
+    ``slope_bound`` (certified counts) and from 256 under the pi/2 rule
+    otherwise.  ``determinant`` is "kernels" (kernel traces, certified),
+    "direct" (RK4, batched over the contour points) or a prebuilt callable
+    that maps a 1-d array of lam to Delta_Q there (TypeError otherwise),
+    e.g. ``determinant_evaluator``'s, whose ``slope=True`` also gives
+    Delta_Q' exactly.
     """
     verdict = classify(bc, sys.b1, sys.b2)
     if not verdict.is_strictly_regular and not allow_nonstrict:
@@ -440,33 +544,44 @@ def zeros_deltaQ(
     mults = Counter(lam0 for _, lam0, _ in window0)
     reps = list(mults)
     ladder = sorted(eps_ladder)
+    seps = _separation_to_others(reps)
+    roots = _newton(newton_f, np.array(reps))
+    usable = [[eps for eps in ladder if 2 * eps < sep] for sep in seps]
+    # per representative, the usable radii that hold its Newton root, in
+    # ladder order; each round counts every representative's next one
+    todo = [[eps for eps in radii if lam is None or not abs(lam - rep) >= eps] for rep, lam, radii in zip(reps, roots, usable)]
+    counts = [mults[rep] for rep in reps]
+    eps_used = [math.nan] * len(reps)
+    verified = [False] * len(reps)
+    nodes = _CERTIFIED_NODES if hasattr(delta, "slope_bound") else _PLAIN_NODES
+    pending = [i for i in range(len(reps)) if todo[i]]
+    while pending:
+        radii = [todo[i].pop(0) for i in pending]
+        results = _disk_counts(delta, [reps[i] for i in pending], radii, nodes)
+        still = []
+        for i, eps, count in zip(pending, radii, results):
+            if not isinstance(count, Exception):
+                counts[i] = count
+                if count > 0:
+                    # any count but the sought multiplicity is a cluster or a
+                    # shifted zero: report what the winding shows, unverified
+                    eps_used[i] = eps
+                    verified[i] = roots[i] is not None and count == mults[reps[i]]
+                    continue
+            if todo[i]:
+                still.append(i)
+        pending = still
     paired = {}
-    for rep, sep, lam in zip(reps, _separation_to_others(reps), _newton(newton_f, np.array(reps))):
-        usable = [eps for eps in ladder if 2 * eps < sep]
-        eps_used = math.nan
-        verified = False
-        count = mults[rep]
-        for eps in usable:
-            if lam is not None and abs(lam - rep) >= eps:
-                continue
-            try:
-                count = count_zeros_disk(delta, rep, eps)
-            except (ContourTooCloseError, NonIntegerWindingError):
-                continue
-            if count > 0:
-                # any count but the sought multiplicity is a cluster or a
-                # shifted zero: report what the winding shows, unverified
-                eps_used = eps
-                verified = lam is not None and count == mults[rep]
-                break
+    for i, rep in enumerate(reps):
+        lam = roots[i]
         if lam is None:
             # fallback: subdivision search in the separating box
-            eps0 = usable[0] if usable else ladder[0] / 2
+            eps0 = usable[i][0] if usable[i] else ladder[0] / 2
             try:
-                lam = _locate_in_box(delta, newton_f, rep.real - eps0, rep.real + eps0, rep.imag - eps0, rep.imag + eps0, max(count, 1))[0]
+                lam = _locate_in_box(delta, newton_f, rep.real - eps0, rep.real + eps0, rep.imag - eps0, rep.imag + eps0, max(counts[i], 1))[0]
             except (ContourTooCloseError, NonIntegerWindingError):
                 lam = rep
-        paired[rep] = (lam, count, eps_used, verified)
+        paired[rep] = (lam, counts[i], eps_used[i], verified[i])
 
     entries = []
     for n, lam0, mult0 in window0:

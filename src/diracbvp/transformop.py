@@ -51,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundaryConditions, delta0, minors
+from .boundary import BoundaryConditions, _delta0_coefficients, delta0, minors
 from .gridfn import (
     GridMismatchError,
     IterationLimitError,
@@ -388,7 +388,7 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     v = np.empty_like(g)
     v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0, restored below
     for i in range(1, n + 1):
-        acc = np.tensordot(rmat[i, :i], v[:i], axes=([0, 2], [0, 1]))
+        acc = rmat[i, :i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
         v[i] = inv[i] @ (g[i] - h * acc)
     v[0] = g[0]
     out = {}
@@ -533,6 +533,14 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
     matrix per weight meets the B baby powers in one batched product and
     the A giant powers weight its blocks.  Both powers are running products, so
     z^{aB+r} carries about aB+r ulps, as a running product of length N+1.
+
+    The callable's attribute ``slope_bound(y_lo, y_hi)``, vectorised over
+    arrays, bounds |Delta_Q'| on the strip y_lo <= Im lam <= y_hi: the
+    discrete Delta_Q is an exponential sum, so its slope there is at most
+    sum |J beta| max(e^{-beta y_lo}, e^{-beta y_hi}) over Delta_0's three
+    exponentials plus sum_l |b_l| sum_j |c_{l,j}| t_j
+    max(e^{-b_l t_j y_lo}, e^{-b_l t_j y_hi}), c_{l,j} = h w_j g_l(t_j).
+    The zero counts use it to certify every piece of a contour.
     """
     m = minors(bc)
     n = ck.n
@@ -557,6 +565,12 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
     # coeffs[l, (a, c), r] = terms[l, aB + r, c], a contiguous copy
     coeffs = terms.reshape(2, blocks, base, 2).transpose(0, 1, 3, 2).reshape(2, 2 * blocks, base)
     steps = np.array([b1 * h, b2 * h])[:, None]
+    # Delta_Q is the exponential sum sum_k a_k e^{i beta_k lam}: Delta_0's
+    # three terms and the trace terms beta = b_l t_j, a = c_{l,j}
+    _, j34, j32, j14 = _delta0_coefficients(m)
+    rates = np.concatenate([[b1 + b2, b1, b2], b1 * t, b2 * t])
+    slopes = np.abs(np.concatenate([[(b1 + b2) * j34, b1 * j32, b2 * j14], terms[0, : n + 1, 1], terms[1, : n + 1, 1]]))
+    up = rates > 0
 
     def delta(lam, slope=False):
         lam_arr = np.asarray(lam, dtype=complex)
@@ -575,6 +589,13 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
         value = (delta0(m, b1, b2, flat) + sums[0]).reshape(lam_arr.shape)
         return complex(value) if lam_arr.ndim == 0 else value
 
+    def slope_bound(y_lo, y_hi):
+        # |beta a e^{i beta lam}| = |beta a| e^{-beta Im lam} is largest on
+        # the strip's lower edge for beta > 0 and on its upper edge otherwise
+        lo, hi = (np.asarray(y, dtype=float)[..., None] for y in (y_lo, y_hi))
+        return np.exp(lo * -rates[up]) @ slopes[up] + np.exp(hi * -rates[~up]) @ slopes[~up]
+
+    delta.slope_bound = slope_bound
     return delta
 
 

@@ -5,10 +5,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from diracbvp.boundary import BoundaryConditions, delta0
+from diracbvp.boundary import BoundaryConditions, classify, delta0
 from diracbvp.gridfn import SampledFunction
 from diracbvp import spectrum
 from diracbvp.ode import DiracSystem, char_det_direct
@@ -18,7 +18,7 @@ from diracbvp.spectrum import (
     NonIntegerWindingError,
     NonRegularError,
     _newton,
-    _rectangle,
+    _box_count,
     _separation_to_others,
     _value_and_slope,
     _winding,
@@ -131,6 +131,47 @@ class TestZerosDelta0:
         assert all(m == mult for _, _, m in exact)
         assert max(abs(l1 - l2) for (_, l1, _), (_, l2, _) in zip(exact, swept)) <= tol
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a=st.floats(-2.0, 2.0),
+        bc=st.tuples(*(st.floats(0.25, 2.0) | st.floats(-2.0, -0.25) for _ in range(2))),
+        d=st.floats(-2.0, 2.0),
+        b2=st.sampled_from([1.0, 2.0, math.sqrt(2.0), 3.0, math.pi]),
+        corners=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-3.0, 0.0), st.floats(0.0, 3.0)),
+    )
+    def test_rectangle_counts_match_the_window(self, a, bc, d, b2, corners):
+        # a rectangle inside the window's real span, 0.05 from every zero:
+        # the certified winding of Delta_0 along its boundary is the sum of
+        # the window's multiplicities inside it, whichever route found them.
+        # |b|, |c| >= 0.25 and |ad - bc| >= 0.1 keep the zeros inside the
+        # sweep's strip
+        quad = (a, *bc, d)
+        assume(abs(a * d - bc[0] * bc[1]) >= 0.1)
+        bc = BoundaryConditions.from_canonical(*quad)
+        assume(classify(bc, -1.0, b2).is_regular)
+        try:
+            window = zeros_delta0(bc, -1.0, b2, 6)
+        except NonIntegerWindingError:
+            # the box sweep's pi/2 rule refused a box: loud, no zero lost
+            reject()
+
+        def certified_delta0(lam):
+            return delta0(quad, -1.0, b2, lam)
+
+        # Delta_0's terms J e^{i beta lam}, (J34, J32, J14) = (a, ad - bc, 1)
+        terms = ((b2 - 1.0, a), (-1.0, a * d - quad[1] * quad[2]), (b2, 1.0))
+        certified_delta0.slope_bound = lambda y_lo, y_hi: sum(
+            abs(beta * j) * np.maximum(np.exp(-beta * y_lo), np.exp(-beta * y_hi)) for beta, j in terms
+        )
+        zeros = {lam: mult for _, lam, mult in window}
+        lo, hi = window[0][1].real, window[-1][1].real
+        u0, u1, y0, y1 = corners
+        x0, x1 = lo + (hi - lo) * min(u0, u1), lo + (hi - lo) * max(u0, u1)
+        assume(x1 - x0 > 0.1)
+        assume(all(min(abs(z.real - x0), abs(z.real - x1), abs(z.imag - y0), abs(z.imag - y1)) >= 0.05 for z in zeros))
+        inside = sum(m for z, m in zeros.items() if x0 < z.real < x1 and y0 < z.imag < y1)
+        assert _box_count(certified_delta0, x0, x1, y0, y1) == inside
+
     def test_sweep_newton_step_evaluates_delta0_once(self, monkeypatch):
         # the sweep's Newton takes Delta_0' from its closed form, so each
         # step makes one scalar Delta_0 call, with slope=True; batched
@@ -212,7 +253,7 @@ class TestCountZeros:
             return np.where(np.real(z) < 0.5, 1.0, -1.0) + 0j
 
         with pytest.raises(NonIntegerWindingError):
-            _winding(f, _rectangle(0.0, 1.0, -1.0, 1.0))
+            _box_count(f, 0.0, 1.0, -1.0, 1.0)
         with pytest.raises(NonIntegerWindingError):
             count_zeros_disk(f, 0.5, 0.3)
 
@@ -240,7 +281,58 @@ class TestCountZeros:
         in_disk = sum(abs(z - center) < radius for z in roots)
         in_box = sum(box[0] < z.real < box[1] and box[2] < z.imag < box[3] for z in roots)
         assert count_zeros_disk(poly, center, radius) == in_disk
-        assert _winding(poly, _rectangle(*box)) == in_box
+        assert _box_count(poly, *box) == in_box
+
+    def test_two_zeros_in_one_gap_are_both_counted(self):
+        # both zeros 1e-4 inside the radius-0.1 circle, in one gap between
+        # two of 256 equally spaced nodes: that step's argument increment is
+        # near 2 pi, which the pi/2 rule reads as near 0.  The slope bound
+        # |f'| = |2z - z1 - z2| <= 0.4 on the disk certifies the count 2
+        # (about 17 rounds from 16 nodes)
+        gap = 2 * math.pi / 256
+        z1, z2 = (0.0999 * cmath.exp(1j * frac * gap) for frac in (0.3, 0.7))
+
+        def poly(z):
+            return (z - z1) * (z - z2)
+
+        poly.slope_bound = lambda y_lo, y_hi: np.full(np.shape(y_lo), 0.4)
+        assert count_zeros_disk(poly, 0.0, 0.1) == 2
+        assert spectrum._disk_counts(poly, [0.0], [0.1], 16) == [2]
+
+    def test_certified_counts_are_per_contour(self):
+        # one batch: a disk around a zero, an empty one, and one whose circle
+        # passes through a zero, which alone is refused
+        def f(z):
+            return z * (z - 3.0)
+
+        f.slope_bound = lambda y_lo, y_hi: np.full(np.shape(y_lo), 20.0)  # |2z - 3| on |z| <= 8
+        counts = spectrum._disk_counts(f, [0.0, 1.5, 3.5], [1.0, 0.5, 0.5], 16)
+        assert counts[:2] == [1, 0]
+        assert isinstance(counts[2], ContourTooCloseError)
+        with pytest.raises(ContourTooCloseError):
+            count_zeros_disk(f, 3.5, 0.5)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        b2=st.sampled_from([1.0, 2.0, math.sqrt(2.0)]),
+        l1_norm=st.floats(0.05, 3.0),
+        quad=st.sampled_from([(0.0, 1.0, 1.0, 0.0), (0.5, 1.0, 1.0, 0.5), (0.3, 0.4, 0.5, 1.2)]),
+        disk=st.tuples(st.floats(-30.0, 30.0), st.floats(-3.0, 3.0), st.floats(0.01, 2.0)),
+    )
+    def test_slope_bound_holds(self, seed, b2, l1_norm, quad, disk):
+        # |Delta_Q'| from slope=True never exceeds the bound, over a drawn
+        # disk's strip and at each sampled point's own Im (up to rounding)
+        n = 32
+        sys = smooth_potential(seed, n, b1=-1.0, b2=b2, l1_norm=l1_norm)
+        ks = build_kernels(sys, n)
+        delta = determinant_evaluator(BoundaryConditions.from_canonical(*quad), combos(ks.kplus, ks.kminus), -1.0, b2)
+        x, y, radius = disk
+        u, phi = np.random.default_rng(seed).random((2, 64))
+        lam = complex(x, y) + radius * np.sqrt(u) * np.exp(2j * math.pi * phi)
+        slope = np.abs(delta(lam, slope=True)[1])
+        assert slope.max() <= delta.slope_bound(y - radius, y + radius) * (1 + 1e-12)
+        assert np.all(slope <= delta.slope_bound(lam.imag, lam.imag) * (1 + 1e-12))
 
     def test_one_signature_check_per_search(self, monkeypatch):
         # whether the determinant offers slope=True is asked once per
@@ -330,19 +422,40 @@ class TestZerosDeltaQ:
 
     def test_contour_too_close_moves_to_the_next_radius(self, pairing_case, monkeypatch):
         sys, bc, delta, plain = pairing_case
-        real_count = spectrum.count_zeros_disk
+        real_winding = spectrum._winding
         smallest, following = sorted(EPS_LADDER_DEFAULT)[:2]
 
-        def flaky_count(f, center, radius, *args, **kwargs):
-            if radius == smallest:
-                raise ContourTooCloseError("forced")
-            return real_count(f, center, radius, *args, **kwargs)
+        def flaky_winding(f, nodes, contour, circles=None):
+            # every disk of the smallest radius in a batch is refused
+            counts = real_winding(f, nodes, contour, circles)
+            if circles is None:
+                return counts
+            return [ContourTooCloseError("forced") if r == smallest else c for c, r in zip(counts, circles[1])]
 
-        monkeypatch.setattr(spectrum, "count_zeros_disk", flaky_count)
+        monkeypatch.setattr(spectrum, "_winding", flaky_winding)
         window = zeros_deltaQ(sys, bc, 4, determinant=delta)
         assert all(e.verified and e.ladder_eps == following for e in window.entries)
         assert window.lam_array().tolist() == plain.lam_array().tolist()
         assert window.head_estimate == 0
+
+    def test_one_counting_call_per_ladder_round(self, pairing_case, monkeypatch):
+        # every entry verifies at the smallest radius, so the whole window is
+        # counted in one batched call, 16 starting nodes per disk
+        sys, bc, delta, plain = pairing_case
+        real_winding = spectrum._winding
+        calls = []
+
+        def recording_winding(f, nodes, contour, circles=None):
+            calls.append((np.bincount(contour).tolist(), list(circles[1])))
+            return real_winding(f, nodes, contour, circles)
+
+        monkeypatch.setattr(spectrum, "_winding", recording_winding)
+        window = zeros_deltaQ(sys, bc, 4, determinant=delta)
+        disks = len(set(plain.lam0_array().tolist()))
+        assert calls == [([16] * disks, [min(EPS_LADDER_DEFAULT)] * disks)]
+        assert [(e.n, e.lam, e.multiplicity, e.ladder_eps, e.verified) for e in window.entries] == [
+            (e.n, e.lam, e.multiplicity, e.ladder_eps, e.verified) for e in plain.entries
+        ]
 
     def test_nonstrict_requires_override(self):
         bc = BoundaryConditions.from_canonical(1, 0, 0, 1)  # Dirac antiperiodic
@@ -437,7 +550,7 @@ class TestZerosDeltaQ:
         zeros = {e.lam: e.multiplicity for e in window.entries}
         assume(all(min(abs(z.real - x0), abs(z.real - x1), abs(z.imag - y0), abs(z.imag - y1)) >= 0.05 for z in zeros))
         inside = sum(m for z, m in zeros.items() if x0 < z.real < x1 and y0 < z.imag < y1)
-        assert _winding(delta, _rectangle(x0, x1, y0, y1)) == inside
+        assert _box_count(delta, x0, x1, y0, y1) == inside
 
 
 class TestDeterminantCallables:
