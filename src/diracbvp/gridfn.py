@@ -230,16 +230,6 @@ def _mat_norm_one_to_p(data: np.ndarray, p: float) -> np.ndarray:
     return np.maximum((a00**p + a10**p) ** (1.0 / p), (a01**p + a11**p) ** (1.0 / p))
 
 
-def _mat_norm_pc_to_inf(data: np.ndarray, p: float) -> np.ndarray:
-    """|A|_{p'->inf} = max over rows of the row l^p norm, 1/p + 1/p' = 1,
-    written out as ``_mat_norm_one_to_p``."""
-    a = np.abs(data)
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    if math.isinf(p):
-        return np.maximum(np.maximum(a00, a01), np.maximum(a10, a11))
-    return np.maximum((a00**p + a01**p) ** (1.0 / p), (a10**p + a11**p) ** (1.0 / p))
-
-
 def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
     """Mixed sup/integral norm of a triangular kernel.
 
@@ -261,7 +251,8 @@ def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
         w[n, n] = 0.0  # t = 1 column is a single point
         axis = 0
     elif family == "infinity":
-        mats = _mat_norm_pc_to_inf(kernel.data, p.p)
+        # |A|_{p'->inf}, 1/p + 1/p' = 1: max over rows of the row l^p norm
+        mats = _mat_norm_one_to_p(np.swapaxes(kernel.data, -1, -2), p.p)
         # trapezoid along t from 0 to x_i: half weights at j = 0 and j = i
         w[:, 0] = 0.5
         w[0, 0] = 0.0  # x = 0 row is a single point

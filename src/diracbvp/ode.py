@@ -38,10 +38,6 @@ class DiracSystem:
     def zero(cls, b1: float, b2: float, n: int = 16) -> "DiracSystem":
         return cls(b1, b2, SampledFunction.zero(n), SampledFunction.zero(n))
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([self.b1, self.b2])
-
     # derived quantities a_k = 1/b_k, gamma_k = b_j/b_k, alpha_k = b_j/(b_j - b_k)
     @property
     def alpha1(self) -> float:

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_polynomial, canonicalize, classify, delta0
+from .boundary import BoundaryConditions, _delta0_coefficients, _delta0_polynomial, _detect_rational, canonicalize, classify, delta0
 from .ode import DiracSystem, char_det_direct
 from .transformop import build_kernels, combos, determinant_evaluator
 
@@ -118,18 +118,20 @@ def _cluster(points: list[complex], radius: float) -> list[tuple[complex, int]]:
 
 def _index_symmetrically(values: list[tuple[complex, int]], n_max: int):
     """Expand clusters (counting multiplicity), sort by real part and index
-    so that n = 0 lands on the entry closest to the origin."""
+    so that n = 0 lands on the first entry nearest the origin.  Real parts
+    within 1e-9 (1 + |Re|) of their neighbour's tie, and ties go by
+    imaginary part, so float noise orders no two zeros."""
     seq: list[tuple[complex, int]] = []
     for rep, count in values:
         seq.extend([(rep, count)] * count)
-    seq.sort(key=lambda zc: (zc[0].real, zc[0].imag))
     if not seq:
         raise ValueError("no zeros found in the requested window")
-    # n = 0 goes to the entry nearest the origin; ties (symmetric windows)
-    # are broken towards smaller real part, robustly against float noise
+    seq.sort(key=lambda zc: zc[0].real)
+    z = np.array([rep for rep, _ in seq])
+    tie_class = np.cumsum(np.diff(z.real, prepend=z[0].real) > 1e-9 * (1.0 + np.abs(z.real)))
+    seq = [seq[i] for i in np.lexsort((z.imag, tie_class))]
     best = min(abs(z) for z, _ in seq)
-    candidates = [i for i, (z, _) in enumerate(seq) if abs(z) <= best + 1e-9 * (1.0 + best)]
-    center = min(candidates, key=lambda i: (round(seq[i][0].real, 9), round(seq[i][0].imag, 9)))
+    center = next(i for i, (z, _) in enumerate(seq) if abs(z) <= best + 1e-9 * (1.0 + best))
     out = []
     for pos, (rep, count) in enumerate(seq):
         n = pos - center
@@ -142,15 +144,18 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, metho
     """Zeros of Delta_0 for |n| <= n_max, canonically ordered by real part
     and counting multiplicity.  Returns a list of (n, lam0, multiplicity).
 
-    ``method='auto'`` picks the fastest exact route (explicit progressions,
-    polynomial roots, box sweep); ``method='sweep'`` forces the
-    argument-principle sweep, which is useful as an independent oracle.
+    ``classify`` only gates regularity; the route follows from Delta_0's
+    own data.  ``method='auto'`` takes two explicit progressions when the
+    bc-product vanishes, the roots of the determinant polynomial when the
+    weight ratio b1/b2 is rational (``_detect_rational``, from the weights
+    alone), and the argument-principle box sweep otherwise;
+    ``method='sweep'`` forces the sweep, an independent oracle.
     """
-    verdict = classify(bc, b1, b2)
-    if not verdict.is_regular:
+    if not classify(bc, b1, b2).is_regular:
         raise NonRegularError("boundary conditions are not regular")
     a, b, c, d = canonicalize(bc)
     margin = n_max + 4
+    ratio = _detect_rational(b1, b2)
 
     if method == "sweep":
         clusters = _sweep_zeros(a, b, c, d, b1, b2, margin)
@@ -165,8 +170,8 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, metho
             pts.append((cmath.phase(-d) + 2 * math.pi * m) / b2 - 1j * math.log(abs(d)) / b2)
             pts.append((cmath.phase(-1.0 / a) + 2 * math.pi * m) / b1 + 1j * math.log(abs(a)) / b1)
         clusters = _cluster(pts, 1e-9)
-    elif verdict.ratio is not None:
-        n1, n2 = verdict.ratio
+    elif ratio is not None:
+        n1, n2 = ratio
         beta = b2 / n2
         deg = n1 + n2
         roots = np.roots(_delta0_polynomial(a, b, c, d, n1, n2))
@@ -322,9 +327,9 @@ def _value_and_slope(f):
 
 def _newton(value_and_slope, z0, tol: float = 1e-13, max_iter: int = 60):
     """Newton's method on (f, f') = value_and_slope(z) from the start z0:
-    the root, or None when f' vanishes or max_iter steps do not meet
-    |dz| < tol (1 + |z|).  For a 1-d array of starts it returns a list with
-    one such result per start; each iteration makes one batched call over
+    the root, or None when f' vanishes, f overflows or max_iter steps do
+    not meet |dz| < tol (1 + |z|).  For a 1-d array of starts it returns a
+    list with one such result per start; each iteration makes one batched call over
     the starts still running, which must return an array per component
     (see ``_eval_many``), and each start keeps its own stopping test."""
     if np.ndim(z0):
@@ -345,7 +350,10 @@ def _newton(value_and_slope, z0, tol: float = 1e-13, max_iter: int = 60):
         return roots
     z = z0
     for _ in range(max_iter):
-        value, d = value_and_slope(z)
+        try:
+            value, d = value_and_slope(z)
+        except OverflowError:  # a step went where f overflows: no root from this start
+            return None
         if d == 0:
             return None
         dz = value / d
@@ -356,41 +364,52 @@ def _newton(value_and_slope, z0, tol: float = 1e-13, max_iter: int = 60):
 
 
 def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
-    """Argument-principle box sweep of Delta_0 over the strip; fallback
-    route when no exact structure is available.  Zeros are located per
-    box, deduplicated, and each survivor gets its multiplicity from a local
-    winding count."""
+    """Argument-principle sweep of Delta_0 = J12 + J34 e^{i(b1+b2) lam}
+    + J32 e^{i b1 lam} + J14 e^{i b2 lam} in unit-width boxes over the strip
+    y_lo - 1 <= Im lam <= y_hi + 1: above y_hi the J32 term is more than
+    three times each other term and below y_lo the J14 term is, so no zero
+    lies outside.  Zeros are located per box, deduplicated, and each
+    survivor gets its multiplicity from a local winding count."""
 
     f = partial(delta0, (a, b, c, d), b1, b2)
     newton_f = _value_and_slope(f)
-    coeff_scale = max(1.0, abs(a), abs(d), abs(a * d - b * c))
-    h = math.log(4.0 * coeff_scale) / min(b2, -b1) + 1.0
+    j12, j34, j32, j14 = (abs(j) for j in _delta0_coefficients((a, b, c, d)))
+    y_hi = _dominance_height(j32, ((j12, -b1), (j34, b2), (j14, b2 - b1))) + 1.0
+    y_lo = -_dominance_height(j14, ((j12, b2), (j34, -b1), (j32, b2 - b1))) - 1.0
     density = (b2 - b1) / (2 * math.pi)
     width = (margin * 2 + 8) / density / 2 + 2
-    nboxes = int(2 * width) + 1
-    # pick a global box-grid offset whose vertical lines stay away from zeros
-    ys = np.linspace(-h, h, 65)
-    offset = 0.0137
-    for candidate in (0.0137, 0.231, 0.367, 0.483, 0.059):
-        edges = -width + candidate + np.arange(nboxes + 1)
-        if np.abs(_eval_many(f, (edges[:, None] + 1j * ys).ravel())).min() > 1e-5 * coeff_scale:
-            offset = candidate
-            break
-    edges = -width + offset + np.arange(nboxes + 1)
+    edges = -width + 0.0137 + np.arange(int(2 * width) + 2)
     found: list[complex] = []
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        count = _box_count(f, t0, t1, -h, h)
+        count = _box_count(f, t0, t1, y_lo, y_hi)
         if count > 0:
-            found.extend(_locate_in_box(f, newton_f, t0, t1, -h, h, count))
-    # deduplicate across boxes, then let a local winding decide multiplicity
-    reps = [rep for rep, _ in _cluster(found, 1e-6)]
+            found.extend(_locate_in_box(f, newton_f, t0, t1, y_lo, y_hi, count))
+    # of roots closer than 3e-5 the one with the least |Delta_0| stands for
+    # all, so no winding box (half-width sep / 3) takes in another one
+    reps: list[complex] = []
+    for i in np.argsort(np.abs(_eval_many(f, np.array(found, dtype=complex))), kind="stable"):
+        z = found[i]
+        if all(abs(z - rep) >= 3e-5 for rep in reps):
+            reps.append(z)
     out: list[tuple[complex, int]] = []
     for rep, sep in zip(reps, _separation_to_others(reps)):
-        r = max(min(0.05, float(sep) / 3.0), 1e-5)
+        r = min(0.05, float(sep) / 3.0)
         mult = _box_count(f, rep.real - r, rep.real + r, rep.imag - r, rep.imag + r)
+        if mult > 1:
+            # Newton places a multiple zero to about sqrt(rounding); the zeros'
+            # mean (1 / 2 pi i mult) \oint (z - rep) f'/f dz is good to rounding
+            w = r * np.exp(2j * math.pi * np.arange(32) / 32)
+            value, slope = _eval_many(newton_f, rep + w)
+            rep += complex(np.mean(w * w * slope / value)) / mult
         if mult > 0:
             out.append((rep, mult))
     return out
+
+
+def _dominance_height(lead: float, others) -> float:
+    """The least y >= 0 from which |lead| e^{r y} > 3 |J| for each (|J|, r)
+    of ``others``: the lead term outgrows each other one at rate r."""
+    return max([0.0] + [math.log(3.0 * j / lead) / r for j, r in others if j])
 
 
 def _in_box(z: complex, x0, x1, y0, y1, pad: float) -> bool:
@@ -429,11 +448,11 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
         return [z] * count
     split_re = depth % 2 == 0
     lo, hi = (x0, x1) if split_re else (y0, y1)
-    shift = 0.0
-    for _ in range(8):
-        cut = 0.5 * (lo + hi) + shift
+    for k in range(1, 9):
+        # off the midpoint from the first cut: the sweep's strip is centred
+        # on Delta_0's zero pattern, so its midpoint can run through zeros
+        cut = 0.5 * (lo + hi) + (hi - lo) * 0.013 * k
         halves = ((x0, cut, y0, y1), (cut, x1, y0, y1)) if split_re else ((x0, x1, y0, cut), (x0, x1, cut, y1))
-        shift += (hi - lo) * 0.013
         try:
             counts = [_box_count(f, *box) for box in halves]
         except (ContourTooCloseError, NonIntegerWindingError):

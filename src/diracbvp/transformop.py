@@ -212,18 +212,6 @@ class _RSweeper:
         cell = cells[m]
         return qjk[cell : cell + top + 1] + fracs[m] * diff[cell : cell + top + 1]
 
-    @property
-    def explicit(self) -> dict:
-        """The source terms as (N+1, N+1) planes in diagonal layout."""
-        npts = self.n + 1
-        planes = {}
-        for k in (1, 2):
-            plane = np.zeros((npts, npts), dtype=complex)
-            for m in range(npts):
-                plane[m, : npts - m] = self._source_row(k, m)
-            planes[(3 - k, k)] = self.sources[k][0] * plane
-        return planes
-
     def _diagonal(self, k: int, m: int) -> tuple[int, float]:
         """Diagonal m's first line and its weight: node l lies between lines
         base + q*l and base + q*l + 1, at w above the lower one."""

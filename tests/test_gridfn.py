@@ -162,7 +162,7 @@ class TestXNorm:
         # sup of |A u| over unit vectors; random samples verify <=, the
         # analytic maximizers (basis vectors / Hoelder-equality vectors)
         # verify the sup is attained
-        from diracbvp.gridfn import _mat_norm_one_to_p, _mat_norm_pc_to_inf
+        from diracbvp.gridfn import _mat_norm_one_to_p
 
         def normalize(v, p_exp):
             if math.isinf(p_exp):
@@ -188,7 +188,7 @@ class TestXNorm:
             u = np.vstack([u, normalize(extremes, pc)])
             img = np.einsum("ab,mb->ma", a, u)
             brute = np.abs(img).max()
-            closed = _mat_norm_pc_to_inf(a[None, None], p)[0, 0]
+            closed = _mat_norm_one_to_p(a.T[None, None], p)[0, 0]  # |A|_{p'->inf} = |A^T|_{1->p}
             assert abs(brute - closed) <= 1e-9 * closed
 
     def test_submultiplicative_under_composition(self, rng):
