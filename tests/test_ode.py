@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 
-from diracbvp.boundary import BoundaryConditions, delta0
+from diracbvp import ode
+from diracbvp.boundary import BoundaryConditions, delta0, minors
 from diracbvp.gridfn import SampledFunction
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 
@@ -157,3 +161,118 @@ def test_batched_lambda_equals_scalar_calls():
 def test_weights_validated():
     with pytest.raises(ValueError):
         DiracSystem(1.0, 2.0, SampledFunction.zero(8), SampledFunction.zero(8))
+
+
+def step_loop_oracle(sys, lam, n):
+    """Phi at every node by one Python iteration per RK4 step, the four
+    stages as batched 2x2 matmuls: the loop the blocked step-matrix
+    products replaced, kept as their reference."""
+    lam = np.asarray(lam, dtype=complex)
+    h = 1.0 / n
+    ib = 1j * np.array([[sys.b1], [sys.b2]])
+    x = np.linspace(0.0, 1.0, n + 1)
+
+    def ibq(t):
+        q = np.zeros(t.shape + (2, 2), dtype=complex)
+        q[..., 0, 1] = sys.q12(t)
+        q[..., 1, 0] = sys.q21(t)
+        return ib * q
+
+    ibq_nodes = ibq(x)
+    ibq_half = ibq(x[:-1] + 0.5 * h)
+    ib_lam = ib * (lam[..., None, None] * np.eye(2))
+    values = np.empty(lam.shape + (n + 1, 2, 2), dtype=complex)
+    phi = np.broadcast_to(np.eye(2, dtype=complex), ib_lam.shape).copy()
+    values[..., 0, :, :] = phi
+    a1 = ib_lam - ibq_nodes[0]
+    for i in range(n):
+        a0 = a1
+        am = ib_lam - ibq_half[i]
+        a1 = ib_lam - ibq_nodes[i + 1]
+        k1 = a0 @ phi
+        k2 = am @ (phi + 0.5 * h * k1)
+        k3 = am @ (phi + 0.5 * h * k2)
+        k4 = a1 @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values[..., i + 1, :, :] = phi
+    return values
+
+
+@pytest.mark.parametrize("b2", [1.0, 2.0, math.sqrt(2.0)])
+@pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 63, 64, 65, 96, 129])
+def test_blocked_products_match_the_step_loop(n, b2):
+    # every block edge of the step-matrix products, against the per-step loop
+    sys = smooth_potential(17, 256, b1=-1.0, b2=b2)
+    rng = np.random.default_rng(n)
+    lams = rng.uniform(-60.0, 60.0, 24) + 1j * rng.uniform(-3.0, 3.0, 24)
+    lams = np.append(lams, [60.0 + 3.0j, -60.0 - 3.0j, 0.0])
+    got = fundamental_matrix(sys, lams, n).values
+    want = step_loop_oracle(sys, lams, n)
+    err = np.abs(got - want).max(axis=(1, 2, 3))
+    scale = np.abs(want).max(axis=(1, 2, 3))
+    assert np.all(err <= 1e-13 * scale), (err / scale).max()
+
+
+def test_array_equals_scalar_calls_across_chunks():
+    # more lam than one chunk: every lam still gets bitwise its scalar call
+    sys = smooth_potential(19, 64, b1=-1.0, b2=math.sqrt(2.0))
+    bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+    rng = np.random.default_rng(5)
+    count = ode._CHUNK + 7
+    lams = rng.uniform(-30.0, 30.0, count) + 1j * rng.uniform(-2.0, 2.0, count)
+    n = ode._BLOCK + 3
+    phi = fundamental_matrix(sys, lams, n)
+    assert np.array_equal(phi.values, np.array([fundamental_matrix(sys, lam, n).values for lam in lams]))
+    dets = char_det_direct(sys, bc, lams, n)
+    assert np.array_equal(dets, np.array([char_det_direct(sys, bc, lam, n) for lam in lams]))
+
+
+def test_char_det_direct_is_the_minors_formula_on_phi_at_one():
+    sys = smooth_potential(23, 128, b1=-1.0, b2=2.0)
+    bc = BoundaryConditions.from_canonical(0.4, 0.3, -0.2, 1.2)
+    lams = np.array([[0.3, -5.0 + 1.0j, 12.5 - 0.7j], [40.0 + 2.0j, -33.3, 0.0]])
+    m = minors(bc)
+    for n in (2, 65, 130):
+        phi = fundamental_matrix(sys, lams, n).at_one()
+        expected = (
+            m[1, 2]
+            + m[3, 4] * np.exp(1j * (sys.b1 + sys.b2) * lams)
+            + m[3, 2] * phi[..., 0, 0]
+            + m[1, 3] * phi[..., 0, 1]
+            + m[4, 2] * phi[..., 1, 0]
+            + m[1, 4] * phi[..., 1, 1]
+        )
+        assert np.array_equal(char_det_direct(sys, bc, lams, n), expected)
+
+
+def test_char_det_direct_holds_no_values_array():
+    # 2048 lam at N = 512: the node values alone would be 64 * 2048 * 513 bytes
+    n = 512
+    sys = smooth_potential(29, n, b1=-1.0, b2=2.0)
+    bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+    lams = np.linspace(-40.0, 40.0, 2048) + 0.5j
+    tracemalloc.start()
+    try:
+        char_det_direct(sys, bc, lams, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("lam", [np.zeros(0), np.zeros((0, 3)), 1.5 - 0.5j, np.array(2.0)])
+def test_shapes_and_types_for_empty_and_scalar_lam(lam):
+    sys = smooth_potential(31, 32)
+    bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+    shape = np.shape(lam)
+    phi = fundamental_matrix(sys, lam, 8)
+    det = char_det_direct(sys, bc, lam, 8)
+    assert phi.values.shape == shape + (9, 2, 2) and phi.values.dtype == complex
+    assert phi.at_one().shape == shape + (2, 2)
+    if shape == ():
+        assert type(phi.lam) is complex
+        assert type(phi.det_at_one()) is complex and type(det) is complex
+    else:
+        assert isinstance(phi.lam, np.ndarray) and phi.lam.shape == shape
+        assert phi.det_at_one().shape == shape
+        assert isinstance(det, np.ndarray) and det.shape == shape and det.dtype == complex
