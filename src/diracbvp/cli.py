@@ -294,26 +294,27 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
     if unknown:
         raise ConfigError(f"unknown keys for task {task!r}: {', '.join(unknown)}")
     values = {key: _CHECKS[key](given.get(key, default), key) for key, default in keys.items()}
-    if task in _KERNEL_TASKS:
-        _check_memory(values["n"])
+    if task in _LIVE_KERNELS:
+        _check_memory(task, values["n"])
     for key in {"system.potential", "fourier.g"} & set(values):
         values[key] = load_potential(values[key], values["n"], values["system.b1"], values["system.b2"])
     return cfg, values
 
 
 # Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each.  The kernels task's peak RSS above import measured 3.08 of them
-# at N = 1024, reached in assemble_K and not raised by the dumps or the
-# manifest's chunked hashes (solve_R, which fills R in place, reaches 1.01),
-# so five bound it.
-_KERNEL_TASKS = {"spectrum", "kernels", "stability"}
-_LIVE_KERNELS = 5
+# bytes each, and how many of them their peak holds.  Traced peaks at
+# N = 256 read 3.5 (kernels: R and K+/- in assemble_K), 3.7 (spectrum) and
+# 8.0 (stability: one pair's K+/- pairs and the kernel deviation beside the
+# R's of the next pair, which shares their march), and fall towards whole
+# kernels as N grows (3.1, 3.3 and 8.0 at N = 512); each estimate is the
+# next whole kernel up from its N = 256 reading.
+_LIVE_KERNELS = {"spectrum": 4, "kernels": 4, "stability": 9}
 
 
-def _check_memory(n: int) -> None:
+def _check_memory(task: str, n: int) -> None:
     """Refuse, before any numerics run, a request whose estimated peak
     exceeds the machine's physical memory."""
-    need = _LIVE_KERNELS * 64 * (n + 1) ** 2
+    need = _LIVE_KERNELS[task] * 64 * (n + 1) ** 2
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

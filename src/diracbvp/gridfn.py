@@ -242,25 +242,28 @@ def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
     """
     p = PNorm(p)
     n = kernel.n
-    w = np.ones((n + 1, n + 1))
-    np.fill_diagonal(w, 0.5)
     if family == "one":
         mats = _mat_norm_one_to_p(kernel.data, p.p)
-        # trapezoid along x from t_j to 1: half weights at i = j and i = N
-        w[n, :] = 0.5
-        w[n, n] = 0.0  # t = 1 column is a single point
-        axis = 0
     elif family == "infinity":
         # |A|_{p'->inf}, 1/p + 1/p' = 1: max over rows of the row l^p norm
         mats = _mat_norm_one_to_p(np.swapaxes(kernel.data, -1, -2), p.p)
-        # trapezoid along t from 0 to x_i: half weights at j = 0 and j = i
-        w[:, 0] = 0.5
-        w[0, 0] = 0.0  # x = 0 row is a single point
-        axis = 1
     else:
         raise ValueError(f"family must be 'one' or 'infinity', got {family!r}")
     if p.is_inf:
         return float(mats.max())
+    # formed after mats, whose temporaries are the larger ones
+    w = np.ones((n + 1, n + 1))
+    np.fill_diagonal(w, 0.5)
+    if family == "one":
+        # trapezoid along x from t_j to 1: half weights at i = j and i = N
+        w[n, :] = 0.5
+        w[n, n] = 0.0  # t = 1 column is a single point
+        axis = 0
+    else:
+        # trapezoid along t from 0 to x_i: half weights at j = 0 and j = i
+        w[:, 0] = 0.5
+        w[0, 0] = 0.0  # x = 0 row is a single point
+        axis = 1
     sums = (1.0 / n) * (w * mats**p.p).sum(axis=axis)
     return float(sums.max() ** (1.0 / p.p))
 

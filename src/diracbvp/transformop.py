@@ -34,12 +34,21 @@ diagonal at (i - w)/q, so their integrand is the diagonal's R_kk row
 upsampled by q times Q_jk upsampled once.  The march is that pass solving
 each diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
-Comp. 58, 1992), so it solves the discrete equations.  It marches in the
-kernel array itself, diagonal m of a plane being a strided view of it, and
-certifies its state on the way: each diagonal's R_kk defect is its
-exact-node trapezoid along the diagonal less R_kk, and R_jk, written from
-its right-hand side, has none.  The same pass reading R instead of solving
-it is the substitution check of any state.  Both cost O(q N^2).
+Comp. 58, 1992), so it solves the discrete equations.  It writes each
+diagonal into the kernel array itself and certifies its state on the way:
+each diagonal's R_kk defect is its exact-node trapezoid along the diagonal
+less R_kk, and R_jk, written from its right-hand side, has none.  The same
+pass reading R instead of solving it is the substitution check of any
+state.  Both cost O(q N^2).
+
+The pass runs over rows (potential, weight k) at once.  Both weights share
+q, since alpha_1 + alpha_2 = 1, and potentials on one grid with one pair
+of weights share every step of the loop over m, so one pass marches the
+R's of a whole stack of potentials: each row gets the operations of a
+one-potential march, and so its bits.  ``solve_R``, ``r_equation_residual``
+and ``build_kernels`` are the one-potential case, and ``solve_P``'s forward
+substitution runs over a stack the same way; the stability experiments
+march the potentials of several pairs together.
 """
 
 from __future__ import annotations
@@ -138,14 +147,14 @@ def _line_spacing(alpha: float) -> tuple[int, float]:
 
 
 def _lerp_clamped(values: np.ndarray, start, top, pos, frac) -> np.ndarray:
-    """Linear interpolation of the flat ``values`` at ``start + pos + frac``
-    within rows ``start .. start + top``.  The interpolating pair is clamped
-    into the row, so points just past either end are extrapolated from the
-    end cell."""
+    """Linear interpolation of ``values`` along its last axis at
+    ``start + pos + frac`` within entries ``start .. start + top``.  The
+    interpolating pair is clamped into the row, so points just past either
+    end are extrapolated from the end cell."""
     i0 = np.minimum(np.maximum(pos, 0), np.maximum(top - 1, 0))
     t = (pos - i0) + frac
-    lower = values[start + i0]
-    return lower + t * (values[start + np.minimum(i0 + 1, top)] - lower)
+    lower = values[..., start + i0]
+    return lower + t * (values[..., start + np.minimum(i0 + 1, top)] - lower)
 
 
 def _upsample(values: np.ndarray, q: int, slots: np.ndarray) -> np.ndarray:
@@ -157,85 +166,151 @@ def _upsample(values: np.ndarray, q: int, slots: np.ndarray) -> np.ndarray:
                      left=values[0] - first / q, right=values[-1] + last / q)
 
 
-def _read_lines(sums: np.ndarray, base: int, w: float, q: int, top: int) -> np.ndarray:
-    """Line values at the nodes l = 0..top of one diagonal: line base + q*l
-    and the one above it, weighted (1 - w, w)."""
-    lower = sums[base : base + q * top + 1 : q]
-    return lower + w * (sums[base + 1 : base + q * top + 2 : q] - lower) if w else lower
+def _rows_at(table: np.ndarray, starts, shape: tuple, steps: tuple = (1,)) -> np.ndarray:
+    """View (S, 2) + ``shape`` of the C-contiguous (S, 2, ...) ``table``
+    whose row (s, k) starts at flat entry ``starts[k - 1]`` of table[s, k]
+    and steps ``steps`` entries along the trailing axes: the rows of both
+    weights in one view, their different offsets folded into its k stride."""
+    stack, weight, item = table.strides[0], table.strides[1], table.itemsize
+    return np.ndarray(table.shape[:2] + shape, table.dtype, table, starts[0] * item,
+                      (stack, weight + (starts[1] - starts[0]) * item) + tuple(item * step for step in steps))
 
 
-def _kernel_diagonal(data: np.ndarray, m: int, a: int, b: int) -> np.ndarray:
-    """Diagonal m of plane R_ab in the (N+1, N+1, 2, 2) kernel array ``data``:
-    the nodes (m + l, l), l = 0..N-m, as a strided view of its flat storage;
-    writes land in ``data`` only if it is C-contiguous."""
-    npts = data.shape[0]
-    return data.reshape(-1)[4 * m * npts + 2 * (a - 1) + (b - 1) :: 4 * (npts + 1)][: npts - m]
+def _previous_slot(table: np.ndarray, start: int, length: int) -> np.ndarray:
+    """View (S, 2, 2, length) of the C-contiguous (S, 2, 2, W) table of
+    half-unit slots (q = 2) split by parity, entry (r, c) at slot 2 c + r:
+    entry (r, c) of the view is the slot before entry (r, start + c), that
+    is (1, start + c - 1) for r = 0 and (0, start + c) for r = 1."""
+    stack, weight, parity, item = table.strides
+    return np.ndarray(table.shape[:2] + (2, length), table.dtype, table, parity + (start - 1) * item,
+                      (stack, weight, item - parity, item))
+
+
+def _diagonal_index(npts: int) -> np.ndarray:
+    """Flat indices (2, 2, N+1) of diagonal 0 of [R_kk, R_jk] x [k = 1, 2]
+    in an (N+1, N+1, 2, 2) kernel array: the nodes (l, l), plane R_ab at
+    offset 2 (a - 1) + (b - 1).  Diagonal m, the nodes (m + l, l),
+    l = 0..N-m, is its first N+1-m entries plus 4 m (N+1)."""
+    return np.array([[0, 3], [2, 1]])[:, :, None] + 4 * (npts + 1) * np.arange(npts)
+
+
+def _per_weight(f) -> np.ndarray:
+    """Column (2, 1) of f(k, j), j = 3 - k, for k = 1, 2: a per-weight
+    factor broadcast over the rows (S, 2, L)."""
+    return np.array([[f(1, 2)], [f(2, 1)]])
 
 
 class _RSweeper:
-    """The coupled R system in diagonal coordinates, stored in the kernel
-    array itself: one pass over its diagonals per k either marches (solves
-    the discrete equations) or only reads R, and measures both equations'
-    defect on the way."""
+    """The coupled R systems of a stack of potentials on one grid and one
+    pair of weights, in diagonal coordinates, stored in their kernel arrays
+    themselves.  One pass over the diagonals m = 0..N serves every row
+    (potential s, weight k): it either marches (solves the discrete
+    equations) or only reads R, and measures both equations' defect on the
+    way.
 
-    def __init__(self, sys: DiracSystem, n: int):
+    The rows of both weights share the line spacing q (alpha_2 = 1 -
+    alpha_1) and differ in their first line and source cell, which per-step
+    views with a k-dependent offset read (``_rows_at``).  Each diagonal is
+    computed in contiguous (S, 2, L) temporaries, row by row the operations
+    of a single-row pass, and written per potential into its own (N+1, N+1,
+    2, 2) array.  One potential is the same code with S = 1.
+
+    R_kk and Q_jk are upsampled by q into slots split by their residue r
+    mod q, so that the slots of one residue are contiguous: slot q l + r of
+    a row is entry (r, l) of its (q, L) table."""
+
+    def __init__(self, systems, n: int):
+        sys = systems[0]
+        if any((other.b1, other.b2) != (sys.b1, sys.b2) for other in systems):
+            raise ValueError("a march stacks potentials with the same weights only")
         self.n = n
         self.h = 1.0 / n
         npts = n + 1
         grid = np.linspace(0.0, 1.0, npts)
-        idx = np.arange(npts)
         self.b = {1: sys.b1, 2: sys.b2}
         self.alpha = {1: sys.alpha1, 2: sys.alpha2}
-        self.q_nodes = {(1, 2): sys.q12(grid), (2, 1): sys.q21(grid)}
-        self.lines = {}
-        self.sources = {}
-        for k in (1, 2):
-            j = 3 - k
-            q, step = _line_spacing(self.alpha[k])
-            qjk = self.q_nodes[(j, k)]
-            slots = np.arange(-1, q * n + 2) / q
-            self.lines[k] = (q, step, slots, _upsample(qjk, q, slots))
-            # Q_jk(alpha_k x + alpha_j t) on diagonal m: cells floor(alpha_k m) + l, one weight
-            shift = self.alpha[k] * idx
-            whole = np.floor(shift)
-            c0 = 1j * self.b[j] * self.b[k] / (self.b[j] - self.b[k])
-            self.sources[k] = (c0, whole.astype(np.intp), shift - whole, qjk[1:] - qjk[:-1])
+        spacing = [_line_spacing(self.alpha[k]) for k in (1, 2)]
+        if spacing[0][0] != spacing[1][0]:  # only at the 1e-13 edge of a rational alpha
+            spacing = [(2, 2.0 * self.alpha[k]) for k in (1, 2)]
+        q = self.q = spacing[0][0]
+        slots = np.arange(-1, q * n + 2) / q
+        # offsets[r, 2 l + part]: slot q l + r less node l, as np.interp
+        # subtracts them, for the real and the imaginary part
+        self.offsets = np.repeat((slots[1 : q * n + 1].reshape(n, q) - np.arange(n)[:, None]).T, 2, axis=1)
+        # row (s, k) holds Q_jk, j = 3 - k; its Q_kj is row (s, 3 - k)
+        self.qjk = np.array([[s.q21(grid), s.q12(grid)] for s in systems], dtype=complex)
+        qup = np.zeros(self.qjk.shape[:2] + (q * npts + 1,), dtype=complex)
+        for row, values in zip(qup.reshape(-1, q * npts + 1), self.qjk.reshape(-1, npts)):
+            row[: q * n + 3] = _upsample(values, q, slots)
+        # qup[s, k, r, j]: Q_jk at slot q j + r (zero past slot q N + 1)
+        self.qup = np.ascontiguousarray(qup[..., 1:].reshape(qup.shape[:2] + (npts, q)).swapaxes(-1, -2))
+        self.diff = self.qjk[..., 1:] - self.qjk[..., :-1]
+        # diagonal m's first line floor(q alpha_k m) and its weight, per k;
+        # a rational alpha_k has integer steps, so only q = 2 has weights
+        along = np.arange(npts)[:, None] * np.array([spacing[0][1], spacing[1][1]])
+        lines = np.floor(along)
+        self.bases = lines.astype(np.intp).tolist()
+        self.weights = (along - lines)[:, :, None]
+        self.between = (along != lines).any(axis=1).tolist()
+        # Q_jk(alpha_k x + alpha_j t) on diagonal m: cells floor(alpha_k m) + l, one weight
+        shift = np.arange(npts)[:, None] * np.array([self.alpha[1], self.alpha[2]])
+        whole = np.floor(shift)
+        self.cells = whole.astype(np.intp).tolist()
+        self.fracs = (shift - whole)[:, :, None]
+        # per k: the source's c0, the line sums' coeff, the R_kk trapezoid's factor
+        b, alpha, h = self.b, self.alpha, self.h
+        self.c0 = _per_weight(lambda k, j: 1j * b[j] * b[k] / (b[j] - b[k]))
+        self.coeff = _per_weight(lambda k, j: -1j * b[j] * alpha[j] * h)
+        self.diag_coeff = _per_weight(lambda k, j: -1j * b[k] * h)
+        self.end_half = (0.5 * self.coeff) * self.qjk
 
-    def _source_row(self, k: int, m: int) -> np.ndarray:
-        """Q_jk(alpha_k x + alpha_j t) at the nodes of diagonal m; the R_jk
-        equation's source term is c0 times it."""
-        _, cells, fracs, diff = self.sources[k]
-        qjk = self.q_nodes[(3 - k, k)]
+    def _source_rows(self, m: int) -> np.ndarray:
+        """Q_jk(alpha_k x + alpha_j t) at the nodes of diagonal m, every row
+        (S, 2, N+1-m); the R_jk equation's source term is c0 times it."""
         top = self.n - m
         if not m:  # diagonal 0 ends on the last node, read from the end cell
-            return _lerp_clamped(qjk, 0, self.n, np.arange(top + 1), 0.0)
-        cell = cells[m]
-        return qjk[cell : cell + top + 1] + fracs[m] * diff[cell : cell + top + 1]
+            return _lerp_clamped(self.qjk, 0, self.n, np.arange(top + 1), 0.0)
+        cells = self.cells[m]
+        return _rows_at(self.qjk, cells, (top + 1,)) + self.fracs[m] * _rows_at(self.diff, cells, (top + 1,))
 
-    def _diagonal(self, k: int, m: int) -> tuple[int, float]:
-        """Diagonal m's first line and its weight: node l lies between lines
-        base + q*l and base + q*l + 1, at w above the lower one."""
-        base = math.floor(self.lines[k][1] * m)
-        return base, self.lines[k][1] * m - base
+    def _recurrence(self):
+        """Per row: the R_kk trapezoid's half weights (its factor times Q_kj)
+        and the growth and scale of the recurrence solving its end-term
+        coupling along a diagonal."""
+        b, h = self.b, self.h
+        diag_half = _per_weight(lambda k, j: -0.5j * b[k] * h) * self.qjk[:, ::-1]
+        d = diag_half * self.end_half
+        growth = np.ones(d.shape, dtype=complex)
+        growth[..., 1:] = (1.0 + d[..., :-1]) / (1.0 - d[..., 1:])
+        np.cumprod(growth, axis=-1, out=growth)
+        return diag_half, growth, 1.0 / ((1.0 - d) * growth)
 
-    def _line_integrand(self, k: int, m: int, row: np.ndarray, w: float) -> np.ndarray:
-        """Integrand Q_jk R_kk of the R_jk update where the lines base + i,
-        i = 0..q*top + 1, cross diagonal m, from its R_kk values ``row``
-        (nodes 0..top).  Line base + i meets the diagonal at (i - w)/q, so
-        both factors are read from interpolants upsampled by q, between the
-        slots i - 1 and i."""
-        q, _, slots, qup = self.lines[k]
-        top = row.shape[0] - 1
-        rup = _upsample(row, q, slots)
-        qs = qup[q * m : q * (m + top) + 3]
-        if w:
-            return (qs[1:] + w * (qs[:-1] - qs[1:])) * (rup[1:] + w * (rup[:-1] - rup[1:]))
-        return qs[1:] * rup[1:]
+    def _upsampled(self, x: np.ndarray, between: bool) -> tuple:
+        """R_kk rows ``x`` (S, 2, top + 1) upsampled by q as ``_upsample``
+        does it, in np.interp's arithmetic: a table (S, 2, q, top + 2) whose
+        column c holds the slots q (c - 1) + r (of column 0 only slot -1,
+        set with ``between``), and its columns 1.. as a view.  A slot
+        between nodes l and l + 1 is the real and imaginary parts of x[l]
+        plus its offset from l times those of x[l + 1] - x[l]; a slot past
+        either end is on the end cell's line."""
+        q = self.q
+        top = x.shape[-1] - 1
+        table = np.zeros(x.shape[:2] + (q, top + 2), dtype=complex)
+        rup = table[..., 1:]
+        rup[..., 0, :] = x
+        inner = rup.view(float)[..., 1:, : 2 * top]
+        np.multiply((x[..., 1:] - x[..., :-1]).view(float)[..., None, :], self.offsets[1:, : 2 * top], out=inner)
+        inner += x.view(float)[..., None, : 2 * top]
+        np.add(x[..., top], (x[..., top] - x[..., top - 1]) / q, out=rup[..., 1, top])
+        if between:
+            np.subtract(x[..., 0], (x[..., 1] - x[..., 0]) / q, out=table[..., q - 1, 0])
+        return table, rup
 
-    def _pass(self, k: int, data: np.ndarray, solve: bool) -> np.ndarray:
-        """One pass over the diagonals m = 0..N of R_kk and R_jk in the
-        kernel array ``data``; returns the largest R_kk defect, R_jk defect,
-        |R_kk| and |R_jk| over the nodes (the last two for ``solve`` only).
+    def sweep(self, datas, solve: bool) -> np.ndarray:
+        """One pass over the diagonals m = 0..N of every row, R in the kernel
+        arrays ``datas`` (one per potential); returns, per row (S, 2), the
+        largest R_kk defect, R_jk defect and |R| (the last for ``solve``
+        only) over its nodes, as an array (3, S, 2).
 
         ``sums`` holds every line's trapezoid sum over the diagonals passed
         (half weight at diagonal 0); a node reads its line, or the two lines
@@ -244,8 +319,8 @@ class _RSweeper:
         + coeff/2 Q_jk(m + l) R_kk[m, l]: the trapezoid's end term is taken
         at the node, where its path ends (diagonal 0 has none).
 
-        With ``solve`` (the march) R_kk on diagonal m is solved in place
-        first: it reads R_jk on the same diagonal at positions <= l, and the
+        With ``solve`` (the march) R_kk on diagonal m is solved first: it
+        reads R_jk on the same diagonal at positions <= l, and the
         trapezoid along the diagonal turns the end-term coupling into the
         recurrence (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l,
         s = m + l, whose factors depend on s alone; R_jk is then written from
@@ -254,61 +329,95 @@ class _RSweeper:
         Either way the diagonal's R_kk defect is its exact-node trapezoid of
         Q_kj R_jk along the diagonal less R_kk, and the R_kk row's line
         integrand then joins the sums."""
-        n = self.n
-        j = 3 - k
-        q = self.lines[k][0]
-        c0 = self.sources[k][0]
-        coeff = -1j * self.b[j] * self.alpha[j] * self.h
-        end_half = (0.5 * coeff) * self.q_nodes[(j, k)]
-        qkj = self.q_nodes[(k, j)]
+        n, q = self.n, self.q
+        npts = n + 1
+        stack = len(datas)
+        flats = [data.reshape(-1) for data in datas]
+        index = _diagonal_index(npts)
+        qkj = self.qjk[:, ::-1].copy()
         if solve:
-            # half trapezoid weights along the diagonal, and the recurrence
-            diag_half = (-0.5j * self.b[k] * self.h) * qkj
-            d = diag_half * end_half
-            growth = np.ones(n + 1, dtype=complex)
-            growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
-            np.cumprod(growth, out=growth)
-            scale = 1.0 / ((1.0 - d) * growth)
-        sums = np.zeros(q * n + 2, dtype=complex)  # line qN + 1 is read with weight 0 only
-        worst = np.zeros((n + 1, 4))  # per diagonal, in the order returned
-        for m in range(n + 1):
+            diag_half, growth, scale = self._recurrence()
+        sums = np.zeros((stack, 2, q * n + 2), dtype=complex)  # line qN + 1 is read with weight 0 only
+        # per diagonal and row: R_kk defect, R_jk defect, max |R|
+        worst = np.zeros((3, npts, stack, 2))
+        for m in range(npts):
             top = n - m
-            base, w = self._diagonal(k, m)
-            a = c0 * self._source_row(k, m) + coeff * _read_lines(sums, base, w, q, top)
-            x = _kernel_diagonal(data, m, k, k)
-            y = _kernel_diagonal(data, m, j, k)
+            bases, w, between = self.bases[m], self.weights[m], self.between[m]
+            lines = _rows_at(sums, bases, (top + 1,), (q,))
+            if between:
+                lines = lines + w * (_rows_at(sums, [base + 1 for base in bases], (top + 1,), (q,)) - lines)
+            a = self.c0 * self._source_rows(m) + self.coeff * lines
+            state = np.empty((stack, 2, 2, top + 1), dtype=complex)  # [s, (R_kk, R_jk), k, l]
+            x, y = state[:, 0], state[:, 1]
+            nodes = index[..., : top + 1] + 4 * m * npts
             if solve:  # x[0] = 0: a path of one point
-                pa = diag_half[m:] * a
+                pa = diag_half[..., m:] * a
+                x[..., 0] = 0.0
                 if m:
-                    x[1:] = growth[m + 1 :] * np.cumsum((pa[:-1] + pa[1:]) * scale[m + 1 :])
+                    acc = pa[..., :-1] + pa[..., 1:]
+                    acc *= scale[..., m + 1 :]
+                    np.multiply(growth[..., m + 1 :], np.add.accumulate(acc, axis=-1), out=x[..., 1:])
+                    np.multiply(self.end_half[..., m:], x, out=y)
+                    y += a
                 else:
-                    x[1:] = np.cumsum(pa[:-1] + pa[1:])
-            rjk = a + end_half[m:] * x if m else a
-            if solve:
-                y[:] = rjk
-                worst[m, 2:] = np.abs(x).max(), np.abs(y).max()
+                    np.add.accumulate(pa[..., :-1] + pa[..., 1:], axis=-1, out=x[..., 1:])
+                    y[...] = a
+                for flat, rows in zip(flats, state):
+                    flat[nodes] = rows
+                np.maximum.reduce(np.abs(state), axis=(1, 3), out=worst[2, m])
             else:
+                for flat, rows in zip(flats, state):
+                    np.take(flat, nodes, out=rows)
+                rjk = a + self.end_half[..., m:] * x if m else a
                 rjk -= y
-                worst[m, 1] = np.abs(rjk).max()
-            g = qkj[m:] * y
-            update = np.cumsum(g)
-            g += g[0]
+                np.maximum.reduce(np.abs(rjk), axis=-1, out=worst[1, m])
+            g = qkj[..., m:] * y
+            update = np.add.accumulate(g, axis=-1)
+            g += g[..., :1]
             g *= 0.5
             update -= g
-            update *= -1j * self.b[k] * self.h
+            update *= self.diag_coeff
             update -= x
-            worst[m, 0] = np.abs(update).max()
+            np.maximum.reduce(np.abs(update), axis=-1, out=worst[0, m])
             if m == n:
                 break
-            f = self._line_integrand(k, m, x, w)
-            sums[base : base + q * top + 2] += f if m else 0.5 * f
-        return worst.max(axis=0)
+            # the lines base + i, i = 0..q*top + 1, cross diagonal m at
+            # (i - w)/q: Q_jk and R_kk upsampled by q, between slots i - 1 and i
+            table, rup = self._upsampled(x, between)
+            qs = self.qup[..., m : m + top + 1]
+            if between:  # q = 2
+                wr = w[..., None]
+                f = qs + wr * (_previous_slot(self.qup, m, top + 1) - qs)
+                f *= rup + wr * (_previous_slot(table, 1, top + 1) - rup)
+            else:
+                f = qs * rup
+            if not m:
+                f *= 0.5
+            # the slots q l + r of the columns l < top, then slots q top and q top + 1
+            body = _rows_at(sums, bases, (q, top), (1, q))
+            np.add(f[..., :top], body, out=body)
+            tail = _rows_at(sums, [base + q * top for base in bases], (2,))
+            np.add(f[..., :2, top], tail, out=tail)
+        return worst.max(axis=1)
 
-    def sweep(self, data: np.ndarray, solve: bool) -> tuple[float, float]:
-        """The pass for every alpha_k: (max-node defect of the discrete
-        equations at ``data``, max |R|, or 0.0 without ``solve``)."""
-        worst = np.maximum(self._pass(1, data, solve), self._pass(2, data, solve))
-        return float(worst[:2].max()), float(worst[2:].max())
+
+def _solve_Rs(systems, n: int, tol: float) -> list:
+    """(R, its check) for every potential of ``systems`` from one march;
+    raises IterationLimitError for the first whose check is not below
+    ``tol`` max(1, max |R|)."""
+    if n < 8:
+        raise ValueError("grid size N must be >= 8 for the kernel solve")
+    # formed before the sweeper's tables: the kernels CLI's peak RSS moves
+    # with where glibc's heap places this array (BENCH_15.json has both orders)
+    datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in systems]
+    worst = _RSweeper(systems, n).sweep(datas, solve=True)
+    out = []
+    for data, residual, size in zip(datas, worst[:2].max(axis=(0, 2)).tolist(), worst[2].max(axis=1).tolist()):
+        if not residual < tol * max(1.0, size):
+            raise IterationLimitError(
+                f"kernel substitution check is not below tol={tol} times max(1, max|R|), max|R| = {size:.3e}", residual)
+        out.append((TriangularKernel(data), residual))
+    return out
 
 
 def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual: bool = False):
@@ -321,23 +430,14 @@ def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual:
     IterationLimitError: no further iteration can certify R below the
     defect's own roundoff.
     """
-    if n < 8:
-        raise ValueError("grid size N must be >= 8 for the kernel solve")
-    # formed before the sweeper's tables: the kernels CLI's peak RSS moves
-    # with where glibc's heap places this array (BENCH_15.json has both orders)
-    data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
-    residual, size = _RSweeper(sys, n).sweep(data, solve=True)
-    if not residual < tol * max(1.0, size):
-        raise IterationLimitError(
-            f"kernel substitution check is not below tol={tol} times max(1, max|R|), max|R| = {size:.3e}", residual)
-    kernel = TriangularKernel(data)
+    [(kernel, residual)] = _solve_Rs([sys], n, tol)
     return (kernel, residual) if return_residual else kernel
 
 
 def r_equation_residual(sys: DiracSystem, r: TriangularKernel) -> float:
     """Max-node defect of both integral equations at the state ``r``
     (substitution check: every update from ``r`` alone, largest change)."""
-    return _RSweeper(sys, r.n).sweep(r.data, solve=False)[0]
+    return float(_RSweeper([sys], r.n).sweep([r.data], solve=False)[:2].max())
 
 
 def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -353,6 +453,44 @@ def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve_Ps(rs, sys: DiracSystem, n: int) -> list:
+    """(P+, P-, defect) for every kernel R of ``rs`` (one grid, the weights
+    of ``sys``): one forward substitution over all of them, each step one
+    batched product of every R's row against its solution so far."""
+    h = 1.0 / n
+    a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
+    idx = np.arange(n + 1)
+    signs = np.array([1.0, -1.0])
+    g = np.empty((len(rs), n + 1, 2, 2), dtype=complex)  # g[s, i, component, sign]
+    inv = np.empty_like(g)
+    for gs, invs, r in zip(g, inv, rs):
+        rmat = r.data  # (N+1, N+1, 2, 2)
+        gs[:, 0] = (-a2 * rmat[:, 0, 0, 1])[:, None] * signs
+        gs[:, 1] = (-a1 * rmat[:, 0, 1, 0])[:, None]
+        # the trapezoid's s = x_i node, moved to the left-hand side
+        invs[...] = np.linalg.inv(np.eye(2) + (0.5 * h) * rmat[idx, idx])
+    rows = [r.data.transpose(0, 2, 1, 3) for r in rs]  # [i, a, j, b]
+    v = np.empty_like(g)
+    v[:, 0] = 0.5 * g[:, 0]  # the trapezoid's half weight at s = 0, restored below
+    for i in range(1, n + 1):
+        lhs = np.empty((len(rs), 2, i, 2), dtype=complex)
+        for out, rt in zip(lhs, rows):
+            out[...] = rt[i, :, :i]
+        acc = lhs.reshape(-1, 2, 2 * i) @ v[:, :i].reshape(-1, 2 * i, 2)
+        v[:, i] = inv[:, i] @ (g[:, i] - h * acc)
+    v[:, 0] = g[:, 0]
+    out = []
+    for vs, gs, r in zip(v, g, rs):
+        ps = []
+        residuals = []
+        for col, sign in enumerate((+1, -1)):
+            # defect of the discrete equations, all rows in one product
+            residuals.append(float(np.abs(vs[:, :, col] + _volterra_trapezoid(r.data, vs[:, :, col]) - gs[:, :, col]).max()))
+            ps.append(SampledFunction(np.stack([sys.b1 * vs[:, 0, col], sign * sys.b2 * vs[:, 1, col]], axis=1)))
+        out.append((*ps, max(residuals)))
+    return out
+
+
 def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """Diagonal factors P+/- from the second-kind Volterra system driven by
     the t = 0 traces of R; one forward substitution on the triangular grid
@@ -363,30 +501,7 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """
     if r.n != n:
         raise GridMismatchError(f"kernel grid {r.n} != requested {n}")
-    h = 1.0 / n
-    a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
-    rmat = r.data  # (N+1, N+1, 2, 2)
-    idx = np.arange(n + 1)
-    signs = np.array([1.0, -1.0])
-    g = np.empty((n + 1, 2, 2), dtype=complex)  # g[i, component, sign]
-    g[:, 0] = (-a2 * rmat[:, 0, 0, 1])[:, None] * signs
-    g[:, 1] = (-a1 * rmat[:, 0, 1, 0])[:, None]
-    # the trapezoid's s = x_i node, moved to the left-hand side
-    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * rmat[idx, idx])
-    v = np.empty_like(g)
-    v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0, restored below
-    for i in range(1, n + 1):
-        acc = rmat[i, :i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
-        v[i] = inv[i] @ (g[i] - h * acc)
-    v[0] = g[0]
-    out = {}
-    residuals = []
-    for col, sign in enumerate((+1, -1)):
-        vs = v[:, :, col]
-        # defect of the discrete equations, all rows in one product
-        residuals.append(float(np.abs(vs + _volterra_trapezoid(rmat, vs) - g[:, :, col]).max()))
-        out[sign] = SampledFunction(np.stack([sys.b1 * vs[:, 0], sign * sys.b2 * vs[:, 1]], axis=1))
-    return out[+1], out[-1], max(residuals)
+    return _solve_Ps([r], sys, n)[0]
 
 
 _K_BLOCK = 64  # rows and columns per block of the triangular products
@@ -456,14 +571,31 @@ def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunct
     return TriangularKernel(datas[0]), TriangularKernel(datas[1])
 
 
+def _kernel_set(sys: DiracSystem, r: TriangularKernel, r_res: float, pplus, pminus, p_res: float) -> KernelSet:
+    """K+/- from R and P+/-, with the residuals of all three."""
+    kplus, kminus = assemble_K(r, pplus, pminus, r.n)
+    residuals = {"R": r_res, "P": p_res, "K_boundary": _boundary_relation_defect(sys, kplus, kminus)}
+    return KernelSet(r, pplus, pminus, kplus, kminus, residuals)
+
+
 def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelSet:
     """Full pipeline R -> P+/- -> K+/- with residual bookkeeping."""
     r, r_res = solve_R(sys, n, tol=tol, return_residual=True)
-    pplus, pminus, p_res = solve_P(r, sys, n)
-    kplus, kminus = assemble_K(r, pplus, pminus, n)
-    boundary_defect = _boundary_relation_defect(sys, kplus, kminus)
-    residuals = {"R": r_res, "P": p_res, "K_boundary": boundary_defect}
-    return KernelSet(r, pplus, pminus, kplus, kminus, residuals)
+    return _kernel_set(sys, r, r_res, *solve_P(r, sys, n))
+
+
+def _kernel_sets(systems, n: int, tol: float = DEFAULT_TOL):
+    """``build_kernels`` for every potential of ``systems`` (one grid, one
+    pair of weights), in order: one march and one forward substitution
+    serve them all, and each K+/- pair is assembled when its set is asked
+    for, so that beside the sets the caller keeps only the R's not yet
+    handed out are alive."""
+    marched = _solve_Rs(systems, n, tol)
+    factors = _solve_Ps([r for r, _ in marched], systems[0], n)
+    marched.reverse()
+    factors.reverse()
+    for sys in systems:
+        yield _kernel_set(sys, *marched.pop(), *factors.pop())
 
 
 def _boundary_relation_defect(sys: DiracSystem, kplus: TriangularKernel, kminus: TriangularKernel) -> float:
@@ -604,9 +736,8 @@ def kernel_deviation_norms(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int, to
     norms, together with ||Q - Q~||_p; the ratio dev / ||Q - Q~||_p is the
     monitored Lipschitz quantity (the theory's constant is nonconstructive).
     """
-    ka = build_kernels(sys_a, n, tol=tol)
-    kb = build_kernels(sys_b, n, tol=tol)
-    deviation = _kernel_deviation((ka.kplus, ka.kminus), (kb.kplus, kb.kminus), p)
+    ka, kb = ((ks.kplus, ks.kminus) for ks in _kernel_sets([sys_a, sys_b], n, tol))
+    deviation = _kernel_deviation(ka, kb, p)
     return (*deviation, potential_diff_norm(sys_a, sys_b, p, n))
 
 

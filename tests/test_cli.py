@@ -434,7 +434,7 @@ class TestExitCodes:
         assert peak <= 4.25 * 64 * (n + 1) ** 2
 
     def test_memory_guard_refuses_before_numerics(self, tmp_path, capsys):
-        # dense kernels at N = 65536 need ~1.4 TB; the request must fail
+        # dense kernels at N = 65536 need ~1.1 TB; the request must fail
         # fast with the estimate instead of allocating
         cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0}, "n": 65536})
         out = tmp_path / "o"
@@ -451,7 +451,7 @@ class TestExitCodes:
 
     def test_memory_guard_uses_the_grid_the_task_runs(self, tmp_path, monkeypatch):
         # a stability config without "n" runs at N = 128 and must be
-        # estimated there: at N = 256 (21 MB) a 16 MB machine would refuse it
+        # estimated there: at N = 256 (38 MB) a 16 MB machine would refuse it
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         payload = {"system": {"b1": -1.0, "b2": 1.0}, "bc": {"canonical": [0, 1, 1, 0]},
@@ -459,6 +459,44 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
         assert (out / "stability.csv").exists()
+
+    def test_memory_guard_estimates_each_task(self, tmp_path, monkeypatch, capsys):
+        # at N = 64 a machine of six dense kernels fits a kernels or
+        # spectrum request (four) and refuses a stability one (nine)
+        n = 64
+        dense = 64 * (n + 1) ** 2
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6 * dense // 4096 + 1}.__getitem__)
+        system = {"b1": -1.0, "b2": 1.0, "potential": {"kind": "trig", "q21": {"1": [0.3, 0.0]}}}
+        for task, extra in (("kernels", {}), ("spectrum", {"n_max": 2})):
+            payload = {"system": system, "n": n, **extra}
+            assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / task)]) == 0
+        payload = {"system": {"b1": -1.0, "b2": 1.0}, "n": n, "n_max": 2, "pairs": 1}
+        out = tmp_path / "stability"
+        assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert "needs an estimated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", sorted(cli._LIVE_KERNELS))
+    def test_peak_within_the_task_estimate(self, task, tmp_path):
+        # the traced peak at N = 256, lazy imports made by a small request
+        # first; at N = 128 stability reads 8.1 dense kernels, and the
+        # estimate of five refused kernels and spectrum requests that fit
+        system = {"b1": -1.0, "b2": 2.0, "potential": {"kind": "trig", "q12": {"1": [0.3, 0.1]}, "q21": {"0": [0.2, -0.1]}}}
+        extra = {"stability": {"n_max": 4, "pairs": 2, "bc": {"canonical": [0.5, 1, 1, 0.5]}},
+                 "spectrum": {"n_max": 4, "bc": {"canonical": [0.5, 1, 1, 0.5]}}, "kernels": {}}[task]
+        if task == "stability":
+            system = {"b1": -1.0, "b2": 2.0}
+        payloads = [{"system": system, "n": n, **extra} for n in (16, 256)]
+        assert main([task, "--config", write_config(tmp_path, payloads[0]), "--out", str(tmp_path / "warm")]) == 0
+        cfg = write_config(tmp_path, payloads[1])
+        tracemalloc.start()
+        try:
+            code = main([task, "--config", cfg, "--out", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= cli._LIVE_KERNELS[task] * 64 * 257**2
 
     def test_io_failure(self, tmp_path):
         cfg = write_config(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,8 +231,9 @@ class TestBallExperiment:
             assert row["eigen_dev"] == 0.0
 
     def test_one_kernel_build_and_window_per_potential(self, monkeypatch):
-        # each pair builds K+/-, pairs the spectrum and integrates the ODE
-        # once per potential, and its rows equal the public functions called one by one
+        # the pairs' potentials share one march, each pair pairs the
+        # spectrum and integrates the ODE once per potential, and its rows
+        # equal the public functions called one by one
         from diracbvp import spectrum, stability, transformop
         from diracbvp.transformop import kernel_deviation_norms
 
@@ -250,15 +252,21 @@ class TestBallExperiment:
             counted(module, "build_kernels")
         counted(stability, "zeros_deltaQ")
         counted(stability, "fundamental_matrix")
+        marches = []  # potentials per march
+        sweep = transformop._RSweeper.sweep
+        monkeypatch.setattr(transformop._RSweeper, "sweep",
+                            lambda self, datas, solve: marches.append(len(datas)) or sweep(self, datas, solve))
         bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
         n, n_max, p = 64, 5, 2.0
         rows, _ = run_ball_experiment(PotentialBallSampler(p, 1.0, seed=11), bc, 2, n_max, p, n_grid=n, b1=-1.0, b2=2.0)
-        # one batched RK4 per potential gives all of its eigenfunctions
-        assert calls == {"build_kernels": 4, "zeros_deltaQ": 4, "fundamental_matrix": 4}
+        # one march over both pairs' four potentials, and one batched RK4
+        # per potential gives all of its eigenfunctions
+        assert marches == [4]
+        assert calls == {"build_kernels": 0, "zeros_deltaQ": 4, "fundamental_matrix": 4}
         pairs = list(PotentialBallSampler(p, 1.0, seed=11).pairs(2, -1.0, 2.0, n))
-        calls["build_kernels"] = 0
+        marches.clear()
         two_sided_check(*pairs[0], bc, n_max, n_grid=n)
-        assert calls["build_kernels"] == 2
+        assert marches == [2]
         monkeypatch.undo()
 
         exact = lambda report_rows: [(nn, repr(float(d)), flag) for nn, d, flag in report_rows]  # noqa: E731
@@ -272,6 +280,23 @@ class TestBallExperiment:
             assert row["eigenfunction_dev"] == ef.tail_lp_sum ** 0.5
             assert exact(row["eigen_rows"]) == exact(ev.rows)
             assert exact(row["eigenfunction_rows"]) == exact(ef.rows)
+
+    def test_peak_allocation(self):
+        # both pairs' R's come from one march, and each R is dropped once its
+        # K+/- exist: the traced peak is the parent's 6.3 MiB (one pair at a
+        # time) plus the second pair's two R's; a flow that assembled all
+        # four K+/- pairs first peaked at 11 MiB
+        n = 128
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        sampler = PotentialBallSampler(2.0, 1.0, seed=11)
+        list(sampler.pairs(2, -1.0, 2.0, n))  # numpy loads numpy.random on first use, outside the trace
+        tracemalloc.start()
+        try:
+            run_ball_experiment(sampler, bc, 2, 12, 2.0, n_grid=n, b1=-1.0, b2=2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.3 * 2**20 + 2 * 64 * (n + 1) ** 2
 
     def test_p_one_reports_the_largest_tail_row(self):
         # at p = 1 the conjugate exponent is inf: sum d^inf read 0 and

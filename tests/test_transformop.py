@@ -90,15 +90,20 @@ def random_state(n, rng):
 
 
 def march_state(sweeper):
-    """The march's R in diagonal layout."""
+    """The march's R in diagonal layout (a sweeper of one potential)."""
     data = np.zeros((sweeper.n + 1, sweeper.n + 1, 2, 2), dtype=complex)
-    sweeper.sweep(data, solve=True)
+    sweeper.sweep([data], solve=True)
     return to_diagonals(data)
 
 
 def offdiagonal_defect(sweeper, rd, k):
     """Largest change of R_jk when the pass recomputes it from R_kk of ``rd``."""
-    return sweeper._pass(k, to_kernel_array(rd), solve=False)[1]
+    return sweeper.sweep([to_kernel_array(rd)], solve=False)[1, 0, k - 1]
+
+
+def q_nodes(sweeper):
+    """Q_jk on the grid, keyed (j, k), of a sweeper's first potential."""
+    return {(2, 1): sweeper.qjk[0, 0], (1, 2): sweeper.qjk[0, 1]}
 
 
 def gather_linear(values, base, offsets):
@@ -114,14 +119,14 @@ def gather_linear(values, base, offsets):
 
 def explicit_planes(sweeper):
     """The R_jk equations' source terms as (N+1, N+1) planes in diagonal
-    layout, keyed (j, k): c0 times ``_source_row`` on every diagonal."""
+    layout, keyed (j, k): c0 times ``_source_rows`` on every diagonal."""
     npts = sweeper.n + 1
     planes = {}
     for k in (1, 2):
         plane = np.zeros((npts, npts), dtype=complex)
         for m in range(npts):
-            plane[m, : npts - m] = sweeper._source_row(k, m)
-        planes[(3 - k, k)] = sweeper.sources[k][0] * plane
+            plane[m, : npts - m] = sweeper._source_rows(m)[0, k - 1]
+        planes[(3 - k, k)] = sweeper.c0[k - 1, 0] * plane
     return planes
 
 
@@ -130,7 +135,7 @@ def offdiagonal_oracle(sweeper, rd, k):
     every node (O(N^3) per sweep); reference for the line prefix sums."""
     n = sweeper.n
     j = 3 - k
-    qjk = sweeper.q_nodes[(j, k)]
+    qjk = q_nodes(sweeper)[(j, k)]
     out = explicit_planes(sweeper)[(j, k)].copy()
     if not rd[(k, k)].any():
         return out
@@ -164,7 +169,7 @@ def gathered_crossings(sweeper, k, rflat, lines, diag):
     whole = np.floor(coord)
     pos = whole.astype(np.intp)
     frac = coord - whole
-    f = transformop._lerp_clamped(sweeper.q_nodes[(3 - k, k)], 0, n, pos + diag, frac)
+    f = transformop._lerp_clamped(q_nodes(sweeper)[(3 - k, k)], 0, n, pos + diag, frac)
     f *= transformop._lerp_clamped(rflat, diag * (n + 1), n - diag, pos, frac)
     return f
 
@@ -192,8 +197,8 @@ def gather_march(sweeper):
         rkk, rjk = rd[(k, k)], rd[(j, k)]
         rflat = rkk.reshape(-1)
         coeff = -1j * sweeper.b[j] * sweeper.alpha[j] * sweeper.h
-        diag_half = (-0.5j * sweeper.b[k] * sweeper.h) * sweeper.q_nodes[(k, j)]
-        end_half = (0.5 * coeff) * sweeper.q_nodes[(j, k)]
+        diag_half = (-0.5j * sweeper.b[k] * sweeper.h) * q_nodes(sweeper)[(k, j)]
+        end_half = (0.5 * coeff) * q_nodes(sweeper)[(j, k)]
         d = diag_half * end_half
         growth = np.ones(npts, dtype=complex)
         growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
@@ -242,7 +247,7 @@ def block_offdiagonal(sweeper, rd, k):
     line, w = node_lines(sweeper, k, m, l)
     upper = np.minimum(line + 1, q * n)
     # the end term at the node itself, where its path ends (none on diagonal 0)
-    end = np.where(m > 0, 0.5 * sweeper.q_nodes[(j, k)][m + l] * rkk[m, l], 0.0)
+    end = np.where(m > 0, 0.5 * q_nodes(sweeper)[(j, k)][m + l] * rkk[m, l], 0.0)
     out[m, l] += coeff * ((1.0 - w) * g[line, m] + w * g[upper, m] + end)
     return out
 
@@ -251,7 +256,7 @@ def whole_plane_diagonal(sweeper, rd, k):
     """Reference R_kk update: the exact-node trapezoid along every diagonal
     of the whole plane at once, from the Hankel table H[m, l] = Q_kj(m + l)."""
     n = sweeper.n
-    qkj = np.concatenate([sweeper.q_nodes[(k, 3 - k)], np.zeros(n, dtype=complex)])
+    qkj = np.concatenate([q_nodes(sweeper)[(k, 3 - k)], np.zeros(n, dtype=complex)])
     g = np.lib.stride_tricks.sliding_window_view(qkj, n + 1) * rd[(3 - k, k)]
     out = np.cumsum(g, axis=1) - 0.5 * (g + g[:, :1])
     out *= -1j * sweeper.b[k] * sweeper.h
@@ -263,7 +268,7 @@ def fixed_point_from_zero(sys, n, tol=transformop.DEFAULT_TOL, offdiagonal=block
     """Reference R: Gauss-Seidel fixed-point sweeps of the discrete
     equations from the zero state, the diagonal planes refreshed first and
     R_jk by ``offdiagonal``, until the largest change drops below ``tol``."""
-    sweeper = transformop._RSweeper(sys, n)
+    sweeper = transformop._RSweeper([sys], n)
     rd = {key: np.zeros((n + 1, n + 1), dtype=complex) for key in KEYS}
     for _ in range(max_sweeps):
         increment = 0.0
@@ -280,12 +285,12 @@ def fixed_point_from_zero(sys, n, tol=transformop.DEFAULT_TOL, offdiagonal=block
     raise AssertionError(f"no fixed point in {max_sweeps} sweeps (last increment {increment:.3e})")
 
 
-def record_passes(monkeypatch):
-    """(k, solve) of every ``_RSweeper`` pass, in order."""
+def record_sweeps(monkeypatch):
+    """(potentials, solve) of every ``_RSweeper`` pass, in order."""
     calls = []
-    real = transformop._RSweeper._pass
-    monkeypatch.setattr(transformop._RSweeper, "_pass",
-                        lambda self, k, data, solve: calls.append((k, solve)) or real(self, k, data, solve))
+    real = transformop._RSweeper.sweep
+    monkeypatch.setattr(transformop._RSweeper, "sweep",
+                        lambda self, datas, solve: calls.append((len(datas), solve)) or real(self, datas, solve))
     return calls
 
 
@@ -351,11 +356,13 @@ KERNEL_SYSTEMS = {
     "q21=0": q21_zero_system,
 }
 
-# rational line spacings q = 2 and 3 with both orientations, irrational
-# ones, and a potential whose R_11 and R_21 vanish
+# rational line spacings q = 2, 3 and 4 with both orientations, and irrational ones
+WEIGHT_PAIRS = ((-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0), (-1.0, math.sqrt(2.0)), (-1.0, math.pi))
+
+# the weight pairs, and a potential whose R_11 and R_21 vanish
 STEP_SYSTEMS = {
     **{f"b=({b1:g},{b2:.4g})": (lambda n, b1=b1, b2=b2: smooth_potential(30, n, b1, b2, l1_norm=0.8))
-       for b1, b2 in ((-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0), (-1.0, math.sqrt(2.0)), (-1.0, math.pi))},
+       for b1, b2 in WEIGHT_PAIRS},
     "q21=0": q21_zero_system,
 }
 
@@ -382,27 +389,29 @@ class TestSolveR:
         assert r_equation_residual(sys, r) <= tol
 
     def test_diagonal_layout_round_trip(self, rng):
-        # diagonal m of plane R_ab is a view of the kernel array's nodes
-        # (i, j) = (m + l, l), l = 0..N-m: reads see them, writes land there
+        # diagonal m of R_kk and R_jk, k = 1, 2, indexes the kernel array's
+        # nodes (i, j) = (m + l, l), l = 0..N-m: reads see them, writes land there
         for n in (8, 9):
             data = rng.standard_normal((n + 1, n + 1, 2, 2)) + 1j * rng.standard_normal((n + 1, n + 1, 2, 2))
+            flat = data.reshape(-1)
             for m in (0, 1, n - 1, n):
                 l = np.arange(n + 1 - m)
-                for a, b in KEYS:
-                    view = transformop._kernel_diagonal(data, m, a, b)
-                    assert np.array_equal(view, data[m + l, l, a - 1, b - 1])
-                    new = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
-                    want = data.copy()
-                    want[m + l, l, a - 1, b - 1] = new
-                    view[:] = new
-                    assert np.array_equal(data, want)
+                nodes = transformop._diagonal_index(n + 1)[..., : n + 1 - m] + 4 * m * (n + 1)
+                for k in (1, 2):
+                    for row, a in enumerate((k, 3 - k)):
+                        assert np.array_equal(flat[nodes[row, k - 1]], data[m + l, l, a - 1, k - 1])
+                        new = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
+                        want = data.copy()
+                        want[m + l, l, a - 1, k - 1] = new
+                        flat[nodes[row, k - 1]] = new
+                        assert np.array_equal(data, want)
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
     def test_line_sums_match_per_node_paths(self, b, rng):
         # R_jk set to the per-node path update of a random R_kk: the pass's
         # R_jk update departs from it by roundoff only
         n = 64
-        sweeper = transformop._RSweeper(smooth_potential(24, n, *b), n)
+        sweeper = transformop._RSweeper([smooth_potential(24, n, *b)], n)
         rd = random_state(n, rng)
         for k in (1, 2):
             rd[(3 - k, k)] = offdiagonal_oracle(sweeper, rd, k)
@@ -415,7 +424,7 @@ class TestSolveR:
         n = 64
         sys = smooth_potential(25, n, *b, l1_norm=0.8)
         r, check = solve_R(sys, n, return_residual=True)
-        sweeper = transformop._RSweeper(sys, n)
+        sweeper = transformop._RSweeper([sys], n)
         rd = to_diagonals(r.data)
         ref_check = max(float(np.abs(offdiagonal_oracle(sweeper, rd, k) - rd[(3 - k, k)]).max()) for k in (1, 2))
         assert max(check, ref_check) <= 1e-14
@@ -431,13 +440,13 @@ class TestSolveR:
     @pytest.mark.parametrize("name", sorted(STEP_SYSTEMS))
     def test_march_needs_one_sweep(self, name, monkeypatch):
         # the march solves the discrete equations, irrational alpha_k
-        # included, so solve_R makes one pass per alpha_k and the defect it
-        # measures on the way is roundoff
+        # included, so solve_R makes one pass over both alpha_k and the
+        # defect it measures on the way is roundoff
         n = 64
         sys = STEP_SYSTEMS[name](n)
-        calls = record_passes(monkeypatch)
+        calls = record_sweeps(monkeypatch)
         _, check = solve_R(sys, n, return_residual=True)
-        assert calls == [(1, True), (2, True)]
+        assert calls == [(1, True)]
         assert check <= 1e-14
 
     @pytest.mark.parametrize("n", [8, 65])
@@ -485,14 +494,14 @@ class TestSolveR:
         # one interpolation weight per diagonal gives the same bits as
         # interpolating Q_jk at every node l + alpha_k m
         sys = dirac_trig_system(n, *b)
-        sweeper = transformop._RSweeper(sys, n)
+        sweeper = transformop._RSweeper([sys], n)
         idx = np.arange(n + 1)
         for k in (1, 2):
             j = 3 - k
             c0 = 1j * sweeper.b[j] * sweeper.b[k] / (sweeper.b[j] - sweeper.b[k])
             shift = sweeper.alpha[k] * idx[:, None]
             whole = np.floor(shift)
-            expl = transformop._lerp_clamped(sweeper.q_nodes[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
+            expl = transformop._lerp_clamped(q_nodes(sweeper)[(j, k)], 0, n, idx + whole.astype(np.intp), shift - whole)
             expl[~valid_mask(n)] = 0.0
             assert (c0 * expl).tobytes() == explicit_planes(sweeper)[(j, k)].tobytes()
 
@@ -501,7 +510,7 @@ class TestSolveR:
     def test_march_matches_the_gathered_march(self, name, n):
         # one weight per diagonal and strided line reads give the per-node
         # floors and gathers' numbers, irrational line interpolation included
-        sweeper = transformop._RSweeper(STEP_SYSTEMS[name](n), n)
+        sweeper = transformop._RSweeper([STEP_SYSTEMS[name](n)], n)
         got, ref = march_state(sweeper), gather_march(sweeper)
         scale = max(np.abs(arr).max() for arr in ref.values())
         for key in ref:
@@ -512,7 +521,7 @@ class TestSolveR:
     def test_offdiagonal_matches_the_block_update(self, name, n, rng):
         # R_jk set to the block update of R_kk (R_11 random): the pass's
         # R_jk update departs from it by roundoff only
-        sweeper = transformop._RSweeper(STEP_SYSTEMS[name](n), n)
+        sweeper = transformop._RSweeper([STEP_SYSTEMS[name](n)], n)
         rd = march_state(sweeper)
         rd[(1, 1)] = random_state(n, rng)[(1, 1)]
         for k in (1, 2):
@@ -527,7 +536,7 @@ class TestSolveR:
         n = 64
         sys = STEP_SYSTEMS[name](n)
         r, check = solve_R(sys, n, return_residual=True)
-        sweeper = transformop._RSweeper(sys, n)
+        sweeper = transformop._RSweeper([sys], n)
         ref = TriangularKernel(to_kernel_array(gather_march(sweeper)))
         rd = to_diagonals(r.data)
         block_check = max(float(np.abs(block_offdiagonal(sweeper, rd, k) - rd[(3 - k, k)]).max()) for k in (1, 2))
@@ -536,14 +545,14 @@ class TestSolveR:
 
     def test_check_below_its_roundoff_is_refused(self, monkeypatch):
         # no iteration certifies R below the check's own roundoff: one pass
-        # per alpha_k, then IterationLimitError naming the check and max |R|
-        # (the sweep loop ran all 200 sweeps here before raising)
+        # over both alpha_k, then IterationLimitError naming the check and
+        # max |R| (the sweep loop ran all 200 sweeps here before raising)
         n = 64
         sys = smooth_potential(26, n, -1.0, math.sqrt(2.0), l1_norm=0.8)
-        calls = record_passes(monkeypatch)
+        calls = record_sweeps(monkeypatch)
         with pytest.raises(IterationLimitError, match=r"tol=1e-300 .*max\|R\| = ") as err:
             solve_R(sys, n, tol=1e-300)
-        assert calls == [(1, True), (2, True)]
+        assert calls == [(1, True)]
         assert 0.0 < err.value.residual <= 1e-14
 
     def test_check_is_relative_to_the_size_of_R(self):
@@ -575,12 +584,13 @@ class TestSolveR:
         # every update reads the input state only, R_kk included, and the
         # state is left as it was
         n = 32
-        sweeper = transformop._RSweeper(STEP_SYSTEMS["b=(-1,2)"](n), n)
+        sweeper = transformop._RSweeper([STEP_SYSTEMS["b=(-1,2)"](n)], n)
         rd = random_state(n, rng)
         data = to_kernel_array(rd)
         before = data.copy()
+        worst = sweeper.sweep([data], solve=False)
         for k in (1, 2):
-            kk, jk = sweeper._pass(k, data, solve=False)[:2]
+            kk, jk = worst[:2, 0, k - 1]
             assert kk == np.abs(whole_plane_diagonal(sweeper, rd, k) - rd[(k, k)]).max()
             assert jk == pytest.approx(np.abs(block_offdiagonal(sweeper, rd, k) - rd[(3 - k, k)]).max(), rel=1e-12)
         assert np.array_equal(data, before)
@@ -604,6 +614,71 @@ class TestSolveR:
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
             solve_R(DiracSystem.zero(-1.0, 1.0, 4), 4)
+
+
+def march_rows(systems, n):
+    """Kernel arrays of one march over ``systems`` and its per-row maxima
+    (R_kk defect, R_jk defect, max |R|) x potential x weight."""
+    datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in systems]
+    return datas, transformop._RSweeper(systems, n).sweep(datas, solve=True)
+
+
+class TestRowMarch:
+    @pytest.mark.parametrize("n", [8, 9, 64, 65])
+    @pytest.mark.parametrize("b", WEIGHT_PAIRS, ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
+    def test_stack_equals_one_potential_builds(self, b, n):
+        # each row of a stacked march runs a one-potential march's
+        # operations: R, its check and max |R|, P+/- and K+/- of 1 to 4
+        # distinct potentials are bitwise those of one-potential builds
+        systems = [smooth_potential(seed, n, *b, l1_norm=0.8) for seed in (60, 61, 62, 63)]
+        singles = [build_kernels(sys, n) for sys in systems]
+        single_rows = [march_rows([sys], n)[1][:, 0] for sys in systems]
+        for count in range(1, 5):
+            datas, rows = march_rows(systems[:count], n)
+            for data, row, ref, ref_row in zip(datas, rows.transpose(1, 0, 2), singles, single_rows):
+                assert data.tobytes() == ref.r.data.tobytes()
+                assert row.tobytes() == ref_row.tobytes()
+            for ks, ref in zip(transformop._kernel_sets(systems[:count], n), singles):
+                for name in ("r", "kplus", "kminus"):
+                    assert getattr(ks, name).data.tobytes() == getattr(ref, name).data.tobytes()
+                for name in ("pplus", "pminus"):
+                    assert getattr(ks, name).samples.tobytes() == getattr(ref, name).samples.tobytes()
+                assert ks.residuals == ref.residuals
+
+    @pytest.mark.parametrize("n", [8, 65])
+    @pytest.mark.parametrize("b", WEIGHT_PAIRS, ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
+    def test_check_over_rows_is_the_equation_residual(self, b, n):
+        # the check run over a stack reads each R back: its R_jk defect is
+        # zero, its R_kk defect the march's own, and each potential's check
+        # is r_equation_residual at its R
+        systems = [smooth_potential(seed, n, *b, l1_norm=0.8) for seed in (64, 65, 66)]
+        datas, marched = march_rows(systems, n)
+        checked = transformop._RSweeper(systems, n).sweep(datas, solve=False)
+        assert not checked[1].any()
+        assert checked[0].tobytes() == marched[0].tobytes()
+        for s, (sys, data) in enumerate(zip(systems, datas)):
+            assert r_equation_residual(sys, TriangularKernel(data)) == checked[:2, s].max()
+
+    def test_weights_whose_spacings_disagree_share_half_unit_lines(self):
+        # b2 = 2 (1 - 4.5e-13): alpha_1 lies within 1e-13 of 2/3 (q = 3)
+        # and alpha_2 just outside it (q = 2); the rows share one q, so both
+        # take half-unit lines, and R still solves its discrete equations
+        # and stays within the interpolation's O(h^2) of the R at b2 = 2
+        n = 64
+        b2 = 1.9999999999990996
+        alpha1, alpha2 = b2 / (b2 + 1.0), 1.0 / (b2 + 1.0)
+        assert transformop._line_spacing(alpha1)[0] == 3 and transformop._line_spacing(alpha2)[0] == 2
+        sys = smooth_potential(30, n, -1.0, b2, l1_norm=0.8)
+        r, check = solve_R(sys, n, return_residual=True)
+        assert transformop._RSweeper([sys], n).q == 2
+        assert check <= 1e-14 and check == r_equation_residual(sys, r)
+        ref = solve_R(smooth_potential(30, n, -1.0, 2.0, l1_norm=0.8), n)
+        assert np.abs(r.data - ref.data).max() <= 1e-4 * np.abs(ref.data).max()
+
+    def test_stacked_potentials_share_the_weights(self):
+        n = 16
+        with pytest.raises(ValueError, match="same weights"):
+            next(transformop._kernel_sets([smooth_potential(1, n, -1.0, 2.0), smooth_potential(2, n, -1.0, 3.0)], n))
 
 
 class TestSolveP:
