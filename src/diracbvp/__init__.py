@@ -31,11 +31,10 @@ from .gridfn import (
     x_norm,
 )
 from .ode import DiracSystem, FundamentalMatrix, char_det_direct, e_pm, fundamental_matrix
-from .fourier import BesselReport, bessel_sum, fourier, maximal_fourier, sFk
+from .fourier import BesselReport, bessel_sum, fourier, maximal_fourier
 from .transformop import (
     ComboKernels,
     KernelSet,
-    assemble_K,
     build_kernels,
     combos,
     determinant_evaluator,
@@ -52,8 +51,6 @@ from .spectrum import (
     SpectrumEntry,
     SpectrumWindow,
     count_zeros_disk,
-    export_csv,
-    incompressible_density,
     zeros_delta0,
     zeros_deltaQ,
 )

@@ -301,13 +301,13 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
     return cfg, values
 
 
-# Tasks that build dense (N+1) x (N+1) x 2 x 2 complex kernels, 64 (N+1)^2
-# bytes each, and how many of them their peak holds.  Traced peaks at
-# N = 256 read 3.5 (kernels: R and K+/- in assemble_K), 3.7 (spectrum) and
-# 8.0 (stability: one pair's K+/- pairs and the kernel deviation beside the
-# R's of the next pair, which shares their march), and fall towards whole
-# kernels as N grows (3.1, 3.3 and 8.0 at N = 512); each estimate is the
-# next whole kernel up from its N = 256 reading.
+# Tasks that march kernels on the (N+1) x (N+1) grid, and an upper bound on
+# their peak in dense kernels of 64 (N+1)^2 bytes each.  Traced peaks at
+# N = 256 read 3.5 for kernels (R, K+ and K- filled by one march; 3.1 at
+# N = 512), while spectrum and stability keep only each K+/- row's trace
+# at x = 1 and the kernel deviation's row and column sums: 0.26 and 0.60
+# (0.09 and 0.29 at N = 512).  The estimates date from when both held dense
+# K+/- (3.7 and 8.0 then) and still bound them.
 _LIVE_KERNELS = {"spectrum": 4, "kernels": 4, "stability": 9}
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import InvalidExponentError, PNorm, SampledFunction, lp_norm
-from .ode import DiracSystem
 
-__all__ = ["BesselReport", "bessel_sum", "fourier", "maximal_fourier", "sFk"]
+__all__ = ["BesselReport", "bessel_sum", "fourier", "maximal_fourier"]
 
 
 def _phase_samples(g: SampledFunction, lam: complex) -> np.ndarray:
@@ -43,21 +42,6 @@ def maximal_fourier(g: SampledFunction, lam: complex) -> float:
     vals = _phase_samples(g, lam)
     h = 1.0 / g.n
     return float(np.abs(_cumulative_trapezoid(vals, h)).max())
-
-
-def sFk(sys: DiracSystem, x: float, lam: complex, k: int, n: int | None = None) -> float:
-    """Maximal transform of the potential entry feeding channel k:
-    sup_{s <= x} |int_0^s Q_{jk}(t) e^{i(b_k - b_j) lam t} dt|, j = 3 - k."""
-    if k not in (1, 2):
-        raise ValueError("channel k must be 1 or 2")
-    q = sys.q21 if k == 1 else sys.q12
-    freq = (sys.b1 - sys.b2) * lam if k == 1 else (sys.b2 - sys.b1) * lam
-    if n is None:
-        n = q.n
-    grid = np.linspace(0.0, 1.0, n + 1)
-    vals = q(grid) * np.exp(1j * freq * grid)
-    cum = np.abs(_cumulative_trapezoid(vals, 1.0 / n))
-    return float(cum[grid <= x + 1e-12].max())
 
 
 @dataclass(frozen=True)

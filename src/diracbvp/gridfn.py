@@ -220,14 +220,73 @@ def lp_norm(f: SampledFunction, p: "PNorm | float") -> float:
     return float(integral ** (1.0 / p.p))
 
 
-def _mat_norm_one_to_p(data: np.ndarray, p: float) -> np.ndarray:
-    """|A|_{1->p} = max over columns of the column l^p norm (vectorized
-    over leading axes), the 2x2 sums and maxima written out entry by entry."""
-    a = np.abs(data)
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+# a 2x2 matrix [a, b] held as the R march holds its state, [(diagonal
+# entry, off-diagonal entry), column k], and back: A[a, b] = S[_PART[a, b],
+# _COLUMN[a, b]] and S[p, k] = A[_PART[p, k], _COLUMN[p, k]]
+_PART = np.array([[0, 1], [1, 0]])
+_COLUMN = np.array([[0, 1], [0, 1]])
+
+
+def _node_powers(diag: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """|K|_{1->p}^p and |K|_{p'->inf}^p, 1/p + 1/p' = 1, of the 2x2
+    matrices ``diag`` (..., 2, 2, L) held as the march holds them (see
+    ``_PART``): the largest column and the largest row l^p sum of the
+    entries' p-th powers.  At p = inf both are the largest entry."""
+    a = np.abs(diag)
     if math.isinf(p):
-        return np.maximum(np.maximum(a00, a10), np.maximum(a01, a11))
-    return np.maximum((a00**p + a10**p) ** (1.0 / p), (a01**p + a11**p) ** (1.0 / p))
+        top = a.max(axis=(-3, -2))
+        return top, top
+    if p != 1.0:
+        a **= p
+    cols = a[..., 0, :, :] + a[..., 1, :, :]  # column k: K_kk and K_jk
+    rows = a[..., 0, :, :] + a[..., 1, ::-1, :]  # row k: K_kk and K_kj
+    return np.maximum(cols[..., 0, :], cols[..., 1, :]), np.maximum(rows[..., 0, :], rows[..., 1, :])
+
+
+class _MixedSums:
+    """The sums behind ``x_norm``, fed one diagonal of nodes at a time, for
+    kernels of leading shape ``shape``: per t-column the trapezoid sum
+    along x of |K|_{1->p}^p (the "one" family) and per x-row the trapezoid
+    sum along t of |K|_{p'->inf}^p (the "infinity" family); at p = inf the
+    largest node norm per column and row.  A kernel streamed diagonal by
+    diagonal needs no dense copy of itself for its norms."""
+
+    def __init__(self, shape: tuple, n: int, p: "PNorm | float"):
+        self.p = PNorm(p)
+        self.n = n
+        self.sums = np.zeros((2,) + shape + (n + 1,))  # [one per column, infinity per row]
+
+    def add(self, m: int, diag: np.ndarray) -> None:
+        """Add diagonal m: the matrices ``diag`` (..., 2, 2, N+1-m) at the
+        nodes (m + l, l), held as ``_node_powers`` takes them, to column l
+        of the "one" sums and row m + l of the "infinity" ones."""
+        one, inf = _node_powers(diag, self.p.p)
+        one_sums, inf_sums = self.sums[0, ..., : self.n + 1 - m], self.sums[1, ..., m:]
+        if self.p.is_inf:
+            np.maximum(one_sums, one, out=one_sums)
+            np.maximum(inf_sums, inf, out=inf_sums)
+            return
+        # trapezoid weights: along x from t_j to 1, half at i = j and i = N,
+        # the t = 1 column a single point; along t from 0 to x_i, half at
+        # j = 0 and j = i, the x = 0 row a single point
+        if m:
+            one[..., -1] *= 0.5
+            inf[..., 0] *= 0.5
+        else:
+            one *= 0.5
+            inf *= 0.5
+            one[..., -1] = 0.0
+            inf[..., 0] = 0.0
+        one_sums += one
+        inf_sums += inf
+
+    def norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(infinity family, one family) of every kernel: its largest row
+        and column sum, times h, to the power 1/p."""
+        if self.p.is_inf:
+            return self.sums[1].max(axis=-1), self.sums[0].max(axis=-1)
+        top = ((1.0 / self.n) * self.sums).max(axis=-1) ** (1.0 / self.p.p)
+        return top[1], top[0]
 
 
 def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
@@ -237,35 +296,16 @@ def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
     ``family='infinity'`` : max over x-rows  of (int_0^x |K(x,t)|_{p'->inf}^p dt)^{1/p}
 
     The essential supremum of the continuous object is modeled by the grid
-    maximum; the inner integral is composite trapezoid.  The zero slots
-    above the diagonal add nothing to either norm, so no mask is needed.
+    maximum; the inner integral is composite trapezoid, summed diagonal by
+    diagonal (``_MixedSums``).
     """
-    p = PNorm(p)
-    n = kernel.n
-    if family == "one":
-        mats = _mat_norm_one_to_p(kernel.data, p.p)
-    elif family == "infinity":
-        # |A|_{p'->inf}, 1/p + 1/p' = 1: max over rows of the row l^p norm
-        mats = _mat_norm_one_to_p(np.swapaxes(kernel.data, -1, -2), p.p)
-    else:
+    if family not in ("one", "infinity"):
         raise ValueError(f"family must be 'one' or 'infinity', got {family!r}")
-    if p.is_inf:
-        return float(mats.max())
-    # formed after mats, whose temporaries are the larger ones
-    w = np.ones((n + 1, n + 1))
-    np.fill_diagonal(w, 0.5)
-    if family == "one":
-        # trapezoid along x from t_j to 1: half weights at i = j and i = N
-        w[n, :] = 0.5
-        w[n, n] = 0.0  # t = 1 column is a single point
-        axis = 0
-    else:
-        # trapezoid along t from 0 to x_i: half weights at j = 0 and j = i
-        w[:, 0] = 0.5
-        w[0, 0] = 0.0  # x = 0 row is a single point
-        axis = 1
-    sums = (1.0 / n) * (w * mats**p.p).sum(axis=axis)
-    return float(sums.max() ** (1.0 / p.p))
+    sums = _MixedSums((), kernel.n, p)
+    for m in range(kernel.n + 1):
+        sums.add(m, np.diagonal(kernel.data, -m)[_PART, _COLUMN])
+    inf, one = sums.norms()
+    return float(one if family == "one" else inf)
 
 
 def _block_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

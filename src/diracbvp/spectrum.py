@@ -16,7 +16,6 @@ the pair (Delta, Delta'), which Newton uses in place of differences.
 from __future__ import annotations
 
 import cmath
-import csv
 import inspect
 import math
 from collections import Counter
@@ -27,7 +26,7 @@ import numpy as np
 
 from .boundary import BoundaryConditions, _delta0_coefficients, _delta0_polynomial, _detect_rational, canonicalize, classify, delta0
 from .ode import DiracSystem, char_det_direct
-from .transformop import build_kernels, combos, determinant_evaluator
+from .transformop import _kernel_traces, _trace_evaluator, build_kernels  # noqa: F401  build_kernels: perfbench's tracer wraps every module's binding
 
 __all__ = [
     "ContourTooCloseError",
@@ -37,8 +36,6 @@ __all__ = [
     "SpectrumWindow",
     "count_zeros_disk",
     "csv_table",
-    "export_csv",
-    "incompressible_density",
     "zeros_delta0",
     "zeros_deltaQ",
 ]
@@ -260,7 +257,9 @@ def _winding(f, nodes: np.ndarray, contour: np.ndarray, circles=None) -> list:
             arc = theta[nxt] - theta
             arc[ends - 1] += 2 * math.pi
         size = np.abs(values)
-        steps = np.angle(values[nxt] / values)
+        # a contour with a zero sample is refused as close below; its
+        # quotients there are left at 1 rather than divided by zero
+        steps = np.angle(np.divide(values[nxt], values, out=np.ones_like(values), where=size > 0))
         test = np.flatnonzero(coarse)
         if bound is None:
             coarse[test] = np.abs(steps[test]) > math.pi / 2
@@ -540,23 +539,35 @@ def zeros_deltaQ(
     e.g. ``determinant_evaluator``'s, whose ``slope=True`` also gives
     Delta_Q' exactly.
     """
-    verdict = classify(bc, sys.b1, sys.b2)
+    window0 = _window0(bc, sys.b1, sys.b2, n_max, allow_nonstrict)
+    if callable(determinant):
+        delta = determinant
+    elif determinant == "kernels":
+        [traces], _ = _kernel_traces([sys], n_grid, tol=tol)
+        delta = _trace_evaluator(bc, *traces, sys.b1, sys.b2)
+    elif determinant == "direct":
+        delta = lambda lam: char_det_direct(sys, bc, lam, n_grid)  # noqa: E731
+    else:
+        raise ValueError("determinant must be 'kernels', 'direct' or a callable")
+    return _pair_zeros(delta, window0, n_max, eps_ladder)
+
+
+def _window0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, allow_nonstrict: bool = False) -> list:
+    """The Delta_0 window that ``zeros_deltaQ`` pairs against, after its
+    strict-regularity gate; one window serves every potential with these
+    weights and bc."""
+    verdict = classify(bc, b1, b2)
     if not verdict.is_strictly_regular and not allow_nonstrict:
         raise NonRegularError(
             f"boundary conditions are {verdict.kind} ({verdict.reason}); "
             "pass allow_nonstrict=True to pair against a non-strict Delta_0"
         )
-    window0 = zeros_delta0(bc, sys.b1, sys.b2, n_max)
+    return zeros_delta0(bc, b1, b2, n_max)
 
-    if callable(determinant):
-        delta = determinant
-    elif determinant == "kernels":
-        ks = build_kernels(sys, n_grid, tol=tol)
-        delta = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
-    elif determinant == "direct":
-        delta = lambda lam: char_det_direct(sys, bc, lam, n_grid)  # noqa: E731
-    else:
-        raise ValueError("determinant must be 'kernels', 'direct' or a callable")
+
+def _pair_zeros(delta, window0: list, n_max: int, eps_ladder=EPS_LADDER_DEFAULT) -> SpectrumWindow:
+    """``zeros_deltaQ`` from its Delta_0 window ``window0`` and the
+    determinant callable ``delta``."""
     newton_f = _value_and_slope(delta)
 
     # one representative per cluster, with its multiplicity in the window
@@ -613,16 +624,6 @@ def zeros_deltaQ(
     return SpectrumWindow(tuple(entries), strip, n_max, head)
 
 
-def incompressible_density(seq, step: float = 0.25) -> int:
-    """Max count of entries with |Re lam - t| <= 1 over a sliding t-grid."""
-    re = np.array([complex(z).real for z in seq])
-    if re.size == 0:
-        return 0
-    ts = np.arange(re.min() - 1.0, re.max() + 1.0 + step, step)
-    counts = [(np.abs(re - t) <= 1.0).sum() for t in ts]
-    return int(max(counts))
-
-
 def csv_table(window: SpectrumWindow) -> tuple[list, list]:
     """Header and rows (n, Re lam0, Im lam0, Re lam, Im lam, multiplicity,
     eps), floats written by repr so they reload bit-exactly."""
@@ -633,10 +634,3 @@ def csv_table(window: SpectrumWindow) -> tuple[list, list]:
         for e in window.entries
     ]
     return header, rows
-
-
-def export_csv(window: SpectrumWindow, path) -> None:
-    """Write ``csv_table(window)`` to path."""
-    header, rows = csv_table(window)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])

@@ -12,21 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter
 
 import numpy as np
 
 from .boundary import BoundaryConditions, canonicalize
 from .gridfn import PNorm, SampledFunction, lp_norm
 from .ode import DiracSystem, fundamental_matrix
-from .spectrum import zeros_deltaQ
+from .spectrum import _pair_zeros, _window0
 from .transformop import (
-    _kernel_deviation,
-    _kernel_sets,
+    _kernel_traces,
+    _trace_evaluator,
     build_kernels,  # noqa: F401  kept bound here: perfbench's tracer wraps every module's binding
-    combos,
-    determinant_evaluator,
     potential_diff_norm,
 )
 
@@ -82,37 +78,17 @@ def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
     return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tail_lp, tail_wt, detail or {})
 
 
-_K_PM = attrgetter("kplus", "kminus")
-
-# pairs whose potentials share one march in run_ball_experiment: their R's
-# are alive together, two dense kernels per pair beyond the first
-_MARCH_PAIRS = 2
-
-
-def _marched(systems, n_grid):
-    """(K+, K-) of each potential of ``systems`` in turn, from one march
-    over all of them; R and P+/- of each are dropped once its K+/- exist."""
-    return map(_K_PM, _kernel_sets(systems, n_grid))
-
-
-def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, kernels=None, kernel_p=None):
-    """Both paired spectra and the Delta~ evaluator from one kernel build per
-    potential, plus the kernel deviation when ``kernel_p`` is given.
-    ``kernels`` yields (K+, K-) of sys_a and then of sys_b (by default from
-    one march over the two).  Each pair is dropped once nothing needs it,
-    so at most two are alive and none during pairing."""
-    if kernels is None:
-        kernels = _marched([sys_a, sys_b], n_grid)
-    ka = next(kernels)
-    delta_a = determinant_evaluator(bc, combos(*ka), sys_a.b1, sys_a.b2)
-    kb = next(kernels)
-    kernel_dev = _kernel_deviation(ka, kb, kernel_p) if kernel_p is not None else None
-    del ka
-    delta_b = determinant_evaluator(bc, combos(*kb), sys_b.b1, sys_b.b2)
-    del kb
-    wa = zeros_deltaQ(sys_a, bc, n_max, n_grid=n_grid, determinant=delta_a)
-    wb = zeros_deltaQ(sys_b, bc, n_max, n_grid=n_grid, determinant=delta_b)
-    return wa, wb, delta_b, kernel_dev
+def _pair_spectra(sys_a, sys_b, bc, n_max, n_grid, traces=None, window0=None):
+    """Both paired spectra and the Delta~ evaluator.  ``traces`` holds
+    (K+(1, .), K-(1, .)) of sys_a and of sys_b (by default from one march
+    over the two), and ``window0`` the Delta_0 window both pair against
+    (by default made here)."""
+    if traces is None:
+        traces, _ = _kernel_traces([sys_a, sys_b], n_grid)
+    if window0 is None:
+        window0 = _window0(bc, sys_a.b1, sys_a.b2, n_max)
+    delta_a, delta_b = (_trace_evaluator(bc, *trace, sys_a.b1, sys_a.b2) for trace in traces)
+    return _pair_zeros(delta_a, window0, n_max), _pair_zeros(delta_b, window0, n_max), delta_b
 
 
 def _eigen_report(wa, wb, p: float, ref: float) -> DeviationReport:
@@ -135,7 +111,7 @@ def eigen_deviation(
     """|lam_n - lam~_n| rows from the canonical pairings of both spectra
     against the shared unperturbed sequence."""
     p = PNorm(p).p
-    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
+    wa, wb, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
     return _eigen_report(wa, wb, p, potential_diff_norm(sys_a, sys_b, p, n_grid))
 
 
@@ -153,7 +129,7 @@ def two_sided_check(
     rows are (n, ratio | None) and the summary holds min/max over the tail
     |n| > n_head.
     """
-    wa, wb, delta_b, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
+    wa, wb, delta_b = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
     if n_head is None:
         n_head = max(wa.head_estimate, wb.head_estimate)
     rows = []
@@ -231,7 +207,7 @@ def eigenfunction_deviation(
     (the head region where the formula may degenerate) are skipped and
     flagged."""
     p = PNorm(p).p
-    wa, wb, _, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
+    wa, wb, _ = _pair_spectra(sys_a, sys_b, bc, n_max, n_grid)
     ref = potential_diff_norm(sys_a, sys_b, p, n_grid)
     return _eigenfunction_report(sys_a, sys_b, bc, wa, wb, p, s_norm, n_grid, ref)
 
@@ -302,31 +278,35 @@ def run_ball_experiment(
     p = PNorm(p).p
     pc = PNorm(p).conjugate().p
     rows = []
-    sampled = sampler.pairs(pairs, b1, b2, n_grid)
-    while chunk := list(islice(sampled, _MARCH_PAIRS)):
-        kernels = _marched([sys for pair in chunk for sys in pair], n_grid)
-        for qa, qb in chunk:
-            dq = potential_diff_norm(qa, qb, p, n_grid)
-            wa, wb, _, (dev_inf, dev_one) = _pair_spectra(qa, qb, bc, n_max, n_grid, kernels, kernel_p=p)
-            ev = _eigen_report(wa, wb, p, dq)
-            ef = _eigenfunction_report(qa, qb, bc, wa, wb, p, math.inf, n_grid, dq)
-            kernel_dev = dev_inf + dev_one
-            eigen_dev, ef_dev = (r.tail_lp_sum if math.isinf(pc) else r.tail_lp_sum ** (1.0 / pc) for r in (ev, ef))
-            rows.append(
-                {
-                    "pair": len(rows),
-                    "dq_norm": dq,
-                    "kernel_dev": kernel_dev,
-                    "eigen_dev": eigen_dev,
-                    "eigenfunction_dev": ef_dev,
-                    "kernel_ratio": kernel_dev / dq if dq > 0 else math.nan,
-                    "eigen_ratio": eigen_dev / dq if dq > 0 else math.nan,
-                    "eigenfunction_ratio": ef_dev / dq if dq > 0 else math.nan,
-                    "eigen_rows": [[n, d, flag] for n, d, flag in ev.rows],
-                    "eigenfunction_rows": [[n, d, flag] for n, d, flag in ef.rows],
-                    "head": max(ev.head, ef.head),
-                }
-            )
+    sampled = list(sampler.pairs(pairs, b1, b2, n_grid))
+    if sampled:
+        # one Delta_0 window, and one march over every potential keeping
+        # only the traces and the kernel deviation sums
+        window0 = _window0(bc, b1, b2, n_max)
+        traces, deviations = _kernel_traces([sys for pair in sampled for sys in pair], n_grid, p)
+    for k, (qa, qb) in enumerate(sampled):
+        dq = potential_diff_norm(qa, qb, p, n_grid)
+        wa, wb, _ = _pair_spectra(qa, qb, bc, n_max, n_grid, traces[2 * k : 2 * k + 2], window0)
+        ev = _eigen_report(wa, wb, p, dq)
+        ef = _eigenfunction_report(qa, qb, bc, wa, wb, p, math.inf, n_grid, dq)
+        dev_inf, dev_one = deviations[k].tolist()
+        kernel_dev = dev_inf + dev_one
+        eigen_dev, ef_dev = (r.tail_lp_sum if math.isinf(pc) else r.tail_lp_sum ** (1.0 / pc) for r in (ev, ef))
+        rows.append(
+            {
+                "pair": k,
+                "dq_norm": dq,
+                "kernel_dev": kernel_dev,
+                "eigen_dev": eigen_dev,
+                "eigenfunction_dev": ef_dev,
+                "kernel_ratio": kernel_dev / dq if dq > 0 else math.nan,
+                "eigen_ratio": eigen_dev / dq if dq > 0 else math.nan,
+                "eigenfunction_ratio": ef_dev / dq if dq > 0 else math.nan,
+                "eigen_rows": [[n, d, flag] for n, d, flag in ev.rows],
+                "eigenfunction_rows": [[n, d, flag] for n, d, flag in ef.rows],
+                "head": max(ev.head, ef.head),
+            }
+        )
     summary = {}
     for key in ("kernel_ratio", "eigen_ratio", "eigenfunction_ratio"):
         vals = [r[key] for r in rows if not math.isnan(r[key])]

@@ -9,9 +9,15 @@ gamma_k = b_j/b_k, alpha_k = b_j/(b_j-b_k), j = 3-k):
                         Q_jk(s) R_kk(s, gamma_k (s-x) + t) ds,
 
 the diagonal matrices P+/- solve a second-kind Volterra system driven by
-the t = 0 traces of R; finally
+the t = 0 traces of R, and
 
     K(x,t) = R(x,t) + P(x-t) + int_t^x R(x,s) P(s-t) ds.
+
+K+/- solve the same system as R with one boundary value changed: in
+place of R_kk(x, 0) = 0, the relation K(x, 0) B^{-1} (1, sigma)^T = 0,
+sigma = +/-1, gives K_kk(x, 0) = c_k K_jk(x, 0), c_1 = -sigma b1/b2 and
+c_2 = -sigma b2/b1.  So the march below solves them directly, and the
+R o P route above is only a test oracle.
 
 Everything is discretized on the shared uniform grid.  The solver works in
 "diagonal coordinates" (offset m = i-j, position j): the first equation's
@@ -34,21 +40,26 @@ diagonal at (i - w)/q, so their integrand is the diagonal's R_kk row
 upsampled by q times Q_jk upsampled once.  The march is that pass solving
 each diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
-Comp. 58, 1992), so it solves the discrete equations.  It writes each
-diagonal into the kernel array itself and certifies its state on the way:
-each diagonal's R_kk defect is its exact-node trapezoid along the diagonal
-less R_kk, and R_jk, written from its right-hand side, has none.  The same
-pass reading R instead of solving it is the substitution check of any
-state.  Both cost O(q N^2).
+Comp. 58, 1992), so it solves the discrete equations.  It hands each
+solved diagonal to its caller, which writes it into a kernel array or
+keeps what it needs of it, and certifies its state on the way: each
+diagonal's R_kk defect is its start value plus its exact-node trapezoid
+along the diagonal less R_kk, and R_jk, written from its right-hand side,
+has none.  The same pass reading R instead of solving it is the
+substitution check of any state.  Both cost O(q N^2).
 
-The pass runs over rows (potential, weight k) at once.  Both weights share
-q, since alpha_1 + alpha_2 = 1, and potentials on one grid with one pair
-of weights share every step of the loop over m, so one pass marches the
-R's of a whole stack of potentials: each row gets the operations of a
-one-potential march, and so its bits.  ``solve_R``, ``r_equation_residual``
-and ``build_kernels`` are the one-potential case, and ``solve_P``'s forward
-substitution runs over a stack the same way; the stability experiments
-march the potentials of several pairs together.
+The pass runs over rows (kernel, weight k) at once, a kernel being R, K+
+or K- of one potential.  Both weights share q, since alpha_1 + alpha_2 =
+1, and kernels on one grid with one pair of weights share every step of
+the loop over m, so one pass marches a whole stack: each row gets the
+operations of a one-kernel march, and so its bits.  A K row differs only
+at position 0 of each diagonal, where the boundary relation couples its
+two weights.  ``solve_R`` and ``r_equation_residual`` are the stack of one
+R; ``build_kernels`` marches R, K+ and K- of one potential into dense
+arrays; and the spectra and stability experiments march the K+/- of
+every potential of a request together, keeping only each diagonal's last
+node, which is the trace K+/-(1, .) that Delta_Q reads, and the row and
+column sums of the kernel deviation's mixed norms: no dense kernel.
 """
 
 from __future__ import annotations
@@ -67,16 +78,17 @@ from .gridfn import (
     PNorm,
     SampledFunction,
     TriangularKernel,
+    _COLUMN,
+    _PART,
+    _MixedSums,
     _trapezoid_weights,
     lp_norm,
-    x_norm,
 )
 from .ode import DiracSystem
 
 __all__ = [
     "ComboKernels",
     "KernelSet",
-    "assemble_K",
     "build_kernels",
     "combos",
     "determinant_evaluator",
@@ -201,28 +213,38 @@ def _per_weight(f) -> np.ndarray:
 
 
 class _RSweeper:
-    """The coupled R systems of a stack of potentials on one grid and one
-    pair of weights, in diagonal coordinates, stored in their kernel arrays
-    themselves.  One pass over the diagonals m = 0..N serves every row
-    (potential s, weight k): it either marches (solves the discrete
-    equations) or only reads R, and measures both equations' defect on the
-    way.
+    """The coupled R systems of a stack of kernels on one grid and one pair
+    of weights, in diagonal coordinates: entry s of the stack is the R
+    (``signs[s]`` = 0) or the K+/- (``signs[s]`` = +/-1) of potential
+    ``systems[s]``, the K rows after the R rows.  One pass over the
+    diagonals m = 0..N serves every row (kernel s, weight k): it either
+    marches (solves the discrete equations) or only reads the state, and
+    measures both equations' defect on the way.
 
     The rows of both weights share the line spacing q (alpha_2 = 1 -
     alpha_1) and differ in their first line and source cell, which per-step
     views with a k-dependent offset read (``_rows_at``).  Each diagonal is
     computed in contiguous (S, 2, L) temporaries, row by row the operations
-    of a single-row pass, and written per potential into its own (N+1, N+1,
-    2, 2) array.  One potential is the same code with S = 1.
+    of a single-row pass, and traded with the caller (``walk``), or with one
+    (N+1, N+1, 2, 2) array per kernel (``sweep``).  One kernel is the same
+    code with S = 1.
 
     R_kk and Q_jk are upsampled by q into slots split by their residue r
     mod q, so that the slots of one residue are contiguous: slot q l + r of
     a row is entry (r, l) of its (q, L) table."""
 
-    def __init__(self, systems, n: int):
+    def __init__(self, systems, n: int, signs=None):
         sys = systems[0]
         if any((other.b1, other.b2) != (sys.b1, sys.b2) for other in systems):
             raise ValueError("a march stacks potentials with the same weights only")
+        if n < 8:
+            raise ValueError("grid size N must be >= 8 for the kernel solve")
+        signs = [0] * len(systems) if signs is None else list(signs)
+        # the K rows, sigma = +/-1, follow the R rows (sigma = 0) as one slice
+        self.k_rows = slice(sum(1 for sign in signs if not sign), None)
+        self.has_k = any(signs)
+        if any(not sign for sign in signs[self.k_rows]):
+            raise ValueError("a march stacks the R rows before the K rows")
         self.n = n
         self.h = 1.0 / n
         npts = n + 1
@@ -263,6 +285,9 @@ class _RSweeper:
         self.coeff = _per_weight(lambda k, j: -1j * b[j] * alpha[j] * h)
         self.diag_coeff = _per_weight(lambda k, j: -1j * b[k] * h)
         self.end_half = (0.5 * self.coeff) * self.qjk
+        # K(x, 0) B^{-1} (1, sigma)^T = 0: K_kk(x, 0) = c_k K_jk(x, 0) per K row
+        sigma = np.array(signs[self.k_rows], dtype=float)[:, None]
+        self.couple = sigma * -np.array([b[1] / b[2], b[2] / b[1]])
 
     def _source_rows(self, m: int) -> np.ndarray:
         """Q_jk(alpha_k x + alpha_j t) at the nodes of diagonal m, every row
@@ -306,11 +331,48 @@ class _RSweeper:
             np.subtract(x[..., 0], (x[..., 1] - x[..., 0]) / q, out=table[..., q - 1, 0])
         return table, rup
 
+    def _start(self, m: int, a0: np.ndarray) -> np.ndarray:
+        """K_kk(x_m, 0) of every K row (S_K, 2) from the right-hand sides
+        ``a0`` of R_jk at the node (m, 0): the boundary relation couples the
+        weights, x_k = c_k (a_j + e_j x_j), e_j the end-term factor there
+        (none on diagonal 0), so x_1 = (c_1 a_2 + e_2 a_1) / (1 - e_1 e_2)
+        and x_2 = (c_2 a_1 + e_1 a_2) / (1 - e_1 e_2), as c_1 c_2 = 1."""
+        start = self.couple * a0[:, ::-1]
+        if m:
+            e = self.end_half[self.k_rows, :, m]
+            start += e[:, ::-1] * a0
+            start /= (1.0 - e[:, 0] * e[:, 1])[:, None]
+        return start
+
     def sweep(self, datas, solve: bool) -> np.ndarray:
-        """One pass over the diagonals m = 0..N of every row, R in the kernel
-        arrays ``datas`` (one per potential); returns, per row (S, 2), the
-        largest R_kk defect, R_jk defect and |R| (the last for ``solve``
-        only) over its nodes, as an array (3, S, 2).
+        """``walk`` with the kernel arrays ``datas``, one per kernel of the
+        stack: the march writes each diagonal into them, the check reads
+        it from them."""
+        npts = self.n + 1
+        flats = [data.reshape(-1) for data in datas]
+        index = _diagonal_index(npts)
+
+        def write(m, state):
+            nodes = index[..., : npts - m] + 4 * m * npts
+            for flat, rows in zip(flats, state):
+                flat[nodes] = rows
+
+        def read(m, state):
+            nodes = index[..., : npts - m] + 4 * m * npts
+            for flat, rows in zip(flats, state):
+                np.take(flat, nodes, out=rows)
+
+        return self.walk(write if solve else read, solve)
+
+    def walk(self, diagonal, solve: bool) -> np.ndarray:
+        """One pass over the diagonals m = 0..N of every row, which trades
+        each diagonal with the caller: ``diagonal(m, state)`` gets the state
+        (S, 2, 2, N+1-m), indexed [row, (R_kk, R_jk), k, l] for the nodes
+        (m + l, l), once the march has solved it, and must fill it in for
+        the check.  Returns, per row (S, 2), the largest R_kk defect, R_jk
+        defect and |R| (the last for ``solve`` only) over its nodes, as an
+        array (3, S, 2).  A K row is the same with K_kk(x, 0) from the
+        boundary relation in place of R_kk(x, 0) = 0.
 
         ``sums`` holds every line's trapezoid sum over the diagonals passed
         (half weight at diagonal 0); a node reads its line, or the two lines
@@ -323,17 +385,18 @@ class _RSweeper:
         reads R_jk on the same diagonal at positions <= l, and the
         trapezoid along the diagonal turns the end-term coupling into the
         recurrence (1 - d(s)) R_kk[m, l] = (1 + d(s-1)) R_kk[m, l-1] + r_l,
-        s = m + l, whose factors depend on s alone; R_jk is then written from
-        its right-hand side, so its defect is zero.  Otherwise (the check)
-        both are read, and R_jk's right-hand side is compared with it.
-        Either way the diagonal's R_kk defect is its exact-node trapezoid of
-        Q_kj R_jk along the diagonal less R_kk, and the R_kk row's line
-        integrand then joins the sums."""
+        s = m + l, whose factors depend on s alone; a K row's start value
+        K_kk[m, 0] enters as growth[m + l] / growth[m] times it.  R_jk is
+        then written from its right-hand side, so its defect is zero.
+        Otherwise (the check) both are read, and R_jk's right-hand side is
+        compared with it.  Either way the diagonal's R_kk defect is its
+        start value plus the exact-node trapezoid of Q_kj R_jk along the
+        diagonal less R_kk, and the R_kk row's line integrand then joins
+        the sums."""
         n, q = self.n, self.q
         npts = n + 1
-        stack = len(datas)
-        flats = [data.reshape(-1) for data in datas]
-        index = _diagonal_index(npts)
+        stack = self.qjk.shape[0]
+        ks = self.k_rows
         qkj = self.qjk[:, ::-1].copy()
         if solve:
             diag_half, growth, scale = self._recurrence()
@@ -347,27 +410,31 @@ class _RSweeper:
             if between:
                 lines = lines + w * (_rows_at(sums, [base + 1 for base in bases], (top + 1,), (q,)) - lines)
             a = self.c0 * self._source_rows(m) + self.coeff * lines
+            if self.has_k:
+                start = self._start(m, a[ks, :, 0])
             state = np.empty((stack, 2, 2, top + 1), dtype=complex)  # [s, (R_kk, R_jk), k, l]
             x, y = state[:, 0], state[:, 1]
-            nodes = index[..., : top + 1] + 4 * m * npts
-            if solve:  # x[0] = 0: a path of one point
+            if solve:  # R: x[0] = 0, a path of one point
                 pa = diag_half[..., m:] * a
                 x[..., 0] = 0.0
+                acc = pa[..., :-1] + pa[..., 1:]
                 if m:
-                    acc = pa[..., :-1] + pa[..., 1:]
                     acc *= scale[..., m + 1 :]
+                if self.has_k:  # K: x[0] = start, entering the sum as start / growth[m]
+                    x[ks, :, 0] = start
+                    if top:
+                        acc[ks, :, 0] += start / growth[ks, :, m] if m else start
+                if m:
                     np.multiply(growth[..., m + 1 :], np.add.accumulate(acc, axis=-1), out=x[..., 1:])
                     np.multiply(self.end_half[..., m:], x, out=y)
                     y += a
                 else:
-                    np.add.accumulate(pa[..., :-1] + pa[..., 1:], axis=-1, out=x[..., 1:])
+                    np.add.accumulate(acc, axis=-1, out=x[..., 1:])
                     y[...] = a
-                for flat, rows in zip(flats, state):
-                    flat[nodes] = rows
+                diagonal(m, state)
                 np.maximum.reduce(np.abs(state), axis=(1, 3), out=worst[2, m])
             else:
-                for flat, rows in zip(flats, state):
-                    np.take(flat, nodes, out=rows)
+                diagonal(m, state)
                 rjk = a + self.end_half[..., m:] * x if m else a
                 rjk -= y
                 np.maximum.reduce(np.abs(rjk), axis=-1, out=worst[1, m])
@@ -378,6 +445,8 @@ class _RSweeper:
             update -= g
             update *= self.diag_coeff
             update -= x
+            if self.has_k:
+                update[ks] += start[..., None]
             np.maximum.reduce(np.abs(update), axis=-1, out=worst[0, m])
             if m == n:
                 break
@@ -401,23 +470,28 @@ class _RSweeper:
         return worst.max(axis=1)
 
 
-def _solve_Rs(systems, n: int, tol: float) -> list:
-    """(R, its check) for every potential of ``systems`` from one march;
-    raises IterationLimitError for the first whose check is not below
-    ``tol`` max(1, max |R|)."""
-    if n < 8:
-        raise ValueError("grid size N must be >= 8 for the kernel solve")
+def _certified(worst: np.ndarray, signs, tol: float) -> list:
+    """Each row's check from a march's maxima ``worst`` (3, S, 2); raises
+    IterationLimitError for the first not below ``tol`` max(1, max |kernel|)."""
+    out = []
+    for sign, residual, size in zip(signs, worst[:2].max(axis=(0, 2)).tolist(), worst[2].max(axis=1).tolist()):
+        if not residual < tol * max(1.0, size):
+            name = {0: "R", 1: "K+", -1: "K-"}[sign]
+            raise IterationLimitError(
+                f"kernel substitution check is not below tol={tol} times max(1, max|{name}|), max|{name}| = {size:.3e}",
+                residual)
+        out.append(residual)
+    return out
+
+
+def _march(systems, signs, n: int, tol: float) -> tuple[list, list]:
+    """Kernel arrays of one march over the rows (systems[s], signs[s]), R
+    for sign 0 and K+/- for +/-1, and each row's check."""
     # formed before the sweeper's tables: the kernels CLI's peak RSS moves
     # with where glibc's heap places this array (BENCH_15.json has both orders)
     datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in systems]
-    worst = _RSweeper(systems, n).sweep(datas, solve=True)
-    out = []
-    for data, residual, size in zip(datas, worst[:2].max(axis=(0, 2)).tolist(), worst[2].max(axis=1).tolist()):
-        if not residual < tol * max(1.0, size):
-            raise IterationLimitError(
-                f"kernel substitution check is not below tol={tol} times max(1, max|R|), max|R| = {size:.3e}", residual)
-        out.append((TriangularKernel(data), residual))
-    return out
+    worst = _RSweeper(systems, n, signs).sweep(datas, solve=True)
+    return datas, _certified(worst, signs, tol)
 
 
 def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual: bool = False):
@@ -430,7 +504,8 @@ def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual:
     IterationLimitError: no further iteration can certify R below the
     defect's own roundoff.
     """
-    [(kernel, residual)] = _solve_Rs([sys], n, tol)
+    [data], [residual] = _march([sys], [0], n, tol)
+    kernel = TriangularKernel(data)
     return (kernel, residual) if return_residual else kernel
 
 
@@ -453,44 +528,6 @@ def _volterra_trapezoid(kern: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_Ps(rs, sys: DiracSystem, n: int) -> list:
-    """(P+, P-, defect) for every kernel R of ``rs`` (one grid, the weights
-    of ``sys``): one forward substitution over all of them, each step one
-    batched product of every R's row against its solution so far."""
-    h = 1.0 / n
-    a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
-    idx = np.arange(n + 1)
-    signs = np.array([1.0, -1.0])
-    g = np.empty((len(rs), n + 1, 2, 2), dtype=complex)  # g[s, i, component, sign]
-    inv = np.empty_like(g)
-    for gs, invs, r in zip(g, inv, rs):
-        rmat = r.data  # (N+1, N+1, 2, 2)
-        gs[:, 0] = (-a2 * rmat[:, 0, 0, 1])[:, None] * signs
-        gs[:, 1] = (-a1 * rmat[:, 0, 1, 0])[:, None]
-        # the trapezoid's s = x_i node, moved to the left-hand side
-        invs[...] = np.linalg.inv(np.eye(2) + (0.5 * h) * rmat[idx, idx])
-    rows = [r.data.transpose(0, 2, 1, 3) for r in rs]  # [i, a, j, b]
-    v = np.empty_like(g)
-    v[:, 0] = 0.5 * g[:, 0]  # the trapezoid's half weight at s = 0, restored below
-    for i in range(1, n + 1):
-        lhs = np.empty((len(rs), 2, i, 2), dtype=complex)
-        for out, rt in zip(lhs, rows):
-            out[...] = rt[i, :, :i]
-        acc = lhs.reshape(-1, 2, 2 * i) @ v[:, :i].reshape(-1, 2 * i, 2)
-        v[:, i] = inv[:, i] @ (g[:, i] - h * acc)
-    v[:, 0] = g[:, 0]
-    out = []
-    for vs, gs, r in zip(v, g, rs):
-        ps = []
-        residuals = []
-        for col, sign in enumerate((+1, -1)):
-            # defect of the discrete equations, all rows in one product
-            residuals.append(float(np.abs(vs[:, :, col] + _volterra_trapezoid(r.data, vs[:, :, col]) - gs[:, :, col]).max()))
-            ps.append(SampledFunction(np.stack([sys.b1 * vs[:, 0, col], sign * sys.b2 * vs[:, 1, col]], axis=1)))
-        out.append((*ps, max(residuals)))
-    return out
-
-
 def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """Diagonal factors P+/- from the second-kind Volterra system driven by
     the t = 0 traces of R; one forward substitution on the triangular grid
@@ -501,101 +538,40 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """
     if r.n != n:
         raise GridMismatchError(f"kernel grid {r.n} != requested {n}")
-    return _solve_Ps([r], sys, n)[0]
-
-
-_K_BLOCK = 64  # rows and columns per block of the triangular products
-
-
-def _toeplitz_lower(column: np.ndarray) -> np.ndarray:
-    """T[i, j] = column[i - j] on and below the diagonal, zero above, as a
-    read-only strided view of the reversed column padded with N zeros."""
-    n = column.shape[0] - 1
-    padded = np.concatenate([column[::-1], np.zeros(n, dtype=column.dtype)])
-    return np.lib.stride_tricks.sliding_window_view(padded, n + 1)[::-1]
-
-
-def assemble_K(r: TriangularKernel, pplus: SampledFunction, pminus: SampledFunction, n: int):
-    """K(x,t) = R(x,t) + P(x-t) + int_t^x R(x,s) P(s-t) ds for both signs.
-
-    Only the lower-triangular blocks of the integral are formed: for each
-    block of rows I and block of columns J <= I, one matrix product takes
-    R's rows I for both first indices against the Toeplitz rows j0..i1 of
-    P_b with P_b(0) halved (the trapezoid weight at s = t), and the s = x
-    weight comes off as half of R(x, x) times the Toeplitz row P_b(x - t).
-    The halving touches that row only at t = x, where the one-point path
-    s = t = x integrates to zero and is set so.  Each block is scaled by h
-    and added into K; R and P vanish above the diagonal, so every term does
-    too and no mask is applied."""
-    if r.n != n or pplus.n != n or pminus.n != n:
-        raise GridMismatchError("kernel and P factors must share the grid")
     h = 1.0 / n
-    npts = n + 1
-    nb = min(_K_BLOCK, npts)
-    idx = np.arange(npts)
-    rmat = r.data
-    rdiag = 0.5 * rmat[idx, idx].transpose(1, 2, 0)  # [a, b, i] = R_ab(x_i, x_i) / 2
-    datas = []
-    # per b: (data, Toeplitz view T[k, c] = P_b(k - c) with P_b(0) halved);
-    # its leading rows hold every block T[j0 + k, j0 + c]
-    factors = ([], [])
-    for p in (pplus, pminus):
-        data = rmat.copy()
-        for b in (0, 1):
-            col = p.samples[:, b]
-            data[:, :, b, b] += _toeplitz_lower(col)
-            if col.any():
-                half = col.copy()
-                half[0] *= 0.5
-                factors[b].append((data, _toeplitz_lower(half)))
-        datas.append(data)
-    for i0 in range(0, npts, nb):
-        i1 = min(i0 + nb, npts)
-        rows = i1 - i0
-        for b in (0, 1):
-            if not factors[b]:
-                continue
-            # R's rows I for both a, stacked: (2 * rows) x i1
-            rrows = rmat[i0:i1, :i1, :, b].transpose(2, 0, 1).reshape(2 * rows, i1)
-            for data, toep in factors[b]:
-                for j0 in range(0, i1, nb):
-                    j1 = min(j0 + nb, i1)
-                    cols = j1 - j0
-                    block = (rrows[:, j0:] @ toep[: i1 - j0, :cols]).reshape(2, rows, cols)
-                    block -= rdiag[:, b, i0:i1, None] * toep[i0 - j0 : i1 - j0, :cols]
-                    if j0 == i0:
-                        block[:, idx[:rows], idx[:rows]] = 0.0
-                    block *= h
-                    data[i0:i1, j0:j1, :, b] += block.transpose(1, 2, 0)
-            del rrows  # freed before the next gather
-    return TriangularKernel(datas[0]), TriangularKernel(datas[1])
-
-
-def _kernel_set(sys: DiracSystem, r: TriangularKernel, r_res: float, pplus, pminus, p_res: float) -> KernelSet:
-    """K+/- from R and P+/-, with the residuals of all three."""
-    kplus, kminus = assemble_K(r, pplus, pminus, r.n)
-    residuals = {"R": r_res, "P": p_res, "K_boundary": _boundary_relation_defect(sys, kplus, kminus)}
-    return KernelSet(r, pplus, pminus, kplus, kminus, residuals)
+    a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
+    idx = np.arange(n + 1)
+    rmat = r.data  # (N+1, N+1, 2, 2)
+    g = np.empty((n + 1, 2, 2), dtype=complex)  # g[i, component, sign]
+    g[:, 0] = (-a2 * rmat[:, 0, 0, 1])[:, None] * np.array([1.0, -1.0])
+    g[:, 1] = (-a1 * rmat[:, 0, 1, 0])[:, None]
+    # the trapezoid's s = x_i node, moved to the left-hand side
+    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * rmat[idx, idx])
+    rows = rmat.transpose(0, 2, 1, 3)  # [i, a, j, b]
+    v = np.empty_like(g)
+    v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0, restored below
+    for i in range(1, n + 1):
+        acc = rows[i, :, :i].reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
+        v[i] = inv[i] @ (g[i] - h * acc)
+    v[0] = g[0]
+    ps = []
+    residuals = []
+    for col, sign in enumerate((+1, -1)):
+        # defect of the discrete equations, all rows in one product
+        residuals.append(float(np.abs(v[:, :, col] + _volterra_trapezoid(rmat, v[:, :, col]) - g[:, :, col]).max()))
+        ps.append(SampledFunction(np.stack([sys.b1 * v[:, 0, col], sign * sys.b2 * v[:, 1, col]], axis=1)))
+    return (*ps, max(residuals))
 
 
 def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelSet:
-    """Full pipeline R -> P+/- -> K+/- with residual bookkeeping."""
-    r, r_res = solve_R(sys, n, tol=tol, return_residual=True)
-    return _kernel_set(sys, r, r_res, *solve_P(r, sys, n))
-
-
-def _kernel_sets(systems, n: int, tol: float = DEFAULT_TOL):
-    """``build_kernels`` for every potential of ``systems`` (one grid, one
-    pair of weights), in order: one march and one forward substitution
-    serve them all, and each K+/- pair is assembled when its set is asked
-    for, so that beside the sets the caller keeps only the R's not yet
-    handed out are alive."""
-    marched = _solve_Rs(systems, n, tol)
-    factors = _solve_Ps([r for r, _ in marched], systems[0], n)
-    marched.reverse()
-    factors.reverse()
-    for sys in systems:
-        yield _kernel_set(sys, *marched.pop(), *factors.pop())
+    """R, P+/- and K+/- with residual bookkeeping: R, K+ and K- from one
+    march as rows of one stack, each certified by its own check, and P+/-
+    from R."""
+    datas, checks = _march([sys] * 3, (0, 1, -1), n, tol)
+    r, kplus, kminus = (TriangularKernel(data) for data in datas)
+    pplus, pminus, p_res = solve_P(r, sys, n)
+    residuals = {"R": checks[0], "P": p_res, "K_boundary": _boundary_relation_defect(sys, kplus, kminus)}
+    return KernelSet(r, pplus, pminus, kplus, kminus, residuals)
 
 
 def _boundary_relation_defect(sys: DiracSystem, kplus: TriangularKernel, kminus: TriangularKernel) -> float:
@@ -629,11 +605,15 @@ def combos(kplus: TriangularKernel, kminus: TriangularKernel) -> ComboKernels:
 
 def _step_powers(z: np.ndarray, count: int) -> np.ndarray:
     """z^0 .. z^{count-1} for the last axis of z, by one running product
-    along the new second-to-last axis: shape z.shape[:-1] + (count, L)."""
+    along the new second-to-last axis, a row-wise multiply per step (faster
+    than ``np.cumprod`` along that axis): shape z.shape[:-1] + (count, L)."""
     out = np.empty(z.shape[:-1] + (count, z.shape[-1]), dtype=complex)
     out[..., 0, :] = 1.0
-    out[..., 1:, :] = z[..., None, :]
-    return np.cumprod(out, axis=-2, out=out)
+    if count > 1:
+        out[..., 1, :] = z
+    for k in range(2, count):
+        np.multiply(out[..., k - 1, :], z, out=out[..., k, :])
+    return out
 
 
 def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b2: float):
@@ -662,8 +642,14 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
     max(e^{-b_l t_j y_lo}, e^{-b_l t_j y_hi}), c_{l,j} = h w_j g_l(t_j).
     The zero counts use it to certify every piece of a contour.
     """
+    return _trace_evaluator(bc, ck.kplus.data[ck.n], ck.kminus.data[ck.n], b1, b2)
+
+
+def _trace_evaluator(bc: BoundaryConditions, kp: np.ndarray, km: np.ndarray, b1: float, b2: float):
+    """``determinant_evaluator``'s callable from the traces K+(1, .) and
+    K-(1, .) alone, each of shape (N+1, 2, 2): all that Delta_Q reads."""
     m = minors(bc)
-    n = ck.n
+    n = kp.shape[0] - 1
     h = 1.0 / n
     t = np.linspace(0.0, 1.0, n + 1)
     w = _trapezoid_weights(n)
@@ -672,7 +658,6 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
     # terms[l, j, c]: coefficient of z^j in column c (value, slope) of
     # weight l, zero-padded to A B terms
     terms = np.zeros((2, blocks * base, 2), dtype=complex)
-    kp, km = ck.kplus.data[n], ck.kminus.data[n]  # K+/-(1, .) is all Delta_Q reads
     for l, b in ((1, b1), (2, b2)):
         g = (
             m[3, 2] * _combo(kp, km, 1, l, 1)
@@ -736,22 +721,39 @@ def kernel_deviation_norms(sys_a: DiracSystem, sys_b: DiracSystem, p, n: int, to
     norms, together with ||Q - Q~||_p; the ratio dev / ||Q - Q~||_p is the
     monitored Lipschitz quantity (the theory's constant is nonconstructive).
     """
-    ka, kb = ((ks.kplus, ks.kminus) for ks in _kernel_sets([sys_a, sys_b], n, tol))
-    deviation = _kernel_deviation(ka, kb, p)
-    return (*deviation, potential_diff_norm(sys_a, sys_b, p, n))
+    _, deviations = _kernel_traces([sys_a, sys_b], n, p, tol)
+    dev_inf, dev_one = deviations[0].tolist()
+    return dev_inf, dev_one, potential_diff_norm(sys_a, sys_b, p, n)
 
 
-def _kernel_deviation(ka: tuple, kb: tuple, p) -> tuple[float, float]:
-    """Worst-sign (infinity, one) mixed-norm deviation between two (K+, K-)
-    pairs on the same grid."""
-    p = PNorm(p)
-    dev_inf = 0.0
-    dev_one = 0.0
-    for pick_a, pick_b in zip(ka, kb):
-        diff = TriangularKernel(pick_a.data - pick_b.data)
-        dev_inf = max(dev_inf, x_norm(diff, "infinity", p))
-        dev_one = max(dev_one, x_norm(diff, "one", p))
-    return dev_inf, dev_one
+def _kernel_traces(systems, n: int, p=None, tol: float = DEFAULT_TOL):
+    """K+/-(1, .) of every potential of ``systems`` (one grid, one pair of
+    weights), from one march over their K+ and K- rows that keeps each
+    diagonal's last node only; with ``p``, also the worst-sign (infinity,
+    one) mixed-norm deviation of K+/- within each pair (systems[0],
+    systems[1]), (systems[2], systems[3]), ..., summed diagonal by
+    diagonal (``_MixedSums``).  No dense kernel is formed.
+
+    Returns (traces, deviations): per potential (K+(1, .), K-(1, .)), each
+    of shape (N+1, 2, 2), and an array (pairs, 2) of (dev_inf, dev_one),
+    empty without ``p``.  Raises IterationLimitError as ``solve_R`` does."""
+    rows = [sys for sys in systems for _ in (1, -1)]
+    signs = [1, -1] * len(systems)
+    sums = _MixedSums((len(systems) // 2, 2), n, p) if p is not None else None
+    ends = np.empty((len(rows), 2, 2, n + 1), dtype=complex)  # [row, (K_kk, K_jk), k, t] at x = 1
+
+    def keep(m, state):
+        ends[..., n - m] = state[..., -1]
+        if sums is not None:
+            pairs = state.reshape((-1, 2, 2) + state.shape[1:])  # [pair, potential, sign, part, k, l]
+            diff = pairs[:, 0] - pairs[:, 1]
+            sums.add(m, diff)
+
+    worst = _RSweeper(rows, n, signs).walk(keep, solve=True)
+    _certified(worst, signs, tol)
+    traces = [np.ascontiguousarray(row.transpose(2, 0, 1)) for row in ends[:, _PART, _COLUMN]]
+    deviations = np.stack(sums.norms(), axis=-1).max(axis=1) if sums is not None else np.empty((0, 2))
+    return list(zip(traces[0::2], traces[1::2])), deviations
 
 
 _KERNEL_MAGIC = struct.Struct("<II")

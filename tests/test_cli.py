@@ -498,6 +498,23 @@ class TestExitCodes:
         assert code == 0
         assert peak <= cli._LIVE_KERNELS[task] * 64 * 257**2
 
+    def test_stability_peak_below_one_dense_kernel(self, tmp_path):
+        # the march keeps each K+/- row's trace at x = 1 and the kernel
+        # deviation's row and column sums, so a request holds no dense
+        # kernel: 0.60 of one at N = 256, where assembling K+/- read 8.0
+        payloads = [{"system": {"b1": -1.0, "b2": 2.0}, "n": n, "n_max": 4, "pairs": 2,
+                     "bc": {"canonical": [0.5, 1, 1, 0.5]}} for n in (16, 256)]
+        assert main(["stability", "--config", write_config(tmp_path, payloads[0]), "--out", str(tmp_path / "warm")]) == 0
+        cfg = write_config(tmp_path, payloads[1])
+        tracemalloc.start()
+        try:
+            code = main(["stability", "--config", cfg, "--out", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 257**2
+
     def test_io_failure(self, tmp_path):
         cfg = write_config(
             tmp_path,

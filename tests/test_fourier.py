@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from diracbvp.boundary import BoundaryConditions
-from diracbvp.fourier import bessel_sum, fourier, maximal_fourier, sFk
+from diracbvp.fourier import bessel_sum, fourier, maximal_fourier
 from diracbvp.gridfn import InvalidExponentError, SampledFunction, lp_norm
-from diracbvp.ode import DiracSystem
 from diracbvp.spectrum import zeros_delta0
 
 
@@ -61,32 +60,6 @@ class TestMaximalFourier:
         near = max(abs(fourier(g, t)) for t in np.linspace(0, 100, 301))
         far = max(abs(fourier(g, t)) for t in np.linspace(100, 200, 301))
         assert far < near
-
-
-class TestSFk:
-    def make_system(self):
-        n = 256
-        x = np.linspace(0, 1, n + 1)
-        q12 = SampledFunction((np.cos(2 * np.pi * x) + 0.2).astype(complex))
-        q21 = SampledFunction((np.sin(2 * np.pi * x) - 0.1j).astype(complex))
-        return DiracSystem(-1.0, 2.0, q12, q21)
-
-    def test_zero_potential(self):
-        sys = DiracSystem.zero(-1.0, 1.0, 64)
-        assert sFk(sys, 1.0, 3.0, 1) == 0.0
-
-    def test_collapse_at_x_one(self):
-        sys = self.make_system()
-        lam = 2.5 + 0.3j
-        # channel k=1 integrates Q21 against e^{i(b1-b2) lam t}
-        assert abs(sFk(sys, 1.0, lam, 1) - maximal_fourier(sys.q21, (sys.b1 - sys.b2) * lam)) < 1e-14
-        assert abs(sFk(sys, 1.0, lam, 2) - maximal_fourier(sys.q12, (sys.b2 - sys.b1) * lam)) < 1e-14
-
-    def test_monotone_in_x(self):
-        sys = self.make_system()
-        lam = 1.0 - 0.5j
-        vals = [sFk(sys, xv, lam, 1) for xv in (0.2, 0.5, 0.8, 1.0)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestBesselSum:

@@ -137,7 +137,41 @@ class TestTriangularKernel:
         assert np.all(k.data[0, 5] == 0) and not k.data.flags.writeable
 
 
+def dense_x_norm(kernel, family, p):
+    """Reference x_norm: every node's matrix norm at once, weighted by the
+    trapezoid's (N+1, N+1) table and summed along rows or columns."""
+    a = np.abs(kernel.data if family == "one" else np.swapaxes(kernel.data, -1, -2))
+    if math.isinf(p):
+        mats = a.max(axis=(-2, -1))
+    else:
+        mats = np.maximum((a[..., 0, 0] ** p + a[..., 1, 0] ** p) ** (1.0 / p), (a[..., 0, 1] ** p + a[..., 1, 1] ** p) ** (1.0 / p))
+    n = kernel.n
+    if math.isinf(p):
+        return float(mats.max())
+    w = np.ones((n + 1, n + 1))
+    np.fill_diagonal(w, 0.5)
+    if family == "one":
+        w[n, :] = 0.5
+        w[n, n] = 0.0
+    else:
+        w[:, 0] = 0.5
+        w[0, 0] = 0.0
+    sums = (w * mats**p).sum(axis=0 if family == "one" else 1) / n
+    return float(sums.max() ** (1.0 / p))
+
+
 class TestXNorm:
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_diagonal_sums_match_the_dense_weights(self, n, rng):
+        # summed diagonal by diagonal, in another order than the dense
+        # table's row and column sums: equal to roundoff
+        shape = (n + 1, n + 1, 2, 2)
+        k = TriangularKernel(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for p in (1.0, 1.5, 2.0, math.inf):
+            for family in ("one", "infinity"):
+                ref = dense_x_norm(k, family, p)
+                assert abs(x_norm(k, family, p) - ref) <= 1e-13 * ref
+
     def test_zero_kernel(self):
         assert x_norm(TriangularKernel.zero(16), "one", 2) == 0.0
         assert x_norm(TriangularKernel.zero(16), "infinity", 2) == 0.0
@@ -162,7 +196,7 @@ class TestXNorm:
         # sup of |A u| over unit vectors; random samples verify <=, the
         # analytic maximizers (basis vectors / Hoelder-equality vectors)
         # verify the sup is attained
-        from diracbvp.gridfn import _mat_norm_one_to_p
+        from diracbvp.gridfn import _COLUMN, _PART, _node_powers
 
         def normalize(v, p_exp):
             if math.isinf(p_exp):
@@ -178,7 +212,8 @@ class TestXNorm:
             u = np.vstack([u, np.eye(2)])
             img = np.einsum("ab,mb->ma", a, u)
             brute = ((np.abs(img) ** p).sum(axis=1) ** (1.0 / p)).max()
-            closed = _mat_norm_one_to_p(a[None, None], p)[0, 0]
+            one_p, inf_p = _node_powers(a[_PART, _COLUMN, None], p)
+            closed = one_p[0] ** (1.0 / p)
             assert abs(brute - closed) <= 1e-9 * closed
             # |A|_{p'->inf}: sup over the l^{p'} sphere, attained at the
             # Hoelder-equality vector of the dominating row
@@ -188,7 +223,7 @@ class TestXNorm:
             u = np.vstack([u, normalize(extremes, pc)])
             img = np.einsum("ab,mb->ma", a, u)
             brute = np.abs(img).max()
-            closed = _mat_norm_one_to_p(a.T[None, None], p)[0, 0]  # |A|_{p'->inf} = |A^T|_{1->p}
+            closed = inf_p[0] ** (1.0 / p)
             assert abs(brute - closed) <= 1e-9 * closed
 
     def test_submultiplicative_under_composition(self, rng):

@@ -1,5 +1,4 @@
 import cmath
-import csv
 import math
 from collections import Counter
 from functools import partial
@@ -24,8 +23,6 @@ from diracbvp.spectrum import (
     _value_and_slope,
     _winding,
     count_zeros_disk,
-    export_csv,
-    incompressible_density,
     zeros_delta0,
     zeros_deltaQ,
 )
@@ -307,6 +304,15 @@ class TestCountZeros:
     def test_zero_on_contour_rejected(self):
         with pytest.raises(ContourTooCloseError):
             count_zeros_disk(lambda z: z - 1.0, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_sample_refused_before_dividing(self):
+        # the node at angle 0 is the zero itself: the argument increments
+        # divided by it and warned before the contour was refused
+        with pytest.raises(ContourTooCloseError):
+            count_zeros_disk(lambda z: z - 1.0, 0.0, 1.0)
+        nodes = np.array([1.0, 1j, -1.0, -1j])
+        assert _winding(lambda z: z - 1.0, np.concatenate([nodes, 2 * nodes]), np.repeat([0, 1], 4))[1] == 1
 
     def test_one_evaluation_per_contour_with_or_without_slope(self):
         # the count needs no derivative: every callable, with or without
@@ -800,35 +806,3 @@ class TestRowOperations:
         assert [(e.n, e.multiplicity, e.verified) for e in got] == [(e.n, e.multiplicity, e.verified) for e in ref]
         for e, e_ref in zip(got, ref):
             assert abs(e.lam - e_ref.lam) <= 1e-10 * abs(e_ref.lam)
-
-
-class TestIncompressibleDensity:
-    def test_sparse_progression(self):
-        seq = [2 * math.pi * n for n in range(-20, 21)]
-        assert incompressible_density(seq) == 1
-
-    def test_integers(self):
-        seq = list(range(-20, 21))
-        assert incompressible_density(seq) == 3
-
-    def test_merged_double_zeros(self):
-        seq = []
-        for n in range(-10, 11):
-            seq.extend([math.pi + 2 * math.pi * n] * 2)
-        assert incompressible_density(seq) == 2
-
-    def test_empty(self):
-        assert incompressible_density([]) == 0
-
-
-def test_export_csv(tmp_path):
-    bc = BoundaryConditions.from_canonical(0, 1, 1, 0)
-    sys = DiracSystem.zero(-1.0, 1.0, 64)
-    window = zeros_deltaQ(sys, bc, 5, n_grid=64)
-    path = tmp_path / "spectrum.csv"
-    export_csv(window, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n", "re_lam0", "im_lam0", "re_lam", "im_lam", "multiplicity", "ladder_eps"]
-    assert len(rows) == 1 + 11
-    assert [int(r[0]) for r in rows[1:]] == list(range(-5, 6))

@@ -231,13 +231,13 @@ class TestBallExperiment:
             assert row["eigen_dev"] == 0.0
 
     def test_one_kernel_build_and_window_per_potential(self, monkeypatch):
-        # the pairs' potentials share one march, each pair pairs the
-        # spectrum and integrates the ODE once per potential, and its rows
-        # equal the public functions called one by one
+        # the pairs' potentials share one march of their K+/- rows, each
+        # pair pairs the spectrum and integrates the ODE once per
+        # potential, and its rows equal the public functions called one by one
         from diracbvp import spectrum, stability, transformop
         from diracbvp.transformop import kernel_deviation_norms
 
-        calls = {"build_kernels": 0, "zeros_deltaQ": 0, "fundamental_matrix": 0}
+        calls = {"build_kernels": 0, "_pair_zeros": 0, "fundamental_matrix": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -250,23 +250,23 @@ class TestBallExperiment:
 
         for module in (transformop, spectrum, stability):
             counted(module, "build_kernels")
-        counted(stability, "zeros_deltaQ")
+        counted(stability, "_pair_zeros")
         counted(stability, "fundamental_matrix")
-        marches = []  # potentials per march
-        sweep = transformop._RSweeper.sweep
-        monkeypatch.setattr(transformop._RSweeper, "sweep",
-                            lambda self, datas, solve: marches.append(len(datas)) or sweep(self, datas, solve))
+        marches = []  # rows per march
+        walk = transformop._RSweeper.walk
+        monkeypatch.setattr(transformop._RSweeper, "walk",
+                            lambda self, diagonal, solve: marches.append(len(self.qjk)) or walk(self, diagonal, solve))
         bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
         n, n_max, p = 64, 5, 2.0
         rows, _ = run_ball_experiment(PotentialBallSampler(p, 1.0, seed=11), bc, 2, n_max, p, n_grid=n, b1=-1.0, b2=2.0)
-        # one march over both pairs' four potentials, and one batched RK4
-        # per potential gives all of its eigenfunctions
-        assert marches == [4]
-        assert calls == {"build_kernels": 0, "zeros_deltaQ": 4, "fundamental_matrix": 4}
+        # one march over both pairs' four potentials, K+ and K- of each,
+        # and one batched RK4 per potential gives all of its eigenfunctions
+        assert marches == [8]
+        assert calls == {"build_kernels": 0, "_pair_zeros": 4, "fundamental_matrix": 4}
         pairs = list(PotentialBallSampler(p, 1.0, seed=11).pairs(2, -1.0, 2.0, n))
         marches.clear()
         two_sided_check(*pairs[0], bc, n_max, n_grid=n)
-        assert marches == [2]
+        assert marches == [4]
         monkeypatch.undo()
 
         exact = lambda report_rows: [(nn, repr(float(d)), flag) for nn, d, flag in report_rows]  # noqa: E731
@@ -280,6 +280,21 @@ class TestBallExperiment:
             assert row["eigenfunction_dev"] == ef.tail_lp_sum ** 0.5
             assert exact(row["eigen_rows"]) == exact(ev.rows)
             assert exact(row["eigenfunction_rows"]) == exact(ef.rows)
+
+    def test_one_delta0_window_per_request(self, monkeypatch):
+        # every pair pairs against the same Delta_0 window: one zeros_delta0
+        # call per experiment, and classify twice (the strict-regularity
+        # gate and zeros_delta0's own); the four zeros_deltaQ calls made
+        # four windows and eight classify calls
+        from diracbvp import spectrum
+
+        calls = []
+        for name in ("zeros_delta0", "classify"):
+            real = getattr(spectrum, name)
+            monkeypatch.setattr(spectrum, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        run_ball_experiment(PotentialBallSampler(2.0, 1.0, seed=11), bc, 2, 5, 2.0, n_grid=64, b1=-1.0, b2=2.0)
+        assert sorted(calls) == ["classify", "classify", "zeros_delta0"]
 
     def test_peak_allocation(self):
         # both pairs' R's come from one march, and each R is dropped once its

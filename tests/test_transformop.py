@@ -12,7 +12,6 @@ from diracbvp.gridfn import IterationLimitError, SampledFunction, TriangularKern
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 from diracbvp import transformop
 from diracbvp.transformop import (
-    assemble_K,
     build_kernels,
     combos,
     determinant_evaluator,
@@ -25,8 +24,10 @@ from diracbvp.transformop import (
     solve_R,
     write_kernel,
 )
+from diracbvp.spectrum import zeros_deltaQ
 
 from conftest import smooth_potential
+from kernel_oracle import assemble_K, oracle_K
 
 
 def q12_zero_system(n, b1=-1.0, b2=1.0):
@@ -628,8 +629,9 @@ class TestRowMarch:
     @pytest.mark.parametrize("b", WEIGHT_PAIRS, ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
     def test_stack_equals_one_potential_builds(self, b, n):
         # each row of a stacked march runs a one-potential march's
-        # operations: R, its check and max |R|, P+/- and K+/- of 1 to 4
-        # distinct potentials are bitwise those of one-potential builds
+        # operations: R, its check and max |R|, K+/- and their traces at
+        # x = 1 of 1 to 4 distinct potentials are bitwise those of
+        # one-potential builds
         systems = [smooth_potential(seed, n, *b, l1_norm=0.8) for seed in (60, 61, 62, 63)]
         singles = [build_kernels(sys, n) for sys in systems]
         single_rows = [march_rows([sys], n)[1][:, 0] for sys in systems]
@@ -638,12 +640,14 @@ class TestRowMarch:
             for data, row, ref, ref_row in zip(datas, rows.transpose(1, 0, 2), singles, single_rows):
                 assert data.tobytes() == ref.r.data.tobytes()
                 assert row.tobytes() == ref_row.tobytes()
-            for ks, ref in zip(transformop._kernel_sets(systems[:count], n), singles):
-                for name in ("r", "kplus", "kminus"):
-                    assert getattr(ks, name).data.tobytes() == getattr(ref, name).data.tobytes()
-                for name in ("pplus", "pminus"):
-                    assert getattr(ks, name).samples.tobytes() == getattr(ref, name).samples.tobytes()
-                assert ks.residuals == ref.residuals
+            kdatas, _ = transformop._march([sys for sys in systems[:count] for _ in (1, -1)], [1, -1] * count, n,
+                                           transformop.DEFAULT_TOL)
+            traces, _ = transformop._kernel_traces(systems[:count], n)
+            for kplus, kminus, (tplus, tminus), ref in zip(kdatas[0::2], kdatas[1::2], traces, singles):
+                assert kplus.tobytes() == ref.kplus.data.tobytes()
+                assert kminus.tobytes() == ref.kminus.data.tobytes()
+                assert tplus.tobytes() == ref.kplus.data[n].tobytes()
+                assert tminus.tobytes() == ref.kminus.data[n].tobytes()
 
     @pytest.mark.parametrize("n", [8, 65])
     @pytest.mark.parametrize("b", WEIGHT_PAIRS, ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
@@ -678,7 +682,7 @@ class TestRowMarch:
     def test_stacked_potentials_share_the_weights(self):
         n = 16
         with pytest.raises(ValueError, match="same weights"):
-            next(transformop._kernel_sets([smooth_potential(1, n, -1.0, 2.0), smooth_potential(2, n, -1.0, 3.0)], n))
+            transformop._kernel_traces([smooth_potential(1, n, -1.0, 2.0), smooth_potential(2, n, -1.0, 3.0)], n)
 
 
 class TestSolveP:
@@ -738,11 +742,13 @@ class TestAssembleK:
         assert np.abs(ks.kplus.data[:, :, 0, 0]).max() == 0.0
 
     def test_boundary_relation(self):
-        # K(x,0) B^{-1} (1, +/-1)^T = 0 at every x node
+        # K(x,0) B^{-1} (1, +/-1)^T = 0 at every x node: the march starts
+        # each diagonal's K_kk from it, so it holds to roundoff
         n = 96
-        sys = smooth_potential(23, n, l1_norm=1.2)
-        ks = build_kernels(sys, n, tol=1e-10)
-        assert ks.residuals["K_boundary"] <= 10 * 1e-10
+        for b2 in (1.0, 2.0, math.sqrt(2.0)):
+            sys = smooth_potential(23, n, -1.0, b2, l1_norm=1.2)
+            ks = build_kernels(sys, n, tol=1e-10)
+            assert ks.residuals["K_boundary"] < 1e-13
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
     @pytest.mark.parametrize("n", [8, 63, 64, 65, 129])
@@ -782,6 +788,74 @@ class TestAssembleK:
             tracemalloc.stop()
         del kernels
         assert peak <= 2.35 * 64 * (n + 1) ** 2
+
+
+class TestKMarch:
+    @pytest.mark.parametrize("b2, ratio", [(1.0, 3.5), (2.0, 3.5), (math.sqrt(2.0), 3.0)],
+                             ids=["dirac", "b=(-1,2)", "b=(-1,sqrt2)"])
+    def test_converges_to_the_oracle(self, b2, ratio):
+        # the march and R + P + R o P are both O(h^2) routes to K, so their
+        # gap falls about 4x per grid doubling (4.00, 4.00 and 3.6 read)
+        gaps = {}
+        for n in (128, 256):
+            sys = smooth_potential(11, n, -1.0, b2, l1_norm=0.8)
+            ks = build_kernels(sys, n)
+            gaps[n] = max(np.abs(got.data - ref.data).max() for got, ref in zip((ks.kplus, ks.kminus), oracle_K(sys, n)))
+        assert gaps[128] / gaps[256] >= ratio, gaps
+
+    @pytest.mark.parametrize("b2", [1.0, 2.0, math.sqrt(2.0)], ids=["dirac", "two", "sqrt2"])
+    def test_trace_route_is_the_dense_route(self, b2):
+        # a row's bits do not depend on the stack around it, so K+/-(1, .)
+        # kept from a march of K rows alone give the evaluator fed the
+        # dense K+/- of build_kernels bitwise, and the kernel route of
+        # zeros_deltaQ the same window
+        n = 64
+        systems = [smooth_potential(seed, n, -1.0, b2, l1_norm=0.8) for seed in (70, 71, 72)]
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        lams = (np.linspace(-30, 30, 31)[:, None] + 1j * np.linspace(-2, 2, 5)).ravel()
+        for sys, traces in zip(systems, transformop._kernel_traces(systems, n)[0]):
+            ks = build_kernels(sys, n)
+            dense = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), sys.b1, sys.b2)
+            kept = transformop._trace_evaluator(bc, *traces, sys.b1, sys.b2)
+            for got, ref in zip(kept(lams, slope=True), dense(lams, slope=True)):
+                assert got.tobytes() == ref.tobytes()
+            assert np.array_equal(kept.slope_bound(-1.0, 2.0), dense.slope_bound(-1.0, 2.0))
+        kernels, given = (zeros_deltaQ(sys, bc, 4, n_grid=n, determinant=route, allow_nonstrict=True) for route in ("kernels", dense))
+        assert kernels == given
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_streamed_deviation_is_x_norm_of_the_difference(self, p):
+        n = 64
+        systems = [smooth_potential(seed, n, -1.0, 2.0, l1_norm=0.8) for seed in (73, 74, 75, 76)]
+        _, deviations = transformop._kernel_traces(systems, n, p)
+        for sys_a, sys_b, dev in zip(systems[0::2], systems[1::2], deviations):
+            ka, kb = build_kernels(sys_a, n), build_kernels(sys_b, n)
+            for family, got in zip(("infinity", "one"), dev):
+                ref = max(x_norm(TriangularKernel(getattr(ka, name).data - getattr(kb, name).data), family, p)
+                          for name in ("kplus", "kminus"))
+                assert abs(got - ref) <= 1e-13 * ref
+
+    def test_check_reads_the_march_back(self):
+        # the check over K rows takes each K_kk from the boundary relation's
+        # start value: at the march state it reads the march's own K_kk
+        # defect and no K_jk one; K_kk(x, 0) = 0, R's start, is a defect
+        n = 33
+        sys = smooth_potential(77, n, -1.0, 2.0, l1_norm=0.8)
+        datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in range(2)]
+        marched = transformop._RSweeper([sys, sys], n, [1, -1]).sweep(datas, solve=True)
+        checked = transformop._RSweeper([sys, sys], n, [1, -1]).sweep(datas, solve=False)
+        assert not checked[1].any()
+        assert checked[0].tobytes() == marched[0].tobytes() and checked[0].max() <= 1e-15
+        for data in datas:
+            data[:, 0, 0, 0] = data[:, 0, 1, 1] = 0.0
+        assert transformop._RSweeper([sys, sys], n, [1, -1]).sweep(datas, solve=False)[0].min() > 1e-3
+
+    def test_check_below_its_roundoff_is_refused(self):
+        n = 32
+        sys = smooth_potential(26, n, -1.0, 2.0, l1_norm=0.8)
+        with pytest.raises(IterationLimitError, match=r"tol=1e-300 .*max\|K\+\| = ") as err:
+            transformop._kernel_traces([sys], n, tol=1e-300)
+        assert 0.0 < err.value.residual <= 1e-14
 
 
 class TestReconstruction:
@@ -977,6 +1051,19 @@ class TestDetViaKernels:
             table = (giant[:, None, :] * baby[None, :, :]).reshape(blocks * base, lams.size)[: n + 1].T
             ref = np.exp(1j * b * np.multiply.outer(lams, t))
             assert np.abs(table / ref - 1.0).max() <= 1e-12
+
+    def test_step_powers_match_the_running_cumprod(self):
+        # row-wise multiplies may fuse a multiply-add where np.cumprod does
+        # not, so the bits differ, but only by a few ulps
+        rng = np.random.default_rng(6)
+        lams = rng.uniform(-300, 300, 64) + 1j * rng.uniform(-2, 2, 64)
+        for count in (1, 2, 3, 12, 33):
+            z = np.exp(1j * np.array([-1.0, np.sqrt(2.0)])[:, None] / 128 * lams)
+            ref = np.empty((2, count, lams.size), dtype=complex)
+            ref[:, 0] = 1.0
+            ref[:, 1:] = z[:, None]
+            np.cumprod(ref, axis=1, out=ref)
+            assert np.abs(transformop._step_powers(z, count) / ref - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("b2", [1.0, 2.0, np.sqrt(2.0)], ids=["dirac", "two", "sqrt2"])
     @pytest.mark.parametrize("n", [8, 63, 64, 128, 512])
