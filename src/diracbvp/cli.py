@@ -21,11 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,13 @@ from .spectrum import (
     zeros_deltaQ,
 )
 from .stability import PotentialBallSampler, run_ball_experiment
-from .transformop import DEFAULT_TOL, build_kernels, write_kernel
+from .transformop import (
+    DEFAULT_TOL,
+    _dump_residuals,
+    _dumps,
+    _march_dumps,
+    build_kernels,  # noqa: F401  kept bound here: perfbench's tracer wraps every module's binding
+)
 
 TASKS = ("classify", "spectrum", "kernels", "stability", "bari", "fourier")
 
@@ -302,13 +310,12 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that march kernels on the (N+1) x (N+1) grid, and an upper bound on
-# their peak in dense kernels of 64 (N+1)^2 bytes each.  Traced peaks at
-# N = 256 read 3.5 for kernels (R, K+ and K- filled by one march; 3.1 at
-# N = 512), while spectrum and stability keep only each K+/- row's trace
-# at x = 1 and the kernel deviation's row and column sums: 0.26 and 0.60
-# (0.09 and 0.29 at N = 512).  The estimates date from when both held dense
-# K+/- (3.7 and 8.0 then) and still bound them.
-_LIVE_KERNELS = {"spectrum": 4, "kernels": 4, "stability": 9}
+# their peak in dense kernels of 64 (N+1)^2 bytes each, from traced peaks
+# at N = 256: kernels 1.75 (R, K+ and K- marched into their three packed
+# dumps, 1.5 dense kernels; 1.62 at N = 512), spectrum 0.18 and stability
+# 0.60 (each K+/- row's trace at x = 1 and, for stability, the kernel
+# deviation's row and column sums; 0.09 and 0.29 at N = 512).
+_LIVE_KERNELS = {"spectrum": 1, "kernels": 2, "stability": 1}
 
 
 def _check_memory(task: str, n: int) -> None:
@@ -331,16 +338,6 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _file_digest(path: Path) -> str:
-    """First 16 hex digits of the file's sha256, read 1 MiB at a time, so
-    that a kernel dump is never held whole next to the kernels."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
-
-
 def _json_sanitize(obj):
     """NaN/inf have no strict-JSON encoding; map them to null."""
     if isinstance(obj, dict):
@@ -352,17 +349,26 @@ def _json_sanitize(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict, manifest_hash: str) -> None:
+def _json_bytes(payload: dict, manifest_hash: str) -> bytes:
     payload = _json_sanitize({"manifest_hash": manifest_hash, **payload})
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _write_csv(path: Path, header: list, rows: list, manifest_hash: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["# manifest", manifest_hash])
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_bytes(header: list, rows: list, manifest_hash: str) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["# manifest", manifest_hash])
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+@contextmanager
+def _stage(timings: dict, key: str):
+    """Records the seconds its block takes as ``timings[key]``."""
+    start = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - start
 
 
 def _complex_json(z: complex):
@@ -371,54 +377,61 @@ def _complex_json(z: complex):
 
 def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
     """Run a task on ``v``, the checked values that ``_parse_config`` made
-    from the config ``cfg``; returns the exit status."""
-    started = time.time()
+    from the config ``cfg``; returns the exit status.  The manifest lists
+    the files the run wrote, each with the first 16 hex digits of the
+    sha256 of the bytes it wrote."""
+    started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     mhash = _config_hash(cfg)
     timings = {}
+    artifacts = {}
     bc, b1, b2 = v.get("bc"), v["system.b1"], v["system.b2"]
+
+    def write(name: str, data) -> None:
+        (out_dir / name).write_bytes(data)
+        artifacts[name] = hashlib.sha256(data).hexdigest()[:16]
 
     if task == "classify":
         verdict = classify(bc, b1, b2)
-        _write_json(out_dir / "classify.json", {"kind": verdict.kind, "reason": verdict.reason, "ratio": verdict.ratio}, mhash)
+        write("classify.json", _json_bytes({"kind": verdict.kind, "reason": verdict.reason, "ratio": verdict.ratio}, mhash))
     elif task == "spectrum":
         window = zeros_deltaQ(
             v["system.potential"], bc, v["n_max"], eps_ladder=v["eps_ladder"], n_grid=v["n"],
             allow_nonstrict=v["allow_nonstrict"], tol=v["tolerances.kernel_tol"],
         )
-        _write_csv(out_dir / "spectrum.csv", *csv_table(window), mhash)
-        _write_json(out_dir / "spectrum.json", {"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash)
+        write("spectrum.csv", _csv_bytes(*csv_table(window), mhash))
+        write("spectrum.json", _json_bytes({"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash))
     elif task == "kernels":
-        ks = build_kernels(v["system.potential"], v["n"], tol=v["tolerances.kernel_tol"])
-        write_kernel(ks.r, out_dir / "kernel_r.bin")
-        write_kernel(ks.kplus, out_dir / "kernel_kplus.bin")
-        write_kernel(ks.kminus, out_dir / "kernel_kminus.bin")
-        _write_json(out_dir / "kernels.json", {"n": v["n"], "residuals": ks.residuals}, mhash)
+        # build_kernels' R, K+/- and residuals, marched into the dumps' own
+        # layout: each dump is written, and hashed, from one buffer
+        system, n = v["system.potential"], v["n"]
+        with _stage(timings, "march_s"):
+            store, r_check = _march_dumps(system, n, v["tolerances.kernel_tol"])
+        with _stage(timings, "p_s"):
+            residuals = {"R": r_check, **_dump_residuals(store, system, n)}
+        with _stage(timings, "dumps_s"):
+            for name, dump in zip(("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin"), _dumps(store)):
+                write(name, dump)
+        write("kernels.json", _json_bytes({"n": n, "residuals": residuals}, mhash))
     elif task == "stability":
         sampler = PotentialBallSampler(v["p"], v["r"], v["seed"], family=v["family"])
         rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2)
         columns = ["dq_norm", "kernel_dev", "eigen_dev", "eigenfunction_dev", "kernel_ratio", "eigen_ratio",
                    "eigenfunction_ratio"]
         csv_rows = [[r["pair"], *(repr(float(r[c])) for c in columns)] for r in rows]
-        _write_csv(out_dir / "stability.csv", ["pair", *columns], csv_rows, mhash)
+        write("stability.csv", _csv_bytes(["pair", *columns], csv_rows, mhash))
         per_n_rows = [[r["pair"], n, repr(float(d)), flag] for r in rows for n, d, flag in r["eigen_rows"]]
-        _write_csv(out_dir / "stability_rows.csv", ["pair", "n", "eigen_dev", "flag"], per_n_rows, mhash)
+        write("stability_rows.csv", _csv_bytes(["pair", "n", "eigen_dev", "flag"], per_n_rows, mhash))
         a, b, c, d = canonicalize(bc)
-        _write_json(
-            out_dir / "stability.json",
-            {
-                "experiment_id": mhash,
-                "bc_canonical": [_complex_json(z) for z in (a, b, c, d)],
-                "p": v["p"],
-                "r": v["r"],
-                "summary": summary,
-                "pairs": [
-                    {k: x for k, x in r.items() if k not in ("eigen_rows", "eigenfunction_rows")}
-                    for r in rows
-                ],
-            },
-            mhash,
-        )
+        payload = {
+            "experiment_id": mhash,
+            "bc_canonical": [_complex_json(z) for z in (a, b, c, d)],
+            "p": v["p"],
+            "r": v["r"],
+            "summary": summary,
+            "pairs": [{k: x for k, x in r.items() if k not in ("eigen_rows", "eigenfunction_rows")} for r in rows],
+        }
+        write("stability.json", _json_bytes(payload, mhash))
     elif task == "bari":
         report = bari_criterion(bc, b1, b2, v["n_max"])
         payload = {
@@ -435,7 +448,7 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
                 for n, lam0, im, z, alpha in report.rows
             ],
         }
-        _write_json(out_dir / "bari.json", payload, mhash)
+        write("bari.json", _json_bytes(payload, mhash))
     elif task == "fourier":
         n_max = v["fourier.seq.n_max"]
         if v["fourier.seq.kind"] == "harmonic":
@@ -447,19 +460,11 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
             indices = [nn for nn, _, _ in window]
         report = bessel_sum(v["fourier.g"].q21, seq, v["p"], weighted=v["fourier.weighted"],
                             use_maximal=v["fourier.use_maximal"], indices=indices)
-        _write_json(
-            out_dir / "fourier.json",
-            {"sum": report.total, "norm_ref": report.norm_ref, "ratio": report.ratio,
-             "weighted": report.weighted, "p": report.p},
-            mhash,
-        )
+        payload = {"sum": report.total, "norm_ref": report.norm_ref, "ratio": report.ratio,
+                   "weighted": report.weighted, "p": report.p}
+        write("fourier.json", _json_bytes(payload, mhash))
 
-    timings["total_s"] = time.time() - started
-    artifacts = {
-        p.name: _file_digest(p)
-        for p in sorted(out_dir.iterdir())
-        if p.is_file() and p.name != "manifest.json"
-    }
+    timings["total_s"] = time.perf_counter() - started
     manifest = {
         "config": cfg,
         "config_hash": mhash,

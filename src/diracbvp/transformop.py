@@ -56,10 +56,14 @@ operations of a one-kernel march, and so its bits.  A K row differs only
 at position 0 of each diagonal, where the boundary relation couples its
 two weights.  ``solve_R`` and ``r_equation_residual`` are the stack of one
 R; ``build_kernels`` marches R, K+ and K- of one potential into dense
-arrays; and the spectra and stability experiments march the K+/- of
+arrays; the ``kernels`` task's dump packer marches the same three
+straight into their binary dumps, each diagonal scattered into the
+packed triangles of ``np.tril_indices`` order, and solves P+/- from R's
+packed rows; and the spectra and stability experiments march the K+/- of
 every potential of a request together, keeping only each diagonal's last
 node, which is the trace K+/-(1, .) that Delta_Q reads, and the row and
-column sums of the kernel deviation's mixed norms: no dense kernel.
+column sums of the kernel deviation's mixed norms.  Only
+``build_kernels`` and ``solve_R`` form a dense kernel.
 """
 
 from __future__ import annotations
@@ -198,12 +202,16 @@ def _previous_slot(table: np.ndarray, start: int, length: int) -> np.ndarray:
                       (stack, weight, item - parity, item))
 
 
+# plane R_ab of a node, at offset 2 (a - 1) + (b - 1), of [R_kk, R_jk] x [k = 1, 2]
+_PLANES = np.array([[0, 3], [2, 1]])
+
+
 def _diagonal_index(npts: int) -> np.ndarray:
     """Flat indices (2, 2, N+1) of diagonal 0 of [R_kk, R_jk] x [k = 1, 2]
     in an (N+1, N+1, 2, 2) kernel array: the nodes (l, l), plane R_ab at
     offset 2 (a - 1) + (b - 1).  Diagonal m, the nodes (m + l, l),
     l = 0..N-m, is its first N+1-m entries plus 4 m (N+1)."""
-    return np.array([[0, 3], [2, 1]])[:, :, None] + 4 * (npts + 1) * np.arange(npts)
+    return _PLANES[:, :, None] + 4 * (npts + 1) * np.arange(npts)
 
 
 def _per_weight(f) -> np.ndarray:
@@ -487,8 +495,8 @@ def _certified(worst: np.ndarray, signs, tol: float) -> list:
 def _march(systems, signs, n: int, tol: float) -> tuple[list, list]:
     """Kernel arrays of one march over the rows (systems[s], signs[s]), R
     for sign 0 and K+/- for +/-1, and each row's check."""
-    # formed before the sweeper's tables: the kernels CLI's peak RSS moves
-    # with where glibc's heap places this array (BENCH_15.json has both orders)
+    # formed before the sweeper's tables: a request's peak RSS moves with
+    # where glibc's heap places these arrays (BENCH_15.json has both orders)
     datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in systems]
     worst = _RSweeper(systems, n, signs).sweep(datas, solve=True)
     return datas, _certified(worst, signs, tol)
@@ -538,29 +546,38 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """
     if r.n != n:
         raise GridMismatchError(f"kernel grid {r.n} != requested {n}")
+    return _solve_P_rows([r.data[i, : i + 1] for i in range(n + 1)], sys, n)
+
+
+def _solve_P_rows(rows, sys: DiracSystem, n: int):
+    """``solve_P`` from R's rows alone: ``rows[i]`` holds R(x_i, t_j),
+    j = 0..i, as an (i+1, 2, 2) array, a dense kernel's ``data[i, :i+1]``
+    or a dump's packed row.  The defect re-evaluates each row's trapezoid
+    sum (the full row sum less half of both end terms) at the solution."""
     h = 1.0 / n
     a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
-    idx = np.arange(n + 1)
-    rmat = r.data  # (N+1, N+1, 2, 2)
+    first = np.array([row[0] for row in rows])  # R(x_i, 0)
+    diag = np.array([row[-1] for row in rows])  # R(x_i, x_i)
     g = np.empty((n + 1, 2, 2), dtype=complex)  # g[i, component, sign]
-    g[:, 0] = (-a2 * rmat[:, 0, 0, 1])[:, None] * np.array([1.0, -1.0])
-    g[:, 1] = (-a1 * rmat[:, 0, 1, 0])[:, None]
+    g[:, 0] = (-a2 * first[:, 0, 1])[:, None] * np.array([1.0, -1.0])
+    g[:, 1] = (-a1 * first[:, 1, 0])[:, None]
     # the trapezoid's s = x_i node, moved to the left-hand side
-    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * rmat[idx, idx])
-    rows = rmat.transpose(0, 2, 1, 3)  # [i, a, j, b]
+    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * diag)
     v = np.empty_like(g)
     v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0, restored below
     for i in range(1, n + 1):
-        acc = rows[i, :, :i].reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
+        acc = rows[i][:i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
         v[i] = inv[i] @ (g[i] - h * acc)
     v[0] = g[0]
-    ps = []
-    residuals = []
-    for col, sign in enumerate((+1, -1)):
-        # defect of the discrete equations, all rows in one product
-        residuals.append(float(np.abs(v[:, :, col] + _volterra_trapezoid(rmat, v[:, :, col]) - g[:, :, col]).max()))
-        ps.append(SampledFunction(np.stack([sys.b1 * v[:, 0, col], sign * sys.b2 * v[:, 1, col]], axis=1)))
-    return (*ps, max(residuals))
+    full = np.zeros_like(g)
+    for i in range(1, n + 1):
+        np.matmul(rows[i].transpose(1, 0, 2).reshape(2, 2 * i + 2), v[: i + 1].reshape(2 * i + 2, 2), out=full[i])
+    integral = (full - 0.5 * (first @ v[0] + diag @ v)) / n
+    integral[0] = 0.0
+    residual = float(np.abs(v + integral - g).max())
+    pplus, pminus = (SampledFunction(np.stack([sys.b1 * v[:, 0, col], sign * sys.b2 * v[:, 1, col]], axis=1))
+                     for col, sign in enumerate((+1, -1)))
+    return pplus, pminus, residual
 
 
 def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelSet:
@@ -570,17 +587,18 @@ def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelS
     datas, checks = _march([sys] * 3, (0, 1, -1), n, tol)
     r, kplus, kminus = (TriangularKernel(data) for data in datas)
     pplus, pminus, p_res = solve_P(r, sys, n)
-    residuals = {"R": checks[0], "P": p_res, "K_boundary": _boundary_relation_defect(sys, kplus, kminus)}
+    k_res = _boundary_relation_defect(sys, kplus.data[:, 0], kminus.data[:, 0])
+    residuals = {"R": checks[0], "P": p_res, "K_boundary": k_res}
     return KernelSet(r, pplus, pminus, kplus, kminus, residuals)
 
 
-def _boundary_relation_defect(sys: DiracSystem, kplus: TriangularKernel, kminus: TriangularKernel) -> float:
-    """Max node violation of K(x, 0) B^{-1} (1, +/-1)^T = 0."""
+def _boundary_relation_defect(sys: DiracSystem, kplus0: np.ndarray, kminus0: np.ndarray) -> float:
+    """Max node violation of K(x, 0) B^{-1} (1, +/-1)^T = 0, from the
+    (N+1, 2, 2) columns K+/-(x, 0)."""
     worst = 0.0
-    for kern, sign in ((kplus, +1.0), (kminus, -1.0)):
+    for column, sign in ((kplus0, +1.0), (kminus0, -1.0)):
         vec = np.array([1.0 / sys.b1, sign / sys.b2], dtype=complex)
-        vals = kern.data[:, 0] @ vec
-        worst = max(worst, float(np.abs(vals).max()))
+        worst = max(worst, float(np.abs(column @ vec).max()))
     return worst
 
 
@@ -770,6 +788,69 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
         fh.write(_KERNEL_MAGIC.pack(n, 4 * (n + 1) * (n + 2) // 2))
         for i in range(n + 1):
             fh.write(data[i, : i + 1])
+
+
+def _triangle_starts(n: int) -> np.ndarray:
+    """Index of node (i, 0) in the triangle of ``np.tril_indices(N+1)``,
+    i = 0..N+1 (the last is the node count T = (N+1)(N+2)/2)."""
+    i = np.arange(n + 2)
+    return i * (i + 1) // 2
+
+
+def _march_dumps(sys: DiracSystem, n: int, tol: float) -> tuple[np.ndarray, float]:
+    """R, K+ and K- of ``sys`` marched, as ``build_kernels`` marches them,
+    straight into their dumps: a little-endian complex array (3, 1 + 4 T)
+    whose row s holds the dump of kernel s (R, K+, K-) from its byte 8 on,
+    ``write_kernel``'s 8-byte header in the upper half of entry 0 and then
+    the T nodes in ``np.tril_indices`` order, node (m + l, l) at
+    (m + l)(m + l + 1)/2 + l, so that each dump is one contiguous slice.
+    Each solved diagonal is one flat-index assignment for all three
+    kernels.  Returns the array, its rows certified by their checks, and
+    R's check."""
+    npts = n + 1
+    count = 4 * npts * (npts + 1) // 2  # complex entries per dump
+    # formed before the sweeper's tables, as ``_march`` forms its arrays
+    store = np.empty((3, 1 + count), dtype="<c16")
+    flat = store.reshape(-1)
+    # 4 x the packed index of node (i, 0), and of position l along a diagonal
+    starts, ramp = 4 * _triangle_starts(n)[:-1], 4 * np.arange(npts)
+    planes = _PLANES[:, :, None] + np.arange(1, 3 * (1 + count), 1 + count)[:, None, None, None]
+
+    def write(m, state):
+        flat[planes + (starts[m:] + ramp[: npts - m])] = state
+
+    signs = (0, 1, -1)
+    worst = _RSweeper([sys] * 3, n, signs).walk(write, solve=True)
+    check = _certified(worst, signs, tol)[0]
+    store[:, 0] = np.frombuffer(bytes(8) + _KERNEL_MAGIC.pack(n, count), dtype="<c16")
+    return store, check
+
+
+def _packed(store: np.ndarray) -> np.ndarray:
+    """The nodes (3, T, 2, 2) of ``_march_dumps``' array, as a view."""
+    return store[:, 1:].reshape(3, -1, 2, 2)
+
+
+def _packed_rows(packed: np.ndarray, n: int) -> list:
+    """The rows (i+1, 2, 2), i = 0..N, of one packed triangle (T, 2, 2)."""
+    starts = _triangle_starts(n).tolist()
+    return [packed[a:b] for a, b in zip(starts[:-1], starts[1:])]
+
+
+def _dump_residuals(store: np.ndarray, sys: DiracSystem, n: int) -> dict:
+    """``build_kernels``' P and K_boundary residuals from the array of
+    ``_march_dumps``: P+/- solved from R's packed rows, the boundary
+    relation read at the nodes (i, 0)."""
+    r, kplus, kminus = _packed(store)
+    _, _, p_res = _solve_P_rows(_packed_rows(r, n), sys, n)
+    column = _triangle_starts(n)[:-1]
+    return {"P": p_res, "K_boundary": _boundary_relation_defect(sys, kplus[column], kminus[column])}
+
+
+def _dumps(store: np.ndarray) -> list:
+    """The three dumps in the array of ``_march_dumps``, header and nodes,
+    each as one contiguous byte view."""
+    return [row[8:] for row in store.view(np.uint8)]
 
 
 def read_kernel(path) -> TriangularKernel:

@@ -245,12 +245,32 @@ class TestRunTasks:
         for name, digest in manifest["artifacts"].items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
 
-    def test_artifact_digest_reads_in_chunks(self, tmp_path):
-        # a file over several 1 MiB reads hashes as if it were read whole
-        path = tmp_path / "blob.bin"
-        data = np.random.default_rng(3).bytes(3 * 2**20 + 5)
-        path.write_bytes(data)
-        assert cli._file_digest(path) == hashlib.sha256(data).hexdigest()[:16]
+    def test_manifest_lists_only_what_the_run_wrote(self, tmp_path):
+        # a kernels run into a directory that already held classify.json
+        # listed it among its artifacts, as the manifest digested every file
+        out = tmp_path / "out"
+        classify_cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0}}, "classify_cfg.json")
+        kernels_cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0, **TRIG["system"]}, "n": 16})
+        assert main(["classify", "--config", classify_cfg, "--out", str(out)]) == 0
+        assert main(["kernels", "--config", kernels_cfg, "--out", str(out)]) == 0
+        assert (out / "classify.json").exists()
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert set(artifacts) == {"kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin", "kernels.json"}
+        for name, digest in artifacts.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+
+    def test_kernels_stage_timings(self, tmp_path):
+        # march, P+/- and the dumps are timed apart, in the manifest only
+        cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 2.0, **TRIG["system"]}, "n": 64})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["kernels", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["kernels", "--config", cfg, "--out", str(out2)]) == 0
+        timings = json.loads((out1 / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"march_s", "p_s", "dumps_s", "total_s"}
+        stages = [timings[key] for key in ("march_s", "p_s", "dumps_s")]
+        assert min(stages) >= 0.0 and sum(stages) <= timings["total_s"]
+        for name in ("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin", "kernels.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestExitCodes:
@@ -417,10 +437,20 @@ class TestExitCodes:
         assert main(["kernels", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
         assert "tol=1e-300" in capsys.readouterr().err
 
+    def test_failed_kernel_check_writes_no_dump(self, tmp_path):
+        # the three kernels are certified before any dump is written
+        potential = {"kind": "trig", "q12": {"1": [0.5, 0.0]}, "q21": {"0": [0.5, 0.0]}}
+        payload = {"system": {"b1": -1.0, "b2": 1.0, "potential": potential}, "n": 32,
+                   "tolerances": {"kernel_tol": 1e-300}}
+        out = tmp_path / "o"
+        assert main(["kernels", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert not list(out.glob("kernel_*.bin"))
+
     def test_kernels_task_peak_allocation(self, tmp_path):
-        # each kernel owns the array its builder made, so the traced peak
-        # is about 4.1 dense kernels of 64 (N+1)^2 bytes; one more copy of
-        # a kernel in its constructor puts it at about 4.7
+        # R, K+ and K- are marched into their packed dumps, 1.5 dense
+        # kernels of 64 (N+1)^2 bytes, and each dump is written and hashed
+        # from that buffer: the traced peak reads 1.74 at N = 256, where
+        # three dense kernels marched and then written read 3.56
         n = 256
         potential = {"kind": "trig", "q12": {"1": [0.3, 0.1], "-1": [0.1, 0.0]}, "q21": {"0": [0.2, -0.1]}}
         cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0, "potential": potential}, "n": n})
@@ -431,10 +461,10 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 4.25 * 64 * (n + 1) ** 2
+        assert peak <= 2 * 64 * (n + 1) ** 2
 
     def test_memory_guard_refuses_before_numerics(self, tmp_path, capsys):
-        # dense kernels at N = 65536 need ~1.1 TB; the request must fail
+        # two dense kernels at N = 65536 need ~0.55 TB; the request must fail
         # fast with the estimate instead of allocating
         cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 1.0}, "n": 65536})
         out = tmp_path / "o"
@@ -451,28 +481,31 @@ class TestExitCodes:
 
     def test_memory_guard_uses_the_grid_the_task_runs(self, tmp_path, monkeypatch):
         # a stability config without "n" runs at N = 128 and must be
-        # estimated there: at N = 256 (38 MB) a 16 MB machine would refuse it
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4096}
+        # estimated there (1.1 MB): at N = 256 (4.2 MB) a 2 MiB machine
+        # would refuse it
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}
         monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
         payload = {"system": {"b1": -1.0, "b2": 1.0}, "bc": {"canonical": [0, 1, 1, 0]},
                    "n_max": 2, "pairs": 1, "r": 0.3, "seed": 11}
         out = tmp_path / "o"
         assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
         assert (out / "stability.csv").exists()
+        assert main(["stability", "--config", write_config(tmp_path, {**payload, "n": 256}), "--out",
+                     str(tmp_path / "o256")]) == 1
 
     def test_memory_guard_estimates_each_task(self, tmp_path, monkeypatch, capsys):
-        # at N = 64 a machine of six dense kernels fits a kernels or
-        # spectrum request (four) and refuses a stability one (nine)
+        # at N = 64 a machine of 1.5 dense kernels fits a spectrum or
+        # stability request (one) and refuses a kernels one (two)
         n = 64
         dense = 64 * (n + 1) ** 2
-        monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 6 * dense // 4096 + 1}.__getitem__)
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3 * dense // 8192 + 1}.__getitem__)
         system = {"b1": -1.0, "b2": 1.0, "potential": {"kind": "trig", "q21": {"1": [0.3, 0.0]}}}
-        for task, extra in (("kernels", {}), ("spectrum", {"n_max": 2})):
-            payload = {"system": system, "n": n, **extra}
-            assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / task)]) == 0
+        payload = {"system": system, "n": n, "n_max": 2}
+        assert main(["spectrum", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "spectrum")]) == 0
         payload = {"system": {"b1": -1.0, "b2": 1.0}, "n": n, "n_max": 2, "pairs": 1}
-        out = tmp_path / "stability"
-        assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "stability")]) == 0
+        out = tmp_path / "kernels"
+        assert main(["kernels", "--config", write_config(tmp_path, {"system": system, "n": n}), "--out", str(out)]) == 1
         assert "needs an estimated" in capsys.readouterr().err
         assert not out.exists()
 

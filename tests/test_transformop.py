@@ -1204,3 +1204,32 @@ class TestBinaryDump:
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError):
             read_kernel(path)
+
+
+class TestPackedDumps:
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    @pytest.mark.parametrize("b", WEIGHT_PAIRS, ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
+    def test_dumps_and_residuals_are_build_kernels(self, b, n, tmp_path):
+        # the kernels task marches R, K+ and K- into their dumps' packed
+        # triangles: each dump is write_kernel's bytes of build_kernels'
+        # kernel, P+/- from the packed rows are solve_P's bits, and the
+        # residuals are build_kernels' own
+        sys = smooth_potential(67, n, *b, l1_norm=0.8)
+        ks = build_kernels(sys, n)
+        store, check = transformop._march_dumps(sys, n, transformop.DEFAULT_TOL)
+        path = tmp_path / "kernel.bin"
+        for kernel, dump in zip((ks.r, ks.kplus, ks.kminus), transformop._dumps(store)):
+            write_kernel(kernel, path)
+            assert path.read_bytes() == dump.tobytes()
+        assert {"R": check, **transformop._dump_residuals(store, sys, n)} == ks.residuals
+        rows = transformop._packed_rows(transformop._packed(store)[0], n)
+        pplus, pminus, residual = transformop._solve_P_rows(rows, sys, n)
+        assert pplus.samples.tobytes() == ks.pplus.samples.tobytes()
+        assert pminus.samples.tobytes() == ks.pminus.samples.tobytes()
+        assert residual == ks.residuals["P"]
+
+    def test_check_below_its_roundoff_is_refused(self):
+        n = 16
+        sys = smooth_potential(68, n, -1.0, 2.0, l1_norm=0.8)
+        with pytest.raises(IterationLimitError):
+            transformop._march_dumps(sys, n, 1e-300)
