@@ -50,9 +50,10 @@ from .spectrum import (
 from .stability import PotentialBallSampler, run_ball_experiment
 from .transformop import (
     DEFAULT_TOL,
-    _dump_residuals,
     _dumps,
+    _kernel_residuals,
     _march_dumps,
+    _packed,
     build_kernels,  # noqa: F401  kept bound here: perfbench's tracer wraps every module's binding
 )
 
@@ -402,13 +403,14 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         write("spectrum.csv", _csv_bytes(*csv_table(window), mhash))
         write("spectrum.json", _json_bytes({"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash))
     elif task == "kernels":
-        # build_kernels' R, K+/- and residuals, marched into the dumps' own
-        # layout: each dump is written, and hashed, from one buffer
+        # build_kernels' march and residual route, into the dumps' packed
+        # triangles in place of dense arrays: each dump is written, and
+        # hashed, from one buffer
         system, n = v["system.potential"], v["n"]
         with _stage(timings, "march_s"):
             store, r_check = _march_dumps(system, n, v["tolerances.kernel_tol"])
         with _stage(timings, "p_s"):
-            residuals = {"R": r_check, **_dump_residuals(store, system, n)}
+            residuals = {"R": r_check, **_kernel_residuals(_packed(store), system, n)[2]}
         with _stage(timings, "dumps_s"):
             for name, dump in zip(("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin"), _dumps(store)):
                 write(name, dump)

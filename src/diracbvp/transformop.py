@@ -55,15 +55,20 @@ the loop over m, so one pass marches a whole stack: each row gets the
 operations of a one-kernel march, and so its bits.  A K row differs only
 at position 0 of each diagonal, where the boundary relation couples its
 two weights.  ``solve_R`` and ``r_equation_residual`` are the stack of one
-R; ``build_kernels`` marches R, K+ and K- of one potential into dense
-arrays; the ``kernels`` task's dump packer marches the same three
-straight into their binary dumps, each diagonal scattered into the
-packed triangles of ``np.tril_indices`` order, and solves P+/- from R's
-packed rows; and the spectra and stability experiments march the K+/- of
-every potential of a request together, keeping only each diagonal's last
-node, which is the trace K+/-(1, .) that Delta_Q reads, and the row and
-column sums of the kernel deviation's mixed norms.  Only
-``build_kernels`` and ``solve_R`` form a dense kernel.
+R.  ``build_kernels`` marches R, K+ and K- of one potential into dense
+(N+1, N+1, 2, 2) arrays, and the ``kernels`` task marches the same three
+straight into their binary dumps' packed (T, 2, 2) triangles in
+``np.tril_indices`` order.  These are one store with two row-start
+tables: row i of the triangle starts at node (N+1) i of a dense array and
+at node i (i + 1)/2 of a packed one, and its nodes j = 0..i follow
+(``_row_starts``).  So one node index writes a diagonal and the check
+reads it back in either layout, and one route solves P+/- from R's rows
+and reads the boundary relation at the nodes (x, 0).  The spectra and
+stability experiments march the K+/- of every potential of a request
+together, keeping only each diagonal's last node, which is the trace
+K+/-(1, .) that Delta_Q reads, and the row and column sums of the kernel
+deviation's mixed norms.  Only ``build_kernels`` and ``solve_R`` form a
+dense kernel.
 """
 
 from __future__ import annotations
@@ -173,15 +178,6 @@ def _lerp_clamped(values: np.ndarray, start, top, pos, frac) -> np.ndarray:
     return lower + t * (values[..., start + np.minimum(i0 + 1, top)] - lower)
 
 
-def _upsample(values: np.ndarray, q: int, slots: np.ndarray) -> np.ndarray:
-    """The linear interpolant of ``values`` (nodes 0..top) at the ``slots``
-    i/q, i = -1 .. q*top + 1, the end slots extrapolated as ``_lerp_clamped`` does."""
-    top = values.shape[0] - 1
-    first, last = (values[1] - values[0], values[-1] - values[-2]) if top else (0.0, 0.0)
-    return np.interp(slots[: q * top + 3], slots[1 : q * top + 2 : q], values,
-                     left=values[0] - first / q, right=values[-1] + last / q)
-
-
 def _rows_at(table: np.ndarray, starts, shape: tuple, steps: tuple = (1,)) -> np.ndarray:
     """View (S, 2) + ``shape`` of the C-contiguous (S, 2, ...) ``table``
     whose row (s, k) starts at flat entry ``starts[k - 1]`` of table[s, k]
@@ -206,12 +202,19 @@ def _previous_slot(table: np.ndarray, start: int, length: int) -> np.ndarray:
 _PLANES = np.array([[0, 3], [2, 1]])
 
 
-def _diagonal_index(npts: int) -> np.ndarray:
-    """Flat indices (2, 2, N+1) of diagonal 0 of [R_kk, R_jk] x [k = 1, 2]
-    in an (N+1, N+1, 2, 2) kernel array: the nodes (l, l), plane R_ab at
-    offset 2 (a - 1) + (b - 1).  Diagonal m, the nodes (m + l, l),
-    l = 0..N-m, is its first N+1-m entries plus 4 m (N+1)."""
-    return _PLANES[:, :, None] + 4 * (npts + 1) * np.arange(npts)
+def _row_starts(kernel: np.ndarray, n: int) -> np.ndarray:
+    """Node index of (x_i, 0), i = 0..N, in ``kernel``'s nodes: row i of a
+    dense (N+1, N+1, 2, 2) array starts at (N+1) i, row i of a packed
+    (T, 2, 2) triangle in ``np.tril_indices`` order at i (i + 1)/2.  Either
+    way its nodes j = 0..i are the next i + 1."""
+    i = np.arange(n + 1)
+    return (n + 1) * i if kernel.ndim == 4 else i * (i + 1) // 2
+
+
+def _rows(kernel: np.ndarray, n: int) -> list:
+    """The rows (i + 1, 2, 2), i = 0..N, of ``kernel`` in either layout, as views."""
+    nodes = kernel.reshape(-1, 2, 2)
+    return [nodes[start : start + i + 1] for i, start in enumerate(_row_starts(kernel, n).tolist())]
 
 
 def _per_weight(f) -> np.ndarray:
@@ -234,7 +237,7 @@ class _RSweeper:
     views with a k-dependent offset read (``_rows_at``).  Each diagonal is
     computed in contiguous (S, 2, L) temporaries, row by row the operations
     of a single-row pass, and traded with the caller (``walk``), or with one
-    (N+1, N+1, 2, 2) array per kernel (``sweep``).  One kernel is the same
+    dense or packed array per kernel (``sweep``).  One kernel is the same
     code with S = 1.
 
     R_kk and Q_jk are upsampled by q into slots split by their residue r
@@ -263,17 +266,13 @@ class _RSweeper:
         if spacing[0][0] != spacing[1][0]:  # only at the 1e-13 edge of a rational alpha
             spacing = [(2, 2.0 * self.alpha[k]) for k in (1, 2)]
         q = self.q = spacing[0][0]
-        slots = np.arange(-1, q * n + 2) / q
         # offsets[r, 2 l + part]: slot q l + r less node l, as np.interp
         # subtracts them, for the real and the imaginary part
-        self.offsets = np.repeat((slots[1 : q * n + 1].reshape(n, q) - np.arange(n)[:, None]).T, 2, axis=1)
+        self.offsets = np.repeat((np.arange(q * n).reshape(n, q) / q - np.arange(n)[:, None]).T, 2, axis=1)
         # row (s, k) holds Q_jk, j = 3 - k; its Q_kj is row (s, 3 - k)
         self.qjk = np.array([[s.q21(grid), s.q12(grid)] for s in systems], dtype=complex)
-        qup = np.zeros(self.qjk.shape[:2] + (q * npts + 1,), dtype=complex)
-        for row, values in zip(qup.reshape(-1, q * npts + 1), self.qjk.reshape(-1, npts)):
-            row[: q * n + 3] = _upsample(values, q, slots)
         # qup[s, k, r, j]: Q_jk at slot q j + r (zero past slot q N + 1)
-        self.qup = np.ascontiguousarray(qup[..., 1:].reshape(qup.shape[:2] + (npts, q)).swapaxes(-1, -2))
+        self.qup = np.ascontiguousarray(self._upsampled(self.qjk, False)[1])
         self.diff = self.qjk[..., 1:] - self.qjk[..., :-1]
         # diagonal m's first line floor(q alpha_k m) and its weight, per k;
         # a rational alpha_k has integer steps, so only q = 2 has weights
@@ -319,13 +318,15 @@ class _RSweeper:
         return diag_half, growth, 1.0 / ((1.0 - d) * growth)
 
     def _upsampled(self, x: np.ndarray, between: bool) -> tuple:
-        """R_kk rows ``x`` (S, 2, top + 1) upsampled by q as ``_upsample``
-        does it, in np.interp's arithmetic: a table (S, 2, q, top + 2) whose
-        column c holds the slots q (c - 1) + r (of column 0 only slot -1,
-        set with ``between``), and its columns 1.. as a view.  A slot
-        between nodes l and l + 1 is the real and imaginary parts of x[l]
-        plus its offset from l times those of x[l + 1] - x[l]; a slot past
-        either end is on the end cell's line."""
+        """Rows ``x`` (S, 2, top + 1) at nodes 0..top, a diagonal's R_kk or
+        the grid's Q_jk, linearly interpolated at the slots i/q as np.interp
+        does it, bit for bit: a table (S, 2, q, top + 2) whose column c
+        holds the slots q (c - 1) + r (of column 0 only slot -1, set with
+        ``between``; of the last column only slots q top and q top + 1, the
+        rest zero), and its columns 1.. as a view.  A slot between nodes l
+        and l + 1 is the real and imaginary parts of x[l] plus its offset
+        from l times those of x[l + 1] - x[l]; a slot past either end is on
+        the end cell's line."""
         q = self.q
         top = x.shape[-1] - 1
         table = np.zeros(x.shape[:2] + (q, top + 2), dtype=complex)
@@ -352,25 +353,25 @@ class _RSweeper:
             start /= (1.0 - e[:, 0] * e[:, 1])[:, None]
         return start
 
-    def sweep(self, datas, solve: bool) -> np.ndarray:
-        """``walk`` with the kernel arrays ``datas``, one per kernel of the
-        stack: the march writes each diagonal into them, the check reads
-        it from them."""
-        npts = self.n + 1
-        flats = [data.reshape(-1) for data in datas]
-        index = _diagonal_index(npts)
+    def sweep(self, kernels, solve: bool) -> np.ndarray:
+        """``walk`` with the C-contiguous arrays ``kernels``, one per kernel
+        of the stack, all dense or all packed (``_row_starts``): the march
+        writes each diagonal into them, the check reads it from them.  The
+        diagonal's node (m + l, l) is node starts[m + l] + l, and its plane
+        R_ab entry 2 (a - 1) + (b - 1) of that node."""
+        flats = [kernel.reshape(-1) for kernel in kernels]
+        starts = _row_starts(kernels[0], self.n)
+        ramp = np.arange(self.n + 1)
 
-        def write(m, state):
-            nodes = index[..., : npts - m] + 4 * m * npts
+        def diagonal(m, state):
+            nodes = _PLANES[:, :, None] + 4 * (starts[m:] + ramp[: self.n + 1 - m])
             for flat, rows in zip(flats, state):
-                flat[nodes] = rows
+                if solve:
+                    flat[nodes] = rows
+                else:
+                    np.take(flat, nodes, out=rows)
 
-        def read(m, state):
-            nodes = index[..., : npts - m] + 4 * m * npts
-            for flat, rows in zip(flats, state):
-                np.take(flat, nodes, out=rows)
-
-        return self.walk(write if solve else read, solve)
+        return self.walk(diagonal, solve)
 
     def walk(self, diagonal, solve: bool) -> np.ndarray:
         """One pass over the diagonals m = 0..N of every row, which trades
@@ -492,14 +493,13 @@ def _certified(worst: np.ndarray, signs, tol: float) -> list:
     return out
 
 
-def _march(systems, signs, n: int, tol: float) -> tuple[list, list]:
-    """Kernel arrays of one march over the rows (systems[s], signs[s]), R
-    for sign 0 and K+/- for +/-1, and each row's check."""
-    # formed before the sweeper's tables: a request's peak RSS moves with
-    # where glibc's heap places these arrays (BENCH_15.json has both orders)
-    datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in systems]
-    worst = _RSweeper(systems, n, signs).sweep(datas, solve=True)
-    return datas, _certified(worst, signs, tol)
+def _march(systems, signs, n: int, kernels, tol: float) -> list:
+    """One march over the rows (systems[s], signs[s]), R for sign 0 and
+    K+/- for +/-1, into the arrays ``kernels`` (``sweep``); returns each
+    row's check.  The callers form ``kernels`` before the sweeper's tables:
+    a request's peak RSS moves with where glibc's heap places them
+    (BENCH_15.json has both orders)."""
+    return _certified(_RSweeper(systems, n, signs).sweep(kernels, solve=True), signs, tol)
 
 
 def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual: bool = False):
@@ -512,7 +512,8 @@ def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual:
     IterationLimitError: no further iteration can certify R below the
     defect's own roundoff.
     """
-    [data], [residual] = _march([sys], [0], n, tol)
+    data = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
+    [residual] = _march([sys], [0], n, [data], tol)
     kernel = TriangularKernel(data)
     return (kernel, residual) if return_residual else kernel
 
@@ -546,14 +547,14 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """
     if r.n != n:
         raise GridMismatchError(f"kernel grid {r.n} != requested {n}")
-    return _solve_P_rows([r.data[i, : i + 1] for i in range(n + 1)], sys, n)
+    return _solve_P_rows(_rows(r.data, n), sys, n)
 
 
 def _solve_P_rows(rows, sys: DiracSystem, n: int):
     """``solve_P`` from R's rows alone: ``rows[i]`` holds R(x_i, t_j),
-    j = 0..i, as an (i+1, 2, 2) array, a dense kernel's ``data[i, :i+1]``
-    or a dump's packed row.  The defect re-evaluates each row's trapezoid
-    sum (the full row sum less half of both end terms) at the solution."""
+    j = 0..i, as an (i+1, 2, 2) array (``_rows``).  The defect re-evaluates
+    each row's trapezoid sum (the full row sum less half of both end terms)
+    at the solution."""
     h = 1.0 / n
     a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
     first = np.array([row[0] for row in rows])  # R(x_i, 0)
@@ -584,12 +585,22 @@ def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelS
     """R, P+/- and K+/- with residual bookkeeping: R, K+ and K- from one
     march as rows of one stack, each certified by its own check, and P+/-
     from R."""
-    datas, checks = _march([sys] * 3, (0, 1, -1), n, tol)
+    datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in range(3)]
+    checks = _march([sys] * 3, (0, 1, -1), n, datas, tol)
+    pplus, pminus, residuals = _kernel_residuals(datas, sys, n)
     r, kplus, kminus = (TriangularKernel(data) for data in datas)
-    pplus, pminus, p_res = solve_P(r, sys, n)
-    k_res = _boundary_relation_defect(sys, kplus.data[:, 0], kminus.data[:, 0])
-    residuals = {"R": checks[0], "P": p_res, "K_boundary": k_res}
-    return KernelSet(r, pplus, pminus, kplus, kminus, residuals)
+    return KernelSet(r, pplus, pminus, kplus, kminus, {"R": checks[0], **residuals})
+
+
+def _kernel_residuals(kernels, sys: DiracSystem, n: int):
+    """P+/- and the residuals "P" and "K_boundary" of the arrays (R, K+,
+    K-), dense or packed: P+/- solved from R's rows, the boundary relation
+    read at the nodes (x_i, 0)."""
+    r, kplus, kminus = kernels
+    starts = _row_starts(r, n)
+    pplus, pminus, p_res = _solve_P_rows(_rows(r, n), sys, n)
+    k_res = _boundary_relation_defect(sys, kplus.reshape(-1, 2, 2)[starts], kminus.reshape(-1, 2, 2)[starts])
+    return pplus, pminus, {"P": p_res, "K_boundary": k_res}
 
 
 def _boundary_relation_defect(sys: DiracSystem, kplus0: np.ndarray, kminus0: np.ndarray) -> float:
@@ -783,18 +794,10 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
     node as four complex doubles, written row by row from the contiguous
     slices ``data[i, :i+1]``."""
     n = kernel.n
-    data = kernel.data.astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(_KERNEL_MAGIC.pack(n, 4 * (n + 1) * (n + 2) // 2))
-        for i in range(n + 1):
-            fh.write(data[i, : i + 1])
-
-
-def _triangle_starts(n: int) -> np.ndarray:
-    """Index of node (i, 0) in the triangle of ``np.tril_indices(N+1)``,
-    i = 0..N+1 (the last is the node count T = (N+1)(N+2)/2)."""
-    i = np.arange(n + 2)
-    return i * (i + 1) // 2
+        for row in _rows(kernel.data.astype("<c16", copy=False), n):
+            fh.write(row)
 
 
 def _march_dumps(sys: DiracSystem, n: int, tol: float) -> tuple[np.ndarray, float]:
@@ -802,26 +805,12 @@ def _march_dumps(sys: DiracSystem, n: int, tol: float) -> tuple[np.ndarray, floa
     straight into their dumps: a little-endian complex array (3, 1 + 4 T)
     whose row s holds the dump of kernel s (R, K+, K-) from its byte 8 on,
     ``write_kernel``'s 8-byte header in the upper half of entry 0 and then
-    the T nodes in ``np.tril_indices`` order, node (m + l, l) at
-    (m + l)(m + l + 1)/2 + l, so that each dump is one contiguous slice.
-    Each solved diagonal is one flat-index assignment for all three
-    kernels.  Returns the array, its rows certified by their checks, and
-    R's check."""
-    npts = n + 1
-    count = 4 * npts * (npts + 1) // 2  # complex entries per dump
-    # formed before the sweeper's tables, as ``_march`` forms its arrays
+    the T nodes in ``np.tril_indices`` order (``_row_starts``), so that each
+    dump is one contiguous slice.  Returns the array, its rows certified
+    by their checks, and R's check."""
+    count = 2 * (n + 1) * (n + 2)  # complex entries per dump
     store = np.empty((3, 1 + count), dtype="<c16")
-    flat = store.reshape(-1)
-    # 4 x the packed index of node (i, 0), and of position l along a diagonal
-    starts, ramp = 4 * _triangle_starts(n)[:-1], 4 * np.arange(npts)
-    planes = _PLANES[:, :, None] + np.arange(1, 3 * (1 + count), 1 + count)[:, None, None, None]
-
-    def write(m, state):
-        flat[planes + (starts[m:] + ramp[: npts - m])] = state
-
-    signs = (0, 1, -1)
-    worst = _RSweeper([sys] * 3, n, signs).walk(write, solve=True)
-    check = _certified(worst, signs, tol)[0]
+    check = _march([sys] * 3, (0, 1, -1), n, _packed(store), tol)[0]
     store[:, 0] = np.frombuffer(bytes(8) + _KERNEL_MAGIC.pack(n, count), dtype="<c16")
     return store, check
 
@@ -829,22 +818,6 @@ def _march_dumps(sys: DiracSystem, n: int, tol: float) -> tuple[np.ndarray, floa
 def _packed(store: np.ndarray) -> np.ndarray:
     """The nodes (3, T, 2, 2) of ``_march_dumps``' array, as a view."""
     return store[:, 1:].reshape(3, -1, 2, 2)
-
-
-def _packed_rows(packed: np.ndarray, n: int) -> list:
-    """The rows (i+1, 2, 2), i = 0..N, of one packed triangle (T, 2, 2)."""
-    starts = _triangle_starts(n).tolist()
-    return [packed[a:b] for a, b in zip(starts[:-1], starts[1:])]
-
-
-def _dump_residuals(store: np.ndarray, sys: DiracSystem, n: int) -> dict:
-    """``build_kernels``' P and K_boundary residuals from the array of
-    ``_march_dumps``: P+/- solved from R's packed rows, the boundary
-    relation read at the nodes (i, 0)."""
-    r, kplus, kminus = _packed(store)
-    _, _, p_res = _solve_P_rows(_packed_rows(r, n), sys, n)
-    column = _triangle_starts(n)[:-1]
-    return {"P": p_res, "K_boundary": _boundary_relation_defect(sys, kplus[column], kminus[column])}
 
 
 def _dumps(store: np.ndarray) -> list:

@@ -390,22 +390,49 @@ class TestSolveR:
         assert r_equation_residual(sys, r) <= tol
 
     def test_diagonal_layout_round_trip(self, rng):
-        # diagonal m of R_kk and R_jk, k = 1, 2, indexes the kernel array's
-        # nodes (i, j) = (m + l, l), l = 0..N-m: reads see them, writes land there
-        for n in (8, 9):
-            data = rng.standard_normal((n + 1, n + 1, 2, 2)) + 1j * rng.standard_normal((n + 1, n + 1, 2, 2))
-            flat = data.reshape(-1)
+        # diagonal m of R_kk and R_jk, k = 1, 2, indexes the kernel's nodes
+        # (i, j) = (m + l, l), l = 0..N-m, in a dense array and in a packed
+        # triangle of np.tril_indices order: reads see them, writes land there
+        for n, packed in ((8, False), (8, True), (9, False), (9, True)):
+            tril = np.tril_indices(n + 1)
+            dense = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
+            dense[tril] = rng.standard_normal((tril[0].size, 2, 2)) + 1j * rng.standard_normal((tril[0].size, 2, 2))
+            kernel = dense[tril] if packed else dense
+            flat = kernel.reshape(-1)
+
+            def unpacked():
+                out = np.zeros_like(dense)
+                out[tril] = kernel[tril] if kernel.ndim == 4 else kernel
+                return out
+
+            starts = transformop._row_starts(kernel, n)
             for m in (0, 1, n - 1, n):
                 l = np.arange(n + 1 - m)
-                nodes = transformop._diagonal_index(n + 1)[..., : n + 1 - m] + 4 * m * (n + 1)
+                nodes = transformop._PLANES[:, :, None] + 4 * (starts[m:] + l)
                 for k in (1, 2):
                     for row, a in enumerate((k, 3 - k)):
-                        assert np.array_equal(flat[nodes[row, k - 1]], data[m + l, l, a - 1, k - 1])
+                        assert np.array_equal(flat[nodes[row, k - 1]], unpacked()[m + l, l, a - 1, k - 1])
                         new = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
-                        want = data.copy()
+                        want = unpacked()
                         want[m + l, l, a - 1, k - 1] = new
                         flat[nodes[row, k - 1]] = new
-                        assert np.array_equal(data, want)
+                        assert np.array_equal(unpacked(), want)
+
+    @pytest.mark.parametrize("n", [8, 9, 64])
+    @pytest.mark.parametrize("b", WEIGHT_PAIRS + ((-1.0, 7.0),), ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
+    def test_upsampled_potential_is_np_interp(self, b, n):
+        # qup[s, k, r, j] holds Q_jk at slot i = q j + r, i/q grid units:
+        # bitwise np.interp of the grid row there, slot q N + 1 extrapolated
+        # from the end cell and the slots past it zero
+        sweeper = transformop._RSweeper([smooth_potential(69, n, *b, l1_norm=0.8)], n)
+        q = sweeper.q
+        slots = np.arange(q * n + 2) / q
+        for k in (1, 2):
+            values = sweeper.qjk[0, k - 1]
+            want = np.zeros(q * (n + 1), dtype=complex)
+            want[: q * n + 2] = np.interp(slots, np.arange(n + 1), values,
+                                          right=values[-1] + (values[-1] - values[-2]) / q)
+            assert sweeper.qup[0, k - 1].T.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
     def test_line_sums_match_per_node_paths(self, b, rng):
@@ -640,8 +667,9 @@ class TestRowMarch:
             for data, row, ref, ref_row in zip(datas, rows.transpose(1, 0, 2), singles, single_rows):
                 assert data.tobytes() == ref.r.data.tobytes()
                 assert row.tobytes() == ref_row.tobytes()
-            kdatas, _ = transformop._march([sys for sys in systems[:count] for _ in (1, -1)], [1, -1] * count, n,
-                                           transformop.DEFAULT_TOL)
+            kdatas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in range(2 * count)]
+            transformop._march([sys for sys in systems[:count] for _ in (1, -1)], [1, -1] * count, n, kdatas,
+                               transformop.DEFAULT_TOL)
             traces, _ = transformop._kernel_traces(systems[:count], n)
             for kplus, kminus, (tplus, tminus), ref in zip(kdatas[0::2], kdatas[1::2], traces, singles):
                 assert kplus.tobytes() == ref.kplus.data.tobytes()
@@ -1221,8 +1249,8 @@ class TestPackedDumps:
         for kernel, dump in zip((ks.r, ks.kplus, ks.kminus), transformop._dumps(store)):
             write_kernel(kernel, path)
             assert path.read_bytes() == dump.tobytes()
-        assert {"R": check, **transformop._dump_residuals(store, sys, n)} == ks.residuals
-        rows = transformop._packed_rows(transformop._packed(store)[0], n)
+        assert {"R": check, **transformop._kernel_residuals(transformop._packed(store), sys, n)[2]} == ks.residuals
+        rows = transformop._rows(transformop._packed(store)[0], n)
         pplus, pminus, residual = transformop._solve_P_rows(rows, sys, n)
         assert pplus.samples.tobytes() == ks.pplus.samples.tobytes()
         assert pminus.samples.tobytes() == ks.pminus.samples.tobytes()
@@ -1233,3 +1261,24 @@ class TestPackedDumps:
         sys = smooth_potential(68, n, -1.0, 2.0, l1_norm=0.8)
         with pytest.raises(IterationLimitError):
             transformop._march_dumps(sys, n, 1e-300)
+
+    def test_check_reads_a_packed_dump(self):
+        # the check over the dumps' packed triangles reads the march back,
+        # as it does a dense array: no R_jk/K_jk defect, the R_kk/K_kk
+        # defects bitwise the march's; K+/-(x, 0) = 0 is a K_kk defect
+        n = 33
+        sys = smooth_potential(77, n, -1.0, 2.0, l1_norm=0.8)
+        signs = (0, 1, -1)
+        store, _ = transformop._march_dumps(sys, n, transformop.DEFAULT_TOL)
+        dense = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in signs]
+        marched = transformop._RSweeper([sys] * 3, n, signs).sweep(dense, solve=True)
+        packed = transformop._packed(store)
+        checked = transformop._RSweeper([sys] * 3, n, signs).sweep(packed, solve=False)
+        assert not checked[1].any()
+        assert checked[0].tobytes() == marched[0].tobytes() and checked[0].max() <= 1e-15
+        i = np.arange(n + 1)
+        column = i * (i + 1) // 2  # the nodes (x_i, 0) in np.tril_indices order
+        packed[1:, column, 0, 0] = packed[1:, column, 1, 1] = 0.0
+        broken = transformop._RSweeper([sys] * 3, n, signs).sweep(packed, solve=False)[0]
+        assert broken[1:].min() > 1e-3
+        assert broken[0].tobytes() == marched[0, 0].tobytes()
