@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,7 @@ from .spectrum import (
 from .stability import PotentialBallSampler, run_ball_experiment
 from .transformop import (
     DEFAULT_TOL,
-    _dumps,
-    _kernel_residuals,
     _march_dumps,
-    _packed,
     build_kernels,  # noqa: F401  kept bound here: perfbench's tracer wraps every module's binding
 )
 
@@ -267,7 +264,8 @@ _TASK_KEYS = {
     "classify": {**_WEIGHTS, **_BC},
     "spectrum": {**_SYSTEM, **_BC_STRICT, "n_max": 20, "eps_ladder": list(EPS_LADDER_DEFAULT), "allow_nonstrict": False, **_TOL},
     "kernels": {**_SYSTEM, **_TOL},
-    "stability": {**_WEIGHTS, **_BC_STRICT, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig"},
+    "stability": {**_WEIGHTS, **_BC_STRICT, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig",
+                  "allow_nonstrict": False},
     "bari": {**_WEIGHTS, **_BC, "n_max": 30},
     "fourier": {
         **_WEIGHTS, **_BC, **_GRID, **_P, "fourier.g": {"kind": "trig", "q12": {}, "q21": {"1": 1.0}},
@@ -311,9 +309,11 @@ def _parse_config(path, task: str) -> tuple[dict, dict]:
 
 
 # Tasks that march kernels on the (N+1) x (N+1) grid, and an upper bound on
-# their peak in dense kernels of 64 (N+1)^2 bytes each, from traced peaks
-# at N = 256: kernels 1.75 (R, K+ and K- marched into their three packed
-# dumps, 1.5 dense kernels; 1.62 at N = 512), spectrum 0.18 and stability
+# their peak in dense kernels of 64 (N+1)^2 bytes each: kernels 0.98 of
+# resident growth from N = 16 to N = 512 (R, K+ and K- marched into a
+# mapped store of their three packed dumps, 1.5 dense kernels, whose
+# finished rows are released as the march goes; tracemalloc does not see
+# it), and, from traced peaks at N = 256, spectrum 0.18 and stability
 # 0.60 (each K+/- row's trace at x = 1 and, for stability, the kernel
 # deviation's row and column sums; 0.09 and 0.29 at N = 512).
 _LIVE_KERNELS = {"spectrum": 1, "kernels": 2, "stability": 1}
@@ -364,14 +364,6 @@ def _csv_bytes(header: list, rows: list, manifest_hash: str) -> bytes:
     return text.getvalue().encode("utf-8")
 
 
-@contextmanager
-def _stage(timings: dict, key: str):
-    """Records the seconds its block takes as ``timings[key]``."""
-    start = time.perf_counter()
-    yield
-    timings[key] = time.perf_counter() - start
-
-
 def _complex_json(z: complex):
     return [z.real, z.imag]
 
@@ -403,21 +395,38 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         write("spectrum.csv", _csv_bytes(*csv_table(window), mhash))
         write("spectrum.json", _json_bytes({"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash))
     elif task == "kernels":
-        # build_kernels' march and residual route, into the dumps' packed
-        # triangles in place of dense arrays: each dump is written, and
-        # hashed, from one buffer
+        # build_kernels' march into the dumps' packed triangles, which hands
+        # each dump's rows over as they become final: each is hashed and
+        # written to a .part file, renamed once every check has passed
         system, n = v["system.potential"], v["n"]
-        with _stage(timings, "march_s"):
-            store, r_check = _march_dumps(system, n, v["tolerances.kernel_tol"])
-        with _stage(timings, "p_s"):
-            residuals = {"R": r_check, **_kernel_residuals(_packed(store), system, n)[2]}
-        with _stage(timings, "dumps_s"):
-            for name, dump in zip(("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin"), _dumps(store)):
-                write(name, dump)
+        names = ("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin")
+        parts = [out_dir / f"{name}.part" for name in names]
+        hashes = [hashlib.sha256() for _ in names]
+        done = []
+        try:
+            with ExitStack() as files:
+                sinks = [files.enter_context(open(part, "wb")) for part in parts]
+
+                def sink(s, chunk):
+                    hashes[s].update(chunk)
+                    sinks[s].write(chunk)
+
+                start = time.perf_counter()
+                *_, residuals, spent = _march_dumps(system, n, v["tolerances.kernel_tol"], sink)
+                timings.update(spent, march_s=time.perf_counter() - start - sum(spent.values()))
+            for part, name in zip(parts, names):
+                os.replace(part, out_dir / name)
+                done.append(out_dir / name)
+        except BaseException:
+            for path in parts + done:
+                path.unlink(missing_ok=True)
+            raise
+        artifacts.update((name, digest.hexdigest()[:16]) for name, digest in zip(names, hashes))
         write("kernels.json", _json_bytes({"n": n, "residuals": residuals}, mhash))
     elif task == "stability":
         sampler = PotentialBallSampler(v["p"], v["r"], v["seed"], family=v["family"])
-        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2)
+        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2,
+                                            allow_nonstrict=v["allow_nonstrict"])
         columns = ["dq_norm", "kernel_dev", "eigen_dev", "eigenfunction_dev", "kernel_ratio", "eigen_ratio",
                    "eigenfunction_ratio"]
         csv_rows = [[r["pair"], *(repr(float(r[c])) for c in columns)] for r in rows]

@@ -62,8 +62,13 @@ straight into their binary dumps' packed (T, 2, 2) triangles in
 tables: row i of the triangle starts at node (N+1) i of a dense array and
 at node i (i + 1)/2 of a packed one, and its nodes j = 0..i follow
 (``_row_starts``).  So one node index writes a diagonal and the check
-reads it back in either layout, and one route solves P+/- from R's rows
-and reads the boundary relation at the nodes (x, 0).  The spectra and
+reads it back in either layout, and one route solves P+/- from R's rows,
+in order, and reads the boundary relation at the nodes (x, 0).  Row i is
+final once diagonal i, which holds its node (x_i, 0), is marched, and the
+march never reads a diagonal back: so the ``kernels`` task hands its
+dumps' finished rows off while it marches, feeds R's to P+/-, and
+releases them, never holding three whole triangles (``_march_dumps``).
+The spectra and
 stability experiments march the K+/- of every potential of a request
 together, keeping only each diagonal's last node, which is the trace
 K+/-(1, .) that Delta_Q reads, and the row and column sums of the kernel
@@ -74,7 +79,9 @@ dense kernel.
 from __future__ import annotations
 
 import math
+import mmap
 import struct
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -353,12 +360,14 @@ class _RSweeper:
             start /= (1.0 - e[:, 0] * e[:, 1])[:, None]
         return start
 
-    def sweep(self, kernels, solve: bool) -> np.ndarray:
+    def sweep(self, kernels, solve: bool, finished=None) -> np.ndarray:
         """``walk`` with the C-contiguous arrays ``kernels``, one per kernel
         of the stack, all dense or all packed (``_row_starts``): the march
         writes each diagonal into them, the check reads it from them.  The
         diagonal's node (m + l, l) is node starts[m + l] + l, and its plane
-        R_ab entry 2 (a - 1) + (b - 1) of that node."""
+        R_ab entry 2 (a - 1) + (b - 1) of that node.  The march calls
+        ``finished(m)``, if given, once diagonal m is written: rows 0..m of
+        every kernel are then final, as node (x_i, 0) is on diagonal i."""
         flats = [kernel.reshape(-1) for kernel in kernels]
         starts = _row_starts(kernels[0], self.n)
         ramp = np.arange(self.n + 1)
@@ -370,6 +379,8 @@ class _RSweeper:
                     flat[nodes] = rows
                 else:
                     np.take(flat, nodes, out=rows)
+            if finished is not None:
+                finished(m)
 
         return self.walk(diagonal, solve)
 
@@ -495,10 +506,11 @@ def _certified(worst: np.ndarray, signs, tol: float) -> list:
 
 def _march(systems, signs, n: int, kernels, tol: float) -> list:
     """One march over the rows (systems[s], signs[s]), R for sign 0 and
-    K+/- for +/-1, into the arrays ``kernels`` (``sweep``); returns each
-    row's check.  The callers form ``kernels`` before the sweeper's tables:
-    a request's peak RSS moves with where glibc's heap places them
-    (BENCH_15.json has both orders)."""
+    K+/- for +/-1, into the dense arrays ``kernels`` (``sweep``); returns
+    each row's check.  The callers form ``kernels`` before the sweeper's
+    tables: a request's peak RSS moves with where glibc's heap places them
+    (BENCH_15.json has both orders).  ``_march_dumps``' store is a mapping
+    of its own, outside the heap, where the order does not matter."""
     return _certified(_RSweeper(systems, n, signs).sweep(kernels, solve=True), signs, tol)
 
 
@@ -552,33 +564,59 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
 
 def _solve_P_rows(rows, sys: DiracSystem, n: int):
     """``solve_P`` from R's rows alone: ``rows[i]`` holds R(x_i, t_j),
-    j = 0..i, as an (i+1, 2, 2) array (``_rows``).  The defect re-evaluates
-    each row's trapezoid sum (the full row sum less half of both end terms)
-    at the solution."""
-    h = 1.0 / n
-    a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
-    first = np.array([row[0] for row in rows])  # R(x_i, 0)
-    diag = np.array([row[-1] for row in rows])  # R(x_i, x_i)
-    g = np.empty((n + 1, 2, 2), dtype=complex)  # g[i, component, sign]
-    g[:, 0] = (-a2 * first[:, 0, 1])[:, None] * np.array([1.0, -1.0])
-    g[:, 1] = (-a1 * first[:, 1, 0])[:, None]
-    # the trapezoid's s = x_i node, moved to the left-hand side
-    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * diag)
-    v = np.empty_like(g)
-    v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0, restored below
-    for i in range(1, n + 1):
-        acc = rows[i][:i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
-        v[i] = inv[i] @ (g[i] - h * acc)
-    v[0] = g[0]
-    full = np.zeros_like(g)
-    for i in range(1, n + 1):
-        np.matmul(rows[i].transpose(1, 0, 2).reshape(2, 2 * i + 2), v[: i + 1].reshape(2 * i + 2, 2), out=full[i])
-    integral = (full - 0.5 * (first @ v[0] + diag @ v)) / n
-    integral[0] = 0.0
-    residual = float(np.abs(v + integral - g).max())
-    pplus, pminus = (SampledFunction(np.stack([sys.b1 * v[:, 0, col], sign * sys.b2 * v[:, 1, col]], axis=1))
-                     for col, sign in enumerate((+1, -1)))
-    return pplus, pminus, residual
+    j = 0..i, as an (i+1, 2, 2) array (``_rows``)."""
+    solver = _PSolver(sys, n)
+    solver.step(rows)
+    return solver.finish()
+
+
+class _PSolver:
+    """``solve_P``'s forward substitution, fed R's rows in order by
+    ``step`` (all at once, or a few at a time as a march finishes them),
+    each read once: its row sum with the trapezoid's half weight at s = 0
+    solves P there, and its full row sum at the solution, with that weight
+    restored, is what the defect re-evaluates (the full row sum less half
+    of both end terms).  ``finish`` returns (pplus, pminus, residual)."""
+
+    def __init__(self, sys: DiracSystem, n: int):
+        self.sys, self.n, self.h = sys, n, 1.0 / n
+        self.first = np.empty((n + 1, 2, 2), dtype=complex)  # R(x_i, 0)
+        self.diag = np.empty_like(self.first)  # R(x_i, x_i)
+        self.g = np.empty_like(self.first)  # g[i, component, sign]
+        self.v = np.empty_like(self.first)  # the solution, v[0] halved
+        self.u = np.empty_like(self.first)  # the solution
+        self.full = np.zeros_like(self.first)
+        self.done = 0
+
+    def step(self, rows) -> None:
+        """Solve P at the next len(rows) nodes from R's rows there."""
+        lo, hi = self.done, self.done + len(rows)
+        h, first, diag, g, v, u = self.h, self.first, self.diag, self.g, self.v, self.u
+        first[lo:hi] = [row[0] for row in rows]
+        diag[lo:hi] = [row[-1] for row in rows]
+        a1, a2 = 1.0 / self.sys.b1, 1.0 / self.sys.b2
+        g[lo:hi, 0] = (-a2 * first[lo:hi, 0, 1])[:, None] * np.array([1.0, -1.0])
+        g[lo:hi, 1] = (-a1 * first[lo:hi, 1, 0])[:, None]
+        # the trapezoid's s = x_i node, moved to the left-hand side
+        inv = np.linalg.inv(np.eye(2) + (0.5 * h) * diag[lo:hi])
+        for i, row, inv_i in zip(range(lo, hi), rows, inv):
+            if not i:
+                v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0
+                u[0] = g[0]
+                continue
+            acc = row[:i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
+            u[i] = v[i] = inv_i @ (g[i] - h * acc)
+            np.matmul(row.transpose(1, 0, 2).reshape(2, 2 * i + 2), u[: i + 1].reshape(2 * i + 2, 2), out=self.full[i])
+        self.done = hi
+
+    def finish(self):
+        sys, first, u = self.sys, self.first, self.u
+        integral = (self.full - 0.5 * (first @ u[0] + self.diag @ u)) / self.n
+        integral[0] = 0.0
+        residual = float(np.abs(u + integral - self.g).max())
+        pplus, pminus = (SampledFunction(np.stack([sys.b1 * u[:, 0, col], sign * sys.b2 * u[:, 1, col]], axis=1))
+                         for col, sign in enumerate((+1, -1)))
+        return pplus, pminus, residual
 
 
 def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelSet:
@@ -800,30 +838,84 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
             fh.write(row)
 
 
-def _march_dumps(sys: DiracSystem, n: int, tol: float) -> tuple[np.ndarray, float]:
+# diagonals marched between two hand-offs of the dumps' final rows
+_FLUSH = 16
+
+
+def _anonymous_pages(size: int) -> mmap.mmap:
+    """A private anonymous mapping of ``size`` zero bytes.  It must be
+    private: MADV_DONTNEED on a shared one takes its pages out of the
+    resident set but keeps their contents in shared memory."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return mmap.mmap(-1, size)
+
+
+def _march_dumps(sys: DiracSystem, n: int, tol: float, sink):
     """R, K+ and K- of ``sys`` marched, as ``build_kernels`` marches them,
-    straight into their dumps: a little-endian complex array (3, 1 + 4 T)
-    whose row s holds the dump of kernel s (R, K+, K-) from its byte 8 on,
-    ``write_kernel``'s 8-byte header in the upper half of entry 0 and then
-    the T nodes in ``np.tril_indices`` order (``_row_starts``), so that each
-    dump is one contiguous slice.  Returns the array, its rows certified
-    by their checks, and R's check."""
+    straight into their dumps, which go to ``sink`` while the march runs.
+
+    The store is a little-endian complex array (3, 1 + 4 T) on a private
+    anonymous mapping whose row s holds the dump of kernel s (R, K+, K-)
+    from its byte 8 on: ``write_kernel``'s 8-byte header in the upper half
+    of entry 0 and then the T nodes in ``np.tril_indices`` order
+    (``_row_starts``).  Rows 0..m of every dump are final once diagonal m
+    is marched, so after every ``_FLUSH`` diagonals, and after the last,
+    each dump's newly final bytes go to ``sink(s, chunk)`` in order, a
+    uint8 view valid while the call lasts; R's finished rows go to P's
+    forward substitution; K+/-(x_i, 0) are copied; and the whole pages of
+    the final prefix are released (MADV_DONTNEED, where the platform has
+    it), so that the store never holds three whole triangles.  The sink
+    gets every byte of the dumps before their checks are done: a caller
+    keeps nothing of them until this returns.
+
+    Returns (pplus, pminus, residuals, seconds): P+/- from R, the residuals
+    "R", "P" and "K_boundary" as ``build_kernels`` has them, bit for bit,
+    and the seconds spent in the sink ("dumps_s") and in P ("p_s")."""
+    signs = (0, 1, -1)
     count = 2 * (n + 1) * (n + 2)  # complex entries per dump
-    store = np.empty((3, 1 + count), dtype="<c16")
-    check = _march([sys] * 3, (0, 1, -1), n, _packed(store), tol)[0]
+    pages = _anonymous_pages(3 * 16 * (1 + count))
+    store = np.frombuffer(pages, dtype="<c16").reshape(3, 1 + count)
     store[:, 0] = np.frombuffer(bytes(8) + _KERNEL_MAGIC.pack(n, count), dtype="<c16")
-    return store, check
+    packed = store[:, 1:].reshape(3, -1, 2, 2)
+    dumps = [row[8:] for row in store.view(np.uint8)]  # header and nodes
+    rows = _rows(packed[0], n)
+    starts = _row_starts(packed[0], n)
+    columns = np.empty((2, n + 1, 2, 2), dtype=complex)  # K+/-(x_i, 0)
+    solver = _PSolver(sys, n)
+    spent = {"dumps_s": 0.0, "p_s": 0.0}
+    release = getattr(mmap, "MADV_DONTNEED", None)
+    page, row_bytes = mmap.PAGESIZE, store.strides[0]
 
+    def finished(m):
+        if (m + 1) % _FLUSH and m < n:
+            return
+        lo, hi = solver.done, m + 1  # rows lo..m are the newly final ones
+        begin, end = 8 + 32 * lo * (lo + 1) if lo else 0, 8 + 32 * hi * (hi + 1)
+        clock = time.perf_counter()
+        for s, dump in enumerate(dumps):
+            sink(s, dump[begin:end])
+        spent["dumps_s"] += time.perf_counter() - clock
+        clock = time.perf_counter()
+        solver.step(rows[lo:hi])
+        spent["p_s"] += time.perf_counter() - clock
+        columns[:, lo:hi] = packed[1:, starts[lo:hi]]
+        if release is not None:
+            # the whole pages of row s of the store up to dump byte end,
+            # less those an earlier hand-off released
+            for s in range(3):
+                at = s * row_bytes + 8
+                first = max(-(-s * row_bytes // page), (at + begin) // page) * page
+                last = (at + end) // page * page
+                if last > first:
+                    pages.madvise(release, first, last - first)
 
-def _packed(store: np.ndarray) -> np.ndarray:
-    """The nodes (3, T, 2, 2) of ``_march_dumps``' array, as a view."""
-    return store[:, 1:].reshape(3, -1, 2, 2)
-
-
-def _dumps(store: np.ndarray) -> list:
-    """The three dumps in the array of ``_march_dumps``, header and nodes,
-    each as one contiguous byte view."""
-    return [row[8:] for row in store.view(np.uint8)]
+    check = _certified(_RSweeper([sys] * 3, n, signs).sweep(packed, True, finished), signs, tol)[0]
+    clock = time.perf_counter()
+    pplus, pminus, p_res = solver.finish()
+    spent["p_s"] += time.perf_counter() - clock
+    residuals = {"R": check, "P": p_res, "K_boundary": _boundary_relation_defect(sys, *columns)}
+    return pplus, pminus, residuals, spent
 
 
 def read_kernel(path) -> TriangularKernel:

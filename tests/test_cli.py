@@ -1,7 +1,12 @@
 import csv
 import hashlib
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -178,6 +183,22 @@ class TestRunTasks:
         assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "stability.json").read_text())
         assert "kernel_ratio" in summary["summary"]
+
+    def test_stability_task_opens_the_strictness_gate(self, tmp_path, capsys):
+        # at an irrational weight ratio generic bc are of unknown strictness:
+        # the task refused them naming allow_nonstrict, and refused a config
+        # carrying that key as unknown (exit 1)
+        payload = {"system": {"b1": -1.0, "b2": math.sqrt(2.0)}, "bc": {"canonical": [0.5, 1, 1, 0.5]},
+                   "n": 64, "n_max": 4, "pairs": 1, "seed": 11}
+        out = tmp_path / "refused"
+        assert main(["stability", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "allow_nonstrict" in capsys.readouterr().err
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**payload, "allow_nonstrict": True})
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "stability.csv", encoding="utf-8") as fh:
+            [row] = list(csv.reader(fh))[2:]
+        assert all(math.isfinite(float(value)) for value in row[1:])
 
     def test_stability_task_at_p_one(self, tmp_path):
         # every pair's eigen_dev read 1.0 (0 ** (1/inf)); at p = 1 it is the
@@ -444,7 +465,61 @@ class TestExitCodes:
                    "tolerances": {"kernel_tol": 1e-300}}
         out = tmp_path / "o"
         assert main(["kernels", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
-        assert not list(out.glob("kernel_*.bin"))
+        assert not list(out.glob("kernel_*"))
+
+    def test_failed_dump_write_leaves_no_dump(self, tmp_path, monkeypatch, capsys):
+        # the dumps are written while the march runs: an I/O error partway
+        # through is an I/O failure, and the partial files are removed
+        march = cli._march_dumps
+
+        def failing_march(system, n, tol, sink):
+            calls = []
+
+            def failing_sink(s, chunk):
+                calls.append(s)
+                if len(calls) > 7:
+                    raise OSError("no space left on device")
+                sink(s, chunk)
+
+            return march(system, n, tol, failing_sink)
+
+        monkeypatch.setattr(cli, "_march_dumps", failing_march)
+        out = tmp_path / "o"
+        assert main(["kernels", "--config", write_config(tmp_path, {**TRIG, "n": 64}), "--out", str(out)]) == 3
+        assert "no space left" in capsys.readouterr().err
+        assert out.is_dir() and not list(out.glob("kernel_*"))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_kernels_task_resident_peak(self, tmp_path):
+        # tracemalloc does not see the store, a private mapping whose final
+        # rows are released as they are handed off: the growth of the peak
+        # RSS from a request at N = 16 to one at N = 512 read 1.54 dense
+        # kernels of 64 (N+1)^2 bytes when the store held three whole
+        # triangles, and reads about 0.98 now.  A process's ru_maxrss starts
+        # at its parent's peak when it execs, which here is this test
+        # run's, so the requests run in a fork of a fresh interpreter.
+        script = textwrap.dedent("""
+            import json, os, resource, sys
+            from pathlib import Path
+            pid = os.fork()
+            if pid:
+                sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            from diracbvp.cli import main
+            tmp = Path(sys.argv[1])
+            potential = {"kind": "trig", "q12": {"1": [0.3, 0.1], "-1": [0.1, 0.0]}, "q21": {"0": [0.2, -0.1]}}
+            peaks = []
+            for n in (16, 512):
+                cfg = tmp / f"cfg{n}.json"
+                cfg.write_text(json.dumps({"system": {"b1": -1.0, "b2": 1.0, "potential": potential}, "n": n}))
+                assert main(["kernels", "--config", str(cfg), "--out", str(tmp / f"o{n}")]) == 0
+                peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            print(1024 * (peaks[1] - peaks[0]))
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=600, check=True)
+        assert int(proc.stdout) <= 1.2 * 64 * 513**2
 
     def test_kernels_task_peak_allocation(self, tmp_path):
         # R, K+ and K- are marched into their packed dumps, 1.5 dense
@@ -570,7 +645,7 @@ READS = {
     "spectrum": {"system.b1", "system.b2", "system.potential", "bc", "n", "n_max", "eps_ladder", "allow_nonstrict",
                  "tolerances"},
     "kernels": {"system.b1", "system.b2", "system.potential", "n", "tolerances"},
-    "stability": {"system.b1", "system.b2", "bc", "n", "n_max", "pairs", "seed", "p", "r", "family"},
+    "stability": {"system.b1", "system.b2", "bc", "n", "n_max", "pairs", "seed", "p", "r", "family", "allow_nonstrict"},
     "bari": {"system.b1", "system.b2", "bc", "n_max"},
     "fourier": {"system.b1", "system.b2", "bc", "n", "p", "fourier"},
 }

@@ -1,5 +1,7 @@
 import math
+import mmap
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1234,23 +1236,40 @@ class TestBinaryDump:
             read_kernel(path)
 
 
+def streamed(sys, n, tol=transformop.DEFAULT_TOL):
+    """The three dumps ``_march_dumps`` hands its sink, joined, and what it
+    returns: (dumps, pplus, pminus, residuals, seconds)."""
+    dumps = [bytearray() for _ in range(3)]
+    out = transformop._march_dumps(sys, n, tol, lambda s, chunk: dumps[s].extend(chunk))
+    return [bytes(dump) for dump in dumps], *out
+
+
+def dump_nodes(dumps) -> np.ndarray:
+    """The nodes (3, T, 2, 2) of three dumps, as a writable array."""
+    return np.array([np.frombuffer(dump, dtype="<c16", offset=8).reshape(-1, 2, 2) for dump in dumps])
+
+
 class TestPackedDumps:
     @pytest.mark.parametrize("n", [8, 9, 64])
     @pytest.mark.parametrize("b", WEIGHT_PAIRS, ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
     def test_dumps_and_residuals_are_build_kernels(self, b, n, tmp_path):
         # the kernels task marches R, K+ and K- into their dumps' packed
-        # triangles: each dump is write_kernel's bytes of build_kernels'
-        # kernel, P+/- from the packed rows are solve_P's bits, and the
-        # residuals are build_kernels' own
+        # triangles and streams each dump as its rows become final: each
+        # dump is write_kernel's bytes of build_kernels' kernel, P+/- from
+        # the streamed rows and from the dumps' rows are solve_P's bits,
+        # and the residuals are build_kernels' own
         sys = smooth_potential(67, n, *b, l1_norm=0.8)
         ks = build_kernels(sys, n)
-        store, check = transformop._march_dumps(sys, n, transformop.DEFAULT_TOL)
+        dumps, stream_pplus, stream_pminus, residuals, _ = streamed(sys, n)
         path = tmp_path / "kernel.bin"
-        for kernel, dump in zip((ks.r, ks.kplus, ks.kminus), transformop._dumps(store)):
+        for kernel, dump in zip((ks.r, ks.kplus, ks.kminus), dumps):
             write_kernel(kernel, path)
-            assert path.read_bytes() == dump.tobytes()
-        assert {"R": check, **transformop._kernel_residuals(transformop._packed(store), sys, n)[2]} == ks.residuals
-        rows = transformop._rows(transformop._packed(store)[0], n)
+            assert path.read_bytes() == dump
+        assert residuals == ks.residuals
+        assert {"R": residuals["R"], **transformop._kernel_residuals(dump_nodes(dumps), sys, n)[2]} == ks.residuals
+        assert stream_pplus.samples.tobytes() == ks.pplus.samples.tobytes()
+        assert stream_pminus.samples.tobytes() == ks.pminus.samples.tobytes()
+        rows = transformop._rows(dump_nodes(dumps)[0], n)
         pplus, pminus, residual = transformop._solve_P_rows(rows, sys, n)
         assert pplus.samples.tobytes() == ks.pplus.samples.tobytes()
         assert pminus.samples.tobytes() == ks.pminus.samples.tobytes()
@@ -1260,7 +1279,7 @@ class TestPackedDumps:
         n = 16
         sys = smooth_potential(68, n, -1.0, 2.0, l1_norm=0.8)
         with pytest.raises(IterationLimitError):
-            transformop._march_dumps(sys, n, 1e-300)
+            streamed(sys, n, 1e-300)
 
     def test_check_reads_a_packed_dump(self):
         # the check over the dumps' packed triangles reads the march back,
@@ -1269,10 +1288,10 @@ class TestPackedDumps:
         n = 33
         sys = smooth_potential(77, n, -1.0, 2.0, l1_norm=0.8)
         signs = (0, 1, -1)
-        store, _ = transformop._march_dumps(sys, n, transformop.DEFAULT_TOL)
+        dumps = streamed(sys, n)[0]
         dense = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in signs]
         marched = transformop._RSweeper([sys] * 3, n, signs).sweep(dense, solve=True)
-        packed = transformop._packed(store)
+        packed = dump_nodes(dumps)
         checked = transformop._RSweeper([sys] * 3, n, signs).sweep(packed, solve=False)
         assert not checked[1].any()
         assert checked[0].tobytes() == marched[0].tobytes() and checked[0].max() <= 1e-15
@@ -1282,3 +1301,40 @@ class TestPackedDumps:
         broken = transformop._RSweeper([sys] * 3, n, signs).sweep(packed, solve=False)[0]
         assert broken[1:].min() > 1e-3
         assert broken[0].tobytes() == marched[0, 0].tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 100])
+    def test_hand_offs_cover_each_dump_once_in_order(self, n):
+        # every byte of a dump is handed over once, in order, in chunks
+        # that end at a row's end: after every _FLUSH diagonals and the last
+        sys = smooth_potential(69, n, -1.0, 2.0, l1_norm=0.8)
+        sizes = [[] for _ in range(3)]
+        transformop._march_dumps(sys, n, transformop.DEFAULT_TOL, lambda s, chunk: sizes[s].append(chunk.size))
+        rows = [min(m, n + 1) for m in range(transformop._FLUSH, n + transformop._FLUSH + 1, transformop._FLUSH)]
+        ends = [8 + 32 * i * (i + 1) for i in rows]
+        assert sizes == [np.diff([0] + ends).tolist()] * 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(mmap, "MADV_DONTNEED"),
+                        reason="MADV_DONTNEED zero-fills a private mapping on Linux")
+    def test_released_rows_read_back_as_zeros(self):
+        # the store's pages of rows already handed off are released: kept
+        # past the hand-off, a chunk reads zeros there, which a shared
+        # mapping would not (its released pages keep their contents)
+        n = 64
+        sys = smooth_potential(70, n, -1.0, 2.0, l1_norm=0.8)
+        views, copies = [[] for _ in range(3)], [[] for _ in range(3)]
+
+        def keep(s, chunk):
+            views[s].append(chunk)
+            copies[s].append(chunk.tobytes())
+
+        transformop._march_dumps(sys, n, transformop.DEFAULT_TOL, keep)
+        page = mmap.PAGESIZE
+        for s in range(3):
+            now = np.concatenate(views[s])
+            before = np.frombuffer(b"".join(copies[s]), dtype=np.uint8)
+            # dump s starts 8 bytes into store row s, which is 16 (1 + 4 T) bytes long
+            at = s * 16 * (1 + 2 * (n + 1) * (n + 2)) + 8
+            first = -(-at // page) * page - at  # the dump's first whole page
+            assert now.size == before.size > first + 2 * page
+            assert not now[first : first + 2 * page].any()
+            assert before[first : first + 2 * page].any()
