@@ -264,8 +264,7 @@ _TASK_KEYS = {
     "classify": {**_WEIGHTS, **_BC},
     "spectrum": {**_SYSTEM, **_BC_STRICT, "n_max": 20, "eps_ladder": list(EPS_LADDER_DEFAULT), "allow_nonstrict": False, **_TOL},
     "kernels": {**_SYSTEM, **_TOL},
-    "stability": {**_WEIGHTS, **_BC_STRICT, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig",
-                  "allow_nonstrict": False},
+    "stability": {**_WEIGHTS, **_BC_STRICT, "n": 128, "n_max": 12, "pairs": 4, **_P, "r": 1.0, "seed": 0, "family": "trig"},
     "bari": {**_WEIGHTS, **_BC, "n_max": 30},
     "fourier": {
         **_WEIGHTS, **_BC, **_GRID, **_P, "fourier.g": {"kind": "trig", "q12": {}, "q21": {"1": 1.0}},
@@ -403,17 +402,21 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         parts = [out_dir / f"{name}.part" for name in names]
         hashes = [hashlib.sha256() for _ in names]
         done = []
+        dumps_s = 0.0
         try:
             with ExitStack() as files:
                 sinks = [files.enter_context(open(part, "wb")) for part in parts]
 
                 def sink(s, chunk):
+                    nonlocal dumps_s
+                    clock = time.perf_counter()
                     hashes[s].update(chunk)
                     sinks[s].write(chunk)
+                    dumps_s += time.perf_counter() - clock
 
                 start = time.perf_counter()
-                *_, residuals, spent = _march_dumps(system, n, v["tolerances.kernel_tol"], sink)
-                timings.update(spent, march_s=time.perf_counter() - start - sum(spent.values()))
+                *_, residuals, p_s = _march_dumps(system, n, v["tolerances.kernel_tol"], sink)
+                timings.update(march_s=time.perf_counter() - start - p_s - dumps_s, p_s=p_s, dumps_s=dumps_s)
             for part, name in zip(parts, names):
                 os.replace(part, out_dir / name)
                 done.append(out_dir / name)
@@ -425,8 +428,7 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         write("kernels.json", _json_bytes({"n": n, "residuals": residuals}, mhash))
     elif task == "stability":
         sampler = PotentialBallSampler(v["p"], v["r"], v["seed"], family=v["family"])
-        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2,
-                                            allow_nonstrict=v["allow_nonstrict"])
+        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2)
         columns = ["dq_norm", "kernel_dev", "eigen_dev", "eigenfunction_dev", "kernel_ratio", "eigen_ratio",
                    "eigenfunction_ratio"]
         csv_rows = [[r["pair"], *(repr(float(r[c])) for c in columns)] for r in rows]

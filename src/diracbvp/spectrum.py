@@ -539,7 +539,10 @@ def zeros_deltaQ(
     e.g. ``determinant_evaluator``'s, whose ``slope=True`` also gives
     Delta_Q' exactly.
     """
-    window0 = _window0(bc, sys.b1, sys.b2, n_max, allow_nonstrict)
+    try:
+        window0 = _window0(bc, sys.b1, sys.b2, n_max, allow_nonstrict)
+    except NonRegularError as err:
+        raise NonRegularError(f"{err}; pass allow_nonstrict=True to pair against a non-strict Delta_0") from None
     if callable(determinant):
         delta = determinant
     elif determinant == "kernels":
@@ -560,7 +563,7 @@ def _window0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, allow_non
     if not verdict.is_strictly_regular and not allow_nonstrict:
         raise NonRegularError(
             f"boundary conditions are {verdict.kind} ({verdict.reason}); "
-            "pass allow_nonstrict=True to pair against a non-strict Delta_0"
+            "zeros are paired against Delta_0's only under strictly regular ones"
         )
     return zeros_delta0(bc, b1, b2, n_max)
 

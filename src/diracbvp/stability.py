@@ -271,13 +271,10 @@ def run_ball_experiment(
     n_grid: int = 128,
     b1: float = -1.0,
     b2: float = 1.0,
-    allow_nonstrict: bool = False,
 ):
     """Kernel / eigenvalue / eigenfunction deviation ratios over sampled
     pairs.  Returns (rows, summary); summary holds the max observed ratio
-    per estimate type and the max/min spreads.  ``allow_nonstrict`` opens
-    the strict-regularity gate of the Delta_0 window both spectra of each
-    pair are paired against, as in ``zeros_deltaQ``."""
+    per estimate type and the max/min spreads."""
     p = PNorm(p).p
     pc = PNorm(p).conjugate().p
     rows = []
@@ -285,7 +282,7 @@ def run_ball_experiment(
     if sampled:
         # one Delta_0 window, and one march over every potential keeping
         # only the traces and the kernel deviation sums
-        window0 = _window0(bc, b1, b2, n_max, allow_nonstrict)
+        window0 = _window0(bc, b1, b2, n_max)
         traces, deviations = _kernel_traces([sys for pair in sampled for sys in pair], n_grid, p)
     for k, (qa, qb) in enumerate(sampled):
         dq = potential_diff_norm(qa, qb, p, n_grid)

@@ -62,18 +62,17 @@ straight into their binary dumps' packed (T, 2, 2) triangles in
 tables: row i of the triangle starts at node (N+1) i of a dense array and
 at node i (i + 1)/2 of a packed one, and its nodes j = 0..i follow
 (``_row_starts``).  So one node index writes a diagonal and the check
-reads it back in either layout, and one route solves P+/- from R's rows,
-in order, and reads the boundary relation at the nodes (x, 0).  Row i is
-final once diagonal i, which holds its node (x_i, 0), is marched, and the
-march never reads a diagonal back: so the ``kernels`` task hands its
-dumps' finished rows off while it marches, feeds R's to P+/-, and
-releases them, never holding three whole triangles (``_march_dumps``).
-The spectra and
-stability experiments march the K+/- of every potential of a request
-together, keeping only each diagonal's last node, which is the trace
-K+/-(1, .) that Delta_Q reads, and the row and column sums of the kernel
-deviation's mixed norms.  Only ``build_kernels`` and ``solve_R`` form a
-dense kernel.
+reads it back in either layout.  Row i is final once diagonal i, which
+holds its node (x_i, 0), is marched, and the march never reads a diagonal
+back: so one route (``_FinishedRows``) solves P+/- from R's rows and reads
+the boundary relation at the nodes (x, 0) while the march runs, and the
+``kernels`` task also hands its dumps' finished rows off and releases
+them, never holding three whole triangles (``_march_dumps``).  The
+spectra and stability experiments march the K+/- of every potential of a
+request together, keeping only each diagonal's last node, which is the
+trace K+/-(1, .) that Delta_Q reads, and the row and column sums of the
+kernel deviation's mixed norms.  Only ``build_kernels`` and ``solve_R``
+form a dense kernel.
 """
 
 from __future__ import annotations
@@ -504,14 +503,15 @@ def _certified(worst: np.ndarray, signs, tol: float) -> list:
     return out
 
 
-def _march(systems, signs, n: int, kernels, tol: float) -> list:
+def _march(systems, signs, n: int, kernels, tol: float, finished=None) -> list:
     """One march over the rows (systems[s], signs[s]), R for sign 0 and
-    K+/- for +/-1, into the dense arrays ``kernels`` (``sweep``); returns
-    each row's check.  The callers form ``kernels`` before the sweeper's
-    tables: a request's peak RSS moves with where glibc's heap places them
-    (BENCH_15.json has both orders).  ``_march_dumps``' store is a mapping
-    of its own, outside the heap, where the order does not matter."""
-    return _certified(_RSweeper(systems, n, signs).sweep(kernels, solve=True), signs, tol)
+    K+/- for +/-1, into the arrays ``kernels`` (``sweep``, which calls
+    ``finished``); returns each row's check.  The callers form dense
+    ``kernels`` before the sweeper's tables: a request's peak RSS moves
+    with where glibc's heap places them (BENCH_15.json has both orders).
+    ``_march_dumps``' store is a mapping of its own, outside the heap,
+    where the order does not matter."""
+    return _certified(_RSweeper(systems, n, signs).sweep(kernels, True, finished), signs, tol)
 
 
 def solve_R(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL, return_residual: bool = False):
@@ -559,20 +559,15 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """
     if r.n != n:
         raise GridMismatchError(f"kernel grid {r.n} != requested {n}")
-    return _solve_P_rows(_rows(r.data, n), sys, n)
-
-
-def _solve_P_rows(rows, sys: DiracSystem, n: int):
-    """``solve_P`` from R's rows alone: ``rows[i]`` holds R(x_i, t_j),
-    j = 0..i, as an (i+1, 2, 2) array (``_rows``)."""
     solver = _PSolver(sys, n)
-    solver.step(rows)
+    solver.step(_rows(r.data, n))
     return solver.finish()
 
 
 class _PSolver:
     """``solve_P``'s forward substitution, fed R's rows in order by
-    ``step`` (all at once, or a few at a time as a march finishes them),
+    ``step``, each an (i+1, 2, 2) array of R(x_i, t_j), j = 0..i
+    (``_rows``), all at once or a few at a time as a march finishes them,
     each read once: its row sum with the trapezoid's half weight at s = 0
     solves P there, and its full row sum at the solution, with that weight
     restored, is what the defect re-evaluates (the full row sum less half
@@ -624,21 +619,51 @@ def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelS
     march as rows of one stack, each certified by its own check, and P+/-
     from R."""
     datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in range(3)]
-    checks = _march([sys] * 3, (0, 1, -1), n, datas, tol)
-    pplus, pminus, residuals = _kernel_residuals(datas, sys, n)
+    route = _FinishedRows(datas, sys, n)
+    checks = _march([sys] * 3, (0, 1, -1), n, datas, tol, route)
+    pplus, pminus, residuals = route.residuals()
     r, kplus, kminus = (TriangularKernel(data) for data in datas)
     return KernelSet(r, pplus, pminus, kplus, kminus, {"R": checks[0], **residuals})
 
 
-def _kernel_residuals(kernels, sys: DiracSystem, n: int):
-    """P+/- and the residuals "P" and "K_boundary" of the arrays (R, K+,
-    K-), dense or packed: P+/- solved from R's rows, the boundary relation
-    read at the nodes (x_i, 0)."""
-    r, kplus, kminus = kernels
-    starts = _row_starts(r, n)
-    pplus, pminus, p_res = _solve_P_rows(_rows(r, n), sys, n)
-    k_res = _boundary_relation_defect(sys, kplus.reshape(-1, 2, 2)[starts], kminus.reshape(-1, 2, 2)[starts])
-    return pplus, pminus, {"P": p_res, "K_boundary": k_res}
+# diagonals marched between two takes of the finished rows
+_FLUSH = 16
+
+
+class _FinishedRows:
+    """The route to P+/- and the residuals "P" and "K_boundary" of a march
+    of (R, K+, K-) into ``kernels``, dense or packed, as its ``finished``:
+    after every ``_FLUSH`` diagonals, and after the last, R's newly final
+    rows go to P's forward substitution and K+/-(x_i, 0) are copied.  A
+    call on diagonal m returns the rows (lo, hi) it took, or None between
+    takes; ``residuals`` then returns (pplus, pminus, {"P", "K_boundary"}),
+    and ``p_s`` holds the seconds spent on P."""
+
+    def __init__(self, kernels, sys: DiracSystem, n: int):
+        self.sys, self.n = sys, n
+        self.rows = _rows(kernels[0], n)
+        self.starts = _row_starts(kernels[0], n)
+        self.nodes = [kernel.reshape(-1, 2, 2) for kernel in kernels[1:]]
+        self.columns = np.empty((2, n + 1, 2, 2), dtype=complex)  # K+/-(x_i, 0)
+        self.solver = _PSolver(sys, n)
+        self.p_s = 0.0
+
+    def __call__(self, m: int):
+        if (m + 1) % _FLUSH and m < self.n:
+            return None
+        lo, hi = self.solver.done, m + 1
+        clock = time.perf_counter()
+        self.solver.step(self.rows[lo:hi])
+        self.p_s += time.perf_counter() - clock
+        for column, nodes in zip(self.columns, self.nodes):
+            column[lo:hi] = nodes[self.starts[lo:hi]]
+        return lo, hi
+
+    def residuals(self):
+        clock = time.perf_counter()
+        pplus, pminus, p_res = self.solver.finish()
+        self.p_s += time.perf_counter() - clock
+        return pplus, pminus, {"P": p_res, "K_boundary": _boundary_relation_defect(self.sys, *self.columns)}
 
 
 def _boundary_relation_defect(sys: DiracSystem, kplus0: np.ndarray, kminus0: np.ndarray) -> float:
@@ -838,10 +863,6 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
             fh.write(row)
 
 
-# diagonals marched between two hand-offs of the dumps' final rows
-_FLUSH = 16
-
-
 def _anonymous_pages(size: int) -> mmap.mmap:
     """A private anonymous mapping of ``size`` zero bytes.  It must be
     private: MADV_DONTNEED on a shared one takes its pages out of the
@@ -859,50 +880,38 @@ def _march_dumps(sys: DiracSystem, n: int, tol: float, sink):
     anonymous mapping whose row s holds the dump of kernel s (R, K+, K-)
     from its byte 8 on: ``write_kernel``'s 8-byte header in the upper half
     of entry 0 and then the T nodes in ``np.tril_indices`` order
-    (``_row_starts``).  Rows 0..m of every dump are final once diagonal m
-    is marched, so after every ``_FLUSH`` diagonals, and after the last,
-    each dump's newly final bytes go to ``sink(s, chunk)`` in order, a
-    uint8 view valid while the call lasts; R's finished rows go to P's
-    forward substitution; K+/-(x_i, 0) are copied; and the whole pages of
-    the final prefix are released (MADV_DONTNEED, where the platform has
-    it), so that the store never holds three whole triangles.  The sink
-    gets every byte of the dumps before their checks are done: a caller
-    keeps nothing of them until this returns.
+    (``_row_starts``).  Each time ``_FinishedRows`` takes the newly final
+    rows, each dump's newly final bytes go to ``sink(s, chunk)`` in order,
+    a uint8 view valid while the call lasts, and the whole pages of the
+    final prefix are released (MADV_DONTNEED, where the platform has it),
+    so that the store never holds three whole triangles.  The sink gets
+    every byte of the dumps before their checks are done: a caller keeps
+    nothing of them until this returns.
 
-    Returns (pplus, pminus, residuals, seconds): P+/- from R, the residuals
+    Returns (pplus, pminus, residuals, p_s): P+/- from R, the residuals
     "R", "P" and "K_boundary" as ``build_kernels`` has them, bit for bit,
-    and the seconds spent in the sink ("dumps_s") and in P ("p_s")."""
-    signs = (0, 1, -1)
+    and the seconds spent on P."""
     count = 2 * (n + 1) * (n + 2)  # complex entries per dump
     pages = _anonymous_pages(3 * 16 * (1 + count))
     store = np.frombuffer(pages, dtype="<c16").reshape(3, 1 + count)
     store[:, 0] = np.frombuffer(bytes(8) + _KERNEL_MAGIC.pack(n, count), dtype="<c16")
     packed = store[:, 1:].reshape(3, -1, 2, 2)
     dumps = [row[8:] for row in store.view(np.uint8)]  # header and nodes
-    rows = _rows(packed[0], n)
-    starts = _row_starts(packed[0], n)
-    columns = np.empty((2, n + 1, 2, 2), dtype=complex)  # K+/-(x_i, 0)
-    solver = _PSolver(sys, n)
-    spent = {"dumps_s": 0.0, "p_s": 0.0}
+    route = _FinishedRows(packed, sys, n)
     release = getattr(mmap, "MADV_DONTNEED", None)
     page, row_bytes = mmap.PAGESIZE, store.strides[0]
 
     def finished(m):
-        if (m + 1) % _FLUSH and m < n:
+        taken = route(m)
+        if taken is None:
             return
-        lo, hi = solver.done, m + 1  # rows lo..m are the newly final ones
+        lo, hi = taken
         begin, end = 8 + 32 * lo * (lo + 1) if lo else 0, 8 + 32 * hi * (hi + 1)
-        clock = time.perf_counter()
         for s, dump in enumerate(dumps):
             sink(s, dump[begin:end])
-        spent["dumps_s"] += time.perf_counter() - clock
-        clock = time.perf_counter()
-        solver.step(rows[lo:hi])
-        spent["p_s"] += time.perf_counter() - clock
-        columns[:, lo:hi] = packed[1:, starts[lo:hi]]
         if release is not None:
             # the whole pages of row s of the store up to dump byte end,
-            # less those an earlier hand-off released
+            # less those an earlier take released
             for s in range(3):
                 at = s * row_bytes + 8
                 first = max(-(-s * row_bytes // page), (at + begin) // page) * page
@@ -910,12 +919,9 @@ def _march_dumps(sys: DiracSystem, n: int, tol: float, sink):
                 if last > first:
                     pages.madvise(release, first, last - first)
 
-    check = _certified(_RSweeper([sys] * 3, n, signs).sweep(packed, True, finished), signs, tol)[0]
-    clock = time.perf_counter()
-    pplus, pminus, p_res = solver.finish()
-    spent["p_s"] += time.perf_counter() - clock
-    residuals = {"R": check, "P": p_res, "K_boundary": _boundary_relation_defect(sys, *columns)}
-    return pplus, pminus, residuals, spent
+    check = _march([sys] * 3, (0, 1, -1), n, packed, tol, finished)[0]
+    pplus, pminus, residuals = route.residuals()
+    return pplus, pminus, {"R": check, **residuals}, route.p_s
 
 
 def read_kernel(path) -> TriangularKernel:

@@ -293,7 +293,8 @@ def record_sweeps(monkeypatch):
     calls = []
     real = transformop._RSweeper.sweep
     monkeypatch.setattr(transformop._RSweeper, "sweep",
-                        lambda self, datas, solve: calls.append((len(datas), solve)) or real(self, datas, solve))
+                        lambda self, datas, solve, finished=None: calls.append((len(datas), solve))
+                        or real(self, datas, solve, finished))
     return calls
 
 
@@ -1238,7 +1239,7 @@ class TestBinaryDump:
 
 def streamed(sys, n, tol=transformop.DEFAULT_TOL):
     """The three dumps ``_march_dumps`` hands its sink, joined, and what it
-    returns: (dumps, pplus, pminus, residuals, seconds)."""
+    returns: (dumps, pplus, pminus, residuals, p_s)."""
     dumps = [bytearray() for _ in range(3)]
     out = transformop._march_dumps(sys, n, tol, lambda s, chunk: dumps[s].extend(chunk))
     return [bytes(dump) for dump in dumps], *out
@@ -1266,14 +1267,15 @@ class TestPackedDumps:
             write_kernel(kernel, path)
             assert path.read_bytes() == dump
         assert residuals == ks.residuals
-        assert {"R": residuals["R"], **transformop._kernel_residuals(dump_nodes(dumps), sys, n)[2]} == ks.residuals
+        route = transformop._FinishedRows(dump_nodes(dumps), sys, n)
+        assert route(n) == (0, n + 1)  # every row of the dumps at once
+        pplus, pminus, from_dumps = route.residuals()
+        assert {"R": residuals["R"], **from_dumps} == ks.residuals
         assert stream_pplus.samples.tobytes() == ks.pplus.samples.tobytes()
         assert stream_pminus.samples.tobytes() == ks.pminus.samples.tobytes()
-        rows = transformop._rows(dump_nodes(dumps)[0], n)
-        pplus, pminus, residual = transformop._solve_P_rows(rows, sys, n)
         assert pplus.samples.tobytes() == ks.pplus.samples.tobytes()
         assert pminus.samples.tobytes() == ks.pminus.samples.tobytes()
-        assert residual == ks.residuals["P"]
+        assert from_dumps["P"] == ks.residuals["P"]
 
     def test_check_below_its_roundoff_is_refused(self):
         n = 16
