@@ -104,13 +104,16 @@ def canonicalize(bc: BoundaryConditions) -> tuple[complex, complex, complex, com
     return a, b, c, d
 
 
-def _delta0_coefficients(coeffs) -> tuple:
-    """(J12, J34, J32, J14) from ``Minors`` or from the canonical (a, b, c, d),
+def _delta0_terms(coeffs, b1: float, b2: float) -> tuple:
+    """Delta_0 = J12 + sum_k J_k e^{i beta_k lam} as (J12, (J34, J32, J14),
+    (b1 + b2, b1, b2)), from ``Minors`` or from the canonical (a, b, c, d),
     i.e. minors (d, a, ad-bc, 1)."""
     if isinstance(coeffs, Minors):
-        return coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
-    a, b, c, d = coeffs
-    return d, a, a * d - b * c, 1.0
+        j12, j34, j32, j14 = coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
+    else:
+        a, b, c, d = coeffs
+        j12, j34, j32, j14 = d, a, a * d - b * c, 1.0
+    return j12, (j34, j32, j14), (b1 + b2, b1, b2)
 
 
 def delta0(coeffs, b1: float, b2: float, lam, slope: bool = False):
@@ -121,13 +124,13 @@ def delta0(coeffs, b1: float, b2: float, lam, slope: bool = False):
     exponentials: Delta_0' = i(b1+b2) J34 e^{i(b1+b2) lam} + i b1 J32 e^{i b1 lam}
     + i b2 J14 e^{i b2 lam}.  Scalars use ``cmath.exp``: bitwise equal to
     ``np.exp``, faster per call."""
-    j12, j34, j32, j14 = _delta0_coefficients(coeffs)
+    j12, (j34, j32, j14), (b12, _, _) = _delta0_terms(coeffs, b1, b2)
     exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
-    e12, e1, e2 = exp(1j * (b1 + b2) * lam), exp(1j * b1 * lam), exp(1j * b2 * lam)
+    e12, e1, e2 = exp(1j * b12 * lam), exp(1j * b1 * lam), exp(1j * b2 * lam)
     value = j12 + j34 * e12 + j32 * e1 + j14 * e2
     if not slope:
         return value
-    return value, 1j * ((b1 + b2) * j34 * e12 + b1 * j32 * e1 + b2 * j14 * e2)
+    return value, 1j * (b12 * j34 * e12 + b1 * j32 * e1 + b2 * j14 * e2)
 
 
 @dataclass(frozen=True)

@@ -72,14 +72,14 @@ class ConfigError(ValueError):
 
 
 def _as_number(value, where: str, integer: bool = False):
-    """A JSON number, kept as written (an int when ``integer``, which also
-    accepts an integral float); booleans and strings are config errors, not
-    something for the numerics to trip over later."""
+    """A finite JSON number, kept as written (an int when ``integer``, which
+    also accepts an integral float); booleans, strings, NaN and +-Infinity
+    are config errors, not something for the numerics to trip over later."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and integer and isinstance(value, float):
-        ok = value.is_integer()
+    if ok and isinstance(value, float):
+        ok = value.is_integer() if integer else math.isfinite(value)
     if not ok:
-        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
     return int(value) if integer else value
 
 
@@ -155,9 +155,12 @@ def _load_potential_file(path, n: int, b1: float, b2: float) -> DiracSystem:
             if len(row) != 5:
                 raise ConfigError(f"{path}:{line_no}: need 5 columns (x, ReQ12, ImQ12, ReQ21, ImQ21)")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{path}:{line_no}: numbers must be finite, got {row}")
+            rows.append(values)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least two sample rows")
     data = np.asarray(rows)
@@ -213,8 +216,9 @@ def _integer(lo: int, hi: int):
 
 
 def _exponent(value, key: str):
-    """An L^p exponent, which PNorm checks (InvalidExponentError, exit 1)."""
-    PNorm(_as_number(value, key))
+    """An L^p exponent, which PNorm checks (InvalidExponentError, exit 1);
+    p = Infinity is the sup norm."""
+    PNorm(value if value == math.inf else _as_number(value, key))
     return value
 
 

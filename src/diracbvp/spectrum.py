@@ -11,6 +11,8 @@ component-tracking construction that defines the canonical ordering.
 Every determinant callable, Delta_0 included, takes a 1-d array of lam and
 returns values of the same length; one that offers ``slope=True`` returns
 the pair (Delta, Delta'), which Newton uses in place of differences.
+Newton runs batched over its starts, and each zero count walks a list of
+contours (disks or rectangles) in one ``_winding`` call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_coefficients, _delta0_polynomial, _detect_rational, canonicalize, classify, delta0
+from .boundary import BoundaryConditions, _delta0_polynomial, _delta0_terms, _detect_rational, canonicalize, classify, delta0
 from .ode import DiracSystem, char_det_direct
 from .transformop import _kernel_traces, _trace_evaluator, build_kernels  # noqa: F401  build_kernels: perfbench's tracer wraps every module's binding
 
@@ -189,17 +191,18 @@ def zeros_delta0(bc: BoundaryConditions, b1: float, b2: float, n_max: int, metho
     return window
 
 
-def _box_count(f, x0, x1, y0, y1) -> int:
-    """Zero count of f inside a rectangle: ``_winding`` along its boundary,
-    from at least 32 points per side and per unit of length, counterclockwise
-    from (x0, y0); raises what refuses the count."""
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    sides = []
-    for za, zb in zip(corners, corners[1:] + corners[:1]):
-        seg = max(32, int(32 * abs(zb - za)))
-        sides.append(za + (zb - za) * np.arange(seg) / seg)
-    z = np.concatenate(sides)
-    return _counted(_winding(f, z, np.zeros(z.size, dtype=np.intp))[0])
+def _box_counts(f, boxes) -> list:
+    """Zero counts of f inside the rectangles (x0, x1, y0, y1) of ``boxes``,
+    all in one ``_winding`` call along their boundaries, each walked from at
+    least 32 points per side and per unit of length, counterclockwise from
+    (x0, y0); raises the first refusal in box order."""
+    corners = np.array([[complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)] for x0, x1, y0, y1 in boxes])
+    side = (np.roll(corners, -1, axis=1) - corners).ravel()
+    seg = np.maximum(32, (32 * np.abs(side)).astype(int))  # points per side, side after side
+    k = np.arange(seg.sum()) - np.repeat(np.cumsum(seg) - seg, seg)  # each point's place on its side
+    nodes = np.repeat(corners.ravel(), seg) + np.repeat(side, seg) * k / np.repeat(seg, seg)
+    contour = np.repeat(np.arange(len(boxes)), seg.reshape(-1, 4).sum(axis=1))
+    return [_counted(count) for count in _winding(f, nodes, contour)]
 
 
 def _counted(result):
@@ -324,42 +327,30 @@ def _value_and_slope(f):
     return value_and_slope
 
 
-def _newton(value_and_slope, z0, tol: float = 1e-13, max_iter: int = 60):
-    """Newton's method on (f, f') = value_and_slope(z) from the start z0:
-    the root, or None when f' vanishes, f overflows or max_iter steps do
-    not meet |dz| < tol (1 + |z|).  For a 1-d array of starts it returns a
-    list with one such result per start; each iteration makes one batched call over
-    the starts still running, which must return an array per component
-    (see ``_eval_many``), and each start keeps its own stopping test."""
-    if np.ndim(z0):
-        z = np.array(z0, dtype=complex)
-        roots: list[complex | None] = [None] * z.size
-        live = np.arange(z.size)
+def _newton(value_and_slope, z0: np.ndarray, tol: float = 1e-13, max_iter: int = 60) -> list:
+    """Newton's method on (f, f') = value_and_slope(z) from each start of the
+    1-d array z0: a list with, per start, the root, or None when f or f' is
+    not finite or f' vanishes at a step, or max_iter steps do not meet
+    |dz| < tol (1 + |z|).  Each iteration makes one batched call over the
+    starts still running, which must return an array per component (see
+    ``_eval_many``), and each start keeps its own stopping test."""
+    z = np.array(z0, dtype=complex)
+    roots: list[complex | None] = [None] * z.size
+    live = np.arange(z.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing start leaves below
         for _ in range(max_iter):
             if not live.size:
                 break
             value, d = _eval_many(value_and_slope, z[live])
-            live, value, d = live[d != 0], value[d != 0], d[d != 0]
+            ok = np.isfinite(value) & np.isfinite(d) & (d != 0)
+            live, value, d = live[ok], value[ok], d[ok]
             dz = value / d
             z[live] -= dz
             done = np.abs(dz) < tol * (1.0 + np.abs(z[live]))
             for k in live[done]:
                 roots[k] = complex(z[k])
             live = live[~done]
-        return roots
-    z = z0
-    for _ in range(max_iter):
-        try:
-            value, d = value_and_slope(z)
-        except OverflowError:  # a step went where f overflows: no root from this start
-            return None
-        if d == 0:
-            return None
-        dz = value / d
-        z = z - dz
-        if abs(dz) < tol * (1.0 + abs(z)):
-            return z
-    return None
+    return roots
 
 
 def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
@@ -367,22 +358,20 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     + J32 e^{i b1 lam} + J14 e^{i b2 lam} in unit-width boxes over the strip
     y_lo - 1 <= Im lam <= y_hi + 1: above y_hi the J32 term is more than
     three times each other term and below y_lo the J14 term is, so no zero
-    lies outside.  Zeros are located per box, deduplicated, and each
-    survivor gets its multiplicity from a local winding count."""
+    lies outside.  All boxes are counted in one call and zeros located per
+    box, deduplicated, and all survivors' multiplicities counted in one."""
 
     f = partial(delta0, (a, b, c, d), b1, b2)
     newton_f = _value_and_slope(f)
-    j12, j34, j32, j14 = (abs(j) for j in _delta0_coefficients((a, b, c, d)))
-    y_hi = _dominance_height(j32, ((j12, -b1), (j34, b2), (j14, b2 - b1))) + 1.0
-    y_lo = -_dominance_height(j14, ((j12, b2), (j34, -b1), (j32, b2 - b1))) - 1.0
+    j12, js, rates = _delta0_terms((a, b, c, d), b1, b2)
+    terms = [(abs(j12), 0.0), *((abs(j), beta) for j, beta in zip(js, rates))]
+    y_hi = _dominance_height(terms, b1) + 1.0
+    y_lo = -_dominance_height([(j, -beta) for j, beta in terms], -b2) - 1.0
     density = (b2 - b1) / (2 * math.pi)
     width = (margin * 2 + 8) / density / 2 + 2
     edges = -width + 0.0137 + np.arange(int(2 * width) + 2)
-    found: list[complex] = []
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        count = _box_count(f, t0, t1, y_lo, y_hi)
-        if count > 0:
-            found.extend(_locate_in_box(f, newton_f, t0, t1, y_lo, y_hi, count))
+    boxes = [(t0, t1, y_lo, y_hi) for t0, t1 in zip(edges[:-1], edges[1:])]
+    found = [z for box, count in zip(boxes, _box_counts(f, boxes)) for z in _locate_in_box(f, newton_f, *box, count)]
     # of roots closer than 3e-5 the one with the least |Delta_0| stands for
     # all, so no winding box (half-width sep / 3) takes in another one
     reps: list[complex] = []
@@ -390,10 +379,10 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
         z = found[i]
         if all(abs(z - rep) >= 3e-5 for rep in reps):
             reps.append(z)
+    radii = [min(0.05, float(sep) / 3.0) for sep in _separation_to_others(reps)]
+    mults = _box_counts(f, [(z.real - r, z.real + r, z.imag - r, z.imag + r) for z, r in zip(reps, radii)])
     out: list[tuple[complex, int]] = []
-    for rep, sep in zip(reps, _separation_to_others(reps)):
-        r = min(0.05, float(sep) / 3.0)
-        mult = _box_count(f, rep.real - r, rep.real + r, rep.imag - r, rep.imag + r)
+    for rep, r, mult in zip(reps, radii, mults):
         if mult > 1:
             # Newton places a multiple zero to about sqrt(rounding); the zeros'
             # mean (1 / 2 pi i mult) \oint (z - rep) f'/f dz is good to rounding
@@ -405,10 +394,11 @@ def _sweep_zeros(a, b, c, d, b1, b2, margin: int):
     return out
 
 
-def _dominance_height(lead: float, others) -> float:
-    """The least y >= 0 from which |lead| e^{r y} > 3 |J| for each (|J|, r)
-    of ``others``: the lead term outgrows each other one at rate r."""
-    return max([0.0] + [math.log(3.0 * j / lead) / r for j, r in others if j])
+def _dominance_height(terms, lead: float) -> float:
+    """The least y >= 0 from which the term of rate ``lead`` is more than three
+    times each other (|J|, beta) of ``terms``, |J| e^{-beta y} at Im lam = y."""
+    j_lead = next(j for j, beta in terms if beta == lead)
+    return max([0.0] + [math.log(3.0 * j / j_lead) / (beta - lead) for j, beta in terms if j and beta != lead])
 
 
 def _in_box(z: complex, x0, x1, y0, y1, pad: float) -> bool:
@@ -434,17 +424,15 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
         return []
     pad = 1e-9
     if count == 1:
-        z = _newton(newton_f, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-        if z is not None and _in_box(z, x0, x1, y0, y1, pad):
-            return [z]
-        z = _newton(newton_f, _argmin_scan(f, x0, x1, y0, y1))
+        z = _newton(newton_f, np.array([complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))]))[0]
+        if z is None or not _in_box(z, x0, x1, y0, y1, pad):
+            z = _newton(newton_f, np.array([_argmin_scan(f, x0, x1, y0, y1)]))[0]
         if z is not None and _in_box(z, x0, x1, y0, y1, pad):
             return [z]
     if depth >= 30 or max(x1 - x0, y1 - y0) < 1e-8:
         # coincident zeros (or a stubborn cluster): report the best point
         z = _argmin_scan(f, x0, x1, y0, y1)
-        z = _newton(newton_f, z) or z
-        return [z] * count
+        return [_newton(newton_f, np.array([z]))[0] or z] * count
     split_re = depth % 2 == 0
     lo, hi = (x0, x1) if split_re else (y0, y1)
     for k in range(1, 9):
@@ -453,7 +441,7 @@ def _locate_in_box(f, newton_f, x0, x1, y0, y1, count, depth=0) -> list[complex]
         cut = 0.5 * (lo + hi) + (hi - lo) * 0.013 * k
         halves = ((x0, cut, y0, y1), (cut, x1, y0, y1)) if split_re else ((x0, x1, y0, cut), (x0, x1, cut, y1))
         try:
-            counts = [_box_count(f, *box) for box in halves]
+            counts = _box_counts(f, halves)
         except (ContourTooCloseError, NonIntegerWindingError):
             continue
         if sum(counts) == count:

@@ -86,7 +86,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_coefficients, delta0, minors
+from .boundary import BoundaryConditions, _delta0_terms, delta0, minors
 from .gridfn import (
     GridMismatchError,
     IterationLimitError,
@@ -764,9 +764,9 @@ def _trace_evaluator(bc: BoundaryConditions, kp: np.ndarray, km: np.ndarray, b1:
     steps = np.array([b1 * h, b2 * h])[:, None]
     # Delta_Q is the exponential sum sum_k a_k e^{i beta_k lam}: Delta_0's
     # three terms and the trace terms beta = b_l t_j, a = c_{l,j}
-    _, j34, j32, j14 = _delta0_coefficients(m)
-    rates = np.concatenate([[b1 + b2, b1, b2], b1 * t, b2 * t])
-    slopes = np.abs(np.concatenate([[(b1 + b2) * j34, b1 * j32, b2 * j14], terms[0, : n + 1, 1], terms[1, : n + 1, 1]]))
+    _, js, betas = _delta0_terms(m, b1, b2)
+    rates = np.concatenate([betas, b1 * t, b2 * t])
+    slopes = np.abs(np.concatenate([[beta * j for j, beta in zip(js, betas)], terms[0, : n + 1, 1], terms[1, : n + 1, 1]]))
     up = rates > 0
 
     def delta(lam, slope=False):

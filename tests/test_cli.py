@@ -78,6 +78,15 @@ class TestLoadPotential:
         with pytest.raises(ConfigError):
             load_potential({"kind": "file", "path": str(path)}, 8, -1.0, 1.0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_file_non_finite_sample(self, tmp_path, value):
+        # float() reads nan and inf: a NaN sample reached the march, which
+        # exited 2 ("max|R| = nan")
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.0,1,0,0,0\n1.0,{value},0,0,0\n")
+        with pytest.raises(ConfigError, match="bad.csv:2: numbers must be finite"):
+            load_potential({"kind": "file", "path": str(path)}, 8, -1.0, 1.0)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             load_potential({"kind": "wavelet"}, 8, -1.0, 1.0)
@@ -213,6 +222,13 @@ class TestRunTasks:
         for pair, (dev, head) in enumerate(zip(devs, heads)):
             tail = [float(d) for i, n, d, flag in per_n if int(i) == pair and flag == "ok" and abs(int(n)) > head]
             assert dev == max(tail)
+
+    def test_stability_task_at_p_infinity(self, tmp_path):
+        # p ranges over [1, inf]: Infinity is the one non-finite number a
+        # config may hold
+        cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 2.0}, "bc": {"canonical": [0.5, 1, 1, 0.5]},
+                                      "n": 64, "n_max": 5, "pairs": 2, "p": math.inf, "seed": 11})
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("task, payload", [("spectrum", {"n": 32, "n_max": 4}),
                                                ("stability", {"n": 32, "n_max": 4, "pairs": 1})])
@@ -402,6 +418,21 @@ class TestExitCodes:
         if task == "spectrum":  # the JSON boolean is read
             payload["allow_nonstrict"] = False
             assert main([task, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"system": {"b1": -1.0, "b2": math.inf}}, "system.b2"),
+         ({"bc": {"canonical": [0, 1, math.nan, 0]}}, "bc.canonical")],
+        ids=["b2-infinity", "canonical-nan"],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, payload, key):
+        # b2 = Infinity ran (exit 0, strictly_regular) and a NaN in
+        # bc.canonical exited 2 ("SVD did not converge")
+        out = tmp_path / "o"
+        assert main(["classify", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bc",

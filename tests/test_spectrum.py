@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from diracbvp.boundary import BoundaryConditions, classify, delta0
+from diracbvp.boundary import BoundaryConditions, _delta0_terms, classify, delta0
 from diracbvp.gridfn import SampledFunction
 from diracbvp import spectrum
 from diracbvp.ode import DiracSystem, char_det_direct
@@ -17,8 +17,8 @@ from diracbvp.spectrum import (
     ContourTooCloseError,
     NonIntegerWindingError,
     NonRegularError,
+    _box_counts,
     _newton,
-    _box_count,
     _separation_to_others,
     _value_and_slope,
     _winding,
@@ -33,18 +33,36 @@ from conftest import smooth_potential
 
 def certified_delta0(quad, b1, b2):
     """Delta_0 of the canonical ``quad`` with a ``slope_bound``, so that
-    ``_box_count`` certifies its counts: the terms J e^{i beta lam},
-    (J34, J32, J14) = (a, ad - bc, 1)."""
-    a, b, c, d = quad
+    ``_box_counts`` certifies its counts: the terms J e^{i beta lam} of
+    ``_delta0_terms``."""
 
     def f(lam):
         return delta0(quad, b1, b2, lam)
 
-    terms = ((b1 + b2, a), (b1, a * d - b * c), (b2, 1.0))
+    _, js, rates = _delta0_terms(quad, b1, b2)
     f.slope_bound = lambda y_lo, y_hi: sum(
-        abs(beta * j) * np.maximum(np.exp(-beta * y_lo), np.exp(-beta * y_hi)) for beta, j in terms
+        abs(beta * j) * np.maximum(np.exp(-beta * y_lo), np.exp(-beta * y_hi)) for j, beta in zip(js, rates)
     )
     return f
+
+
+def scalar_newton(value_and_slope, z0, tol=1e-13, max_iter=60):
+    """Reference Newton loop from one start z0, one scalar call per step:
+    the root, or None when f' vanishes, f overflows or max_iter steps do
+    not meet |dz| < tol (1 + |z|)."""
+    z = z0
+    for _ in range(max_iter):
+        try:
+            value, d = value_and_slope(z)
+        except OverflowError:
+            return None
+        if d == 0:
+            return None
+        dz = value / d
+        z = z - dz
+        if abs(dz) < tol * (1.0 + abs(z)):
+            return z
+    return None
 
 
 def assert_window_holds_every_zero(quad, b1, b2, window, y0=-4.0, y1=6.0):
@@ -54,7 +72,7 @@ def assert_window_holds_every_zero(quad, b1, b2, window, y0=-4.0, y1=6.0):
     re = sorted({round(lam.real, 9) for _, lam, _ in window})
     x0, x1 = 0.5 * (re[0] + re[1]), 0.5 * (re[-2] + re[-1])
     inside = sum(m for _, lam, m in window if x0 < lam.real < x1)
-    assert _box_count(certified_delta0(quad, b1, b2), x0, x1, y0, y1) == inside
+    assert _box_counts(certified_delta0(quad, b1, b2), [(x0, x1, y0, y1)]) == [inside]
     assert all(y0 < lam.imag < y1 for _, lam, _ in window)
 
 
@@ -256,20 +274,20 @@ class TestZerosDelta0:
         assume(x1 - x0 > 0.1)
         assume(all(min(abs(z.real - x0), abs(z.real - x1), abs(z.imag - y0), abs(z.imag - y1)) >= 0.05 for z in zeros))
         inside = sum(m for z, m in zeros.items() if x0 < z.real < x1 and y0 < z.imag < y1)
-        assert _box_count(certified_delta0(quad, -1.0, b2), x0, x1, y0, y1) == inside
+        assert _box_counts(certified_delta0(quad, -1.0, b2), [(x0, x1, y0, y1)]) == [inside]
 
     def test_sweep_newton_step_evaluates_delta0_once(self, monkeypatch):
         # the sweep's Newton takes Delta_0' from its closed form, so each
-        # step makes one scalar Delta_0 call, with slope=True; batched
-        # contour walks pass arrays and are not counted
+        # step makes one batched Delta_0 call, with slope=True; contour
+        # walks call it without slope and are not counted
         steps = 0
-        scalar_calls = 0
+        slope_calls = 0
         real_delta0, real_newton = spectrum.delta0, spectrum._newton
 
         def counting_delta0(coeffs, b1, b2, lam, slope=False):
-            nonlocal scalar_calls
-            scalar_calls += not isinstance(lam, np.ndarray)
-            assert slope or isinstance(lam, np.ndarray)
+            nonlocal slope_calls
+            slope_calls += slope
+            assert isinstance(lam, np.ndarray)
             return real_delta0(coeffs, b1, b2, lam, slope=slope)
 
         def counting_newton(value_and_slope, z0, *args, **kwargs):
@@ -285,7 +303,7 @@ class TestZerosDelta0:
         window = zeros_delta0(BoundaryConditions.from_canonical(0, 1, 1, 0), -1.0, 1.0, 20, method="sweep")
         assert len(window) == 41
         assert steps > 0
-        assert scalar_calls == steps
+        assert slope_calls == steps
 
 
 class TestCountZeros:
@@ -348,9 +366,62 @@ class TestCountZeros:
             return np.where(np.real(z) < 0.5, 1.0, -1.0) + 0j
 
         with pytest.raises(NonIntegerWindingError):
-            _box_count(f, 0.0, 1.0, -1.0, 1.0)
+            _box_counts(f, [(0.0, 1.0, -1.0, 1.0)])
         with pytest.raises(NonIntegerWindingError):
             count_zeros_disk(f, 0.5, 0.3)
+
+    def test_box_list_counts_each_box_in_one_call(self, monkeypatch):
+        # one _winding call for the whole list gives every box the count it
+        # gets alone; with refusals, the first in box order is raised
+        roots = np.array([0.3 + 0.2j, -0.7 + 0.5j, 0.3 + 0.25j, 1.5 - 0.4j])
+
+        def poly(z):
+            return np.prod(z[:, None] - roots, axis=-1)
+
+        boxes = [(-1.0, 1.0, -1.0, 1.0), (0.0, 0.5, 0.0, 0.4), (1.0, 2.0, -1.0, 0.0), (-2.0, -1.5, 0.0, 1.0),
+                 (0.2, 0.4, 0.1, 0.22)]
+        alone = [_box_counts(poly, [box])[0] for box in boxes]
+        real_winding, calls = spectrum._winding, []
+        monkeypatch.setattr(spectrum, "_winding", lambda *args: calls.append(args) or real_winding(*args))
+        assert _box_counts(poly, boxes) == alone == [3, 2, 1, 0, 1]
+        assert len(calls) == 1
+
+        def f(z):
+            return np.where(np.real(z) < 0.5, 1.0, -1.0) * (z - 3.0)
+
+        # the sign flip at Re z = 1/2 is never resolved; z = 3 is a node
+        flip, close, fine = (0.0, 1.0, -1.0, 1.0), (2.5, 3.0, -1.0, 1.0), (2.5, 3.5, -0.5, 0.5)
+        assert _box_counts(f, [fine]) == [1]
+        with pytest.raises(NonIntegerWindingError):
+            _box_counts(f, [fine, flip, close])
+        with pytest.raises(ContourTooCloseError):
+            _box_counts(f, [fine, close, flip])
+
+    def test_rectangle_nodes_match_the_side_loop(self, monkeypatch):
+        # the counter places its nodes with array operations; a loop over
+        # the sides, one np.arange per side, is the reference, bit for bit
+        captured = {}
+
+        def capturing_winding(f, nodes, contour):
+            captured.update(nodes=nodes, contour=contour)
+            return [0] * (contour[-1] + 1)
+
+        monkeypatch.setattr(spectrum, "_winding", capturing_winding)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            x0, y0 = rng.uniform(-50.0, 50.0, (2, 4))
+            w, h = rng.exponential(2.0, (2, 4))
+            boxes = list(zip(x0, x0 + w, y0, y0 + h))
+            assert _box_counts(lambda z: z, boxes) == [0] * 4
+            nodes, contour = [], []
+            for k, (x0_, x1_, y0_, y1_) in enumerate(boxes):
+                corners = [complex(x0_, y0_), complex(x1_, y0_), complex(x1_, y1_), complex(x0_, y1_)]
+                for za, zb in zip(corners, corners[1:] + corners[:1]):
+                    seg = max(32, int(32 * abs(zb - za)))
+                    nodes.append(za + (zb - za) * np.arange(seg) / seg)
+                    contour.append(np.full(seg, k))
+            assert captured["nodes"].tobytes() == np.concatenate(nodes).tobytes()
+            assert captured["contour"].tolist() == np.concatenate(contour).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -376,7 +447,7 @@ class TestCountZeros:
         in_disk = sum(abs(z - center) < radius for z in roots)
         in_box = sum(box[0] < z.real < box[1] and box[2] < z.imag < box[3] for z in roots)
         assert count_zeros_disk(poly, center, radius) == in_disk
-        assert _box_count(poly, *box) == in_box
+        assert _box_counts(poly, [box]) == [in_box]
 
     def test_two_zeros_in_one_gap_are_both_counted(self):
         # both zeros 1e-4 inside the radius-0.1 circle, in one gap between
@@ -500,9 +571,7 @@ class TestZerosDeltaQ:
 
         def failing_newton(value_and_slope, z0, *args, **kwargs):
             roots = real_newton(value_and_slope, z0, *args, **kwargs)
-            if np.ndim(z0):
-                roots = [None if start == target else root for start, root in zip(z0, roots)]
-            return roots
+            return [None if start == target else root for start, root in zip(z0, roots)]
 
         monkeypatch.setattr(spectrum, "_newton", failing_newton)
         window = zeros_deltaQ(sys, bc, 4, determinant=delta)
@@ -645,7 +714,7 @@ class TestZerosDeltaQ:
         zeros = {e.lam: e.multiplicity for e in window.entries}
         assume(all(min(abs(z.real - x0), abs(z.real - x1), abs(z.imag - y0), abs(z.imag - y1)) >= 0.05 for z in zeros))
         inside = sum(m for z, m in zeros.items() if x0 < z.real < x1 and y0 < z.imag < y1)
-        assert _box_count(delta, x0, x1, y0, y1) == inside
+        assert _box_counts(delta, [(x0, x1, y0, y1)]) == [inside]
 
 
 class TestDeterminantCallables:
@@ -701,7 +770,7 @@ class TestNewton:
         # and the rest converge to the same roots
         newton_f = _value_and_slope(self.quadratic)
         got = _newton(newton_f, np.array(self.STARTS), max_iter=max_iter)
-        want = [_newton(newton_f, z0, max_iter=max_iter) for z0 in self.STARTS]
+        want = [scalar_newton(newton_f, z0, max_iter=max_iter) for z0 in self.STARTS]
         assert [z is None for z in got] == [z is None for z in want]
         assert sum(z is not None for z in want) == (4 if max_iter == 60 else 1)
         assert want[2] is None and want[3] is None
@@ -728,13 +797,25 @@ class TestNewton:
         with pytest.raises(TypeError):
             _newton(scalar_only, starts)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_start_returns_none_without_a_warning(self):
+        # Delta_0's e^{2i lam} overflows at lam = -400i: that start leaves the
+        # run at once, as the reference loop's OverflowError does, and the
+        # start next to a zero still converges
+        quad = (0.5, 1, 1, 0.5)
+        newton_f = _value_and_slope(partial(delta0, quad, -1.0, 2.0))
+        zero = zeros_delta0(BoundaryConditions.from_canonical(*quad), -1.0, 2.0, 1)[1][1]
+        far, near = _newton(newton_f, np.array([-400j, zero + 0.01]))
+        assert far is None and scalar_newton(newton_f, -400j) is None
+        assert abs(near - zero) < 1e-12
+
     def test_kernel_representatives(self, kernel_route_case):
         sys, ck, bc, window = kernel_route_case
         newton_f = _value_and_slope(determinant_evaluator(bc, ck, sys.b1, sys.b2))
         starts = np.array([e.lam0 for e in window])
         got = _newton(newton_f, starts)
         for z, z0 in zip(got, starts):
-            ref = _newton(newton_f, complex(z0))
+            ref = scalar_newton(newton_f, complex(z0))
             assert abs(z - ref) <= 1e-13 * (1.0 + abs(ref))
 
 
