@@ -353,9 +353,12 @@ def _json_sanitize(obj):
     return obj
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(_json_sanitize(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _json_bytes(payload: dict, manifest_hash: str) -> bytes:
-    payload = _json_sanitize({"manifest_hash": manifest_hash, **payload})
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return _json_text({"manifest_hash": manifest_hash, **payload}).encode("utf-8")
 
 
 def _csv_bytes(header: list, rows: list, manifest_hash: str) -> bytes:
@@ -398,9 +401,10 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         write("spectrum.csv", _csv_bytes(*csv_table(window), mhash))
         write("spectrum.json", _json_bytes({"head_estimate": window.head_estimate, "strip_height": window.strip_height}, mhash))
     elif task == "kernels":
-        # build_kernels' march into the dumps' packed triangles, which hands
-        # each dump's rows over as they become final: each is hashed and
-        # written to a .part file, renamed once every check has passed
+        # build_kernels' march of R, K+ and K- into the dumps' packed
+        # triangles, which hands each dump's rows over as they become final:
+        # each is hashed and written to a .part file, renamed once every
+        # check has passed.  No P+/- is solved: no dump holds them
         system, n = v["system.potential"], v["n"]
         names = ("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin")
         parts = [out_dir / f"{name}.part" for name in names]
@@ -419,8 +423,8 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
                     dumps_s += time.perf_counter() - clock
 
                 start = time.perf_counter()
-                *_, residuals, p_s = _march_dumps(system, n, v["tolerances.kernel_tol"], sink)
-                timings.update(march_s=time.perf_counter() - start - p_s - dumps_s, p_s=p_s, dumps_s=dumps_s)
+                residuals = _march_dumps(system, n, v["tolerances.kernel_tol"], sink)
+                timings.update(march_s=time.perf_counter() - start - dumps_s, dumps_s=dumps_s)
             for part, name in zip(parts, names):
                 os.replace(part, out_dir / name)
                 done.append(out_dir / name)
@@ -490,7 +494,7 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         "artifacts": artifacts,
         "timings": timings,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     return 0
 
 

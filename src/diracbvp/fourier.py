@@ -44,6 +44,17 @@ def maximal_fourier(g: SampledFunction, lam: complex) -> float:
     return float(np.abs(_cumulative_trapezoid(vals, h)).max())
 
 
+def _deviation_sums(pairs, p: float, pc: float) -> tuple:
+    """(sum d^{p'}, sum (1+|n|)^{p-2} d^p) over the (n, d) ``pairs``, each
+    added in order; at p' = inf (p = 1), where the bound is on sup_n d,
+    the first is max d (0 for none), which is also its own p'-th root."""
+    lp = wt = 0.0
+    for n, d in pairs:
+        lp = max(lp, d) if math.isinf(pc) else lp + d**pc
+        wt += (1 + abs(n)) ** (p - 2.0) * d**p
+    return lp, wt
+
+
 @dataclass(frozen=True)
 class BesselReport:
     """One evaluated Bessel-type sum and its reference power of ||g||_p."""
@@ -86,13 +97,9 @@ def bessel_sum(
         raise ValueError("indices must match the sequence length")
     pc = p.conjugate().p
     transform = maximal_fourier if use_maximal else (lambda gg, lam: abs(fourier(gg, lam)))
-    total = 0.0
-    for n_idx, mu in zip(indices, seq):
-        t = transform(g, mu)
-        if weighted:
-            total += (1.0 + abs(n_idx)) ** (p.p - 2.0) * t**p.p
-        else:
-            total += t**pc
+    # the weighted sum takes the other sum at p' = inf, a max, so no t^{p'} can overflow
+    lp, wt = _deviation_sums(((n, transform(g, mu)) for n, mu in zip(indices, seq)), p.p, math.inf if weighted else pc)
+    total = wt if weighted else lp
     norm = lp_norm(g, p)
     norm_ref = norm**p.p if weighted else norm**pc
     ratio = total / norm_ref if norm_ref > 0 else math.inf if total > 0 else 0.0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryConditions, canonicalize
+from .fourier import _deviation_sums
 from .gridfn import PNorm, SampledFunction, lp_norm
 from .ode import DiracSystem, fundamental_matrix
 from .spectrum import _pair_zeros, _window0
@@ -57,24 +58,15 @@ class DeviationReport:
     detail: dict = field(default_factory=dict)
 
 
-def _lp_sum(devs, pc: float) -> float:
-    """sum d^{p'} over ``devs``; at p' = inf (p = 1), where the bound is on
-    sup_n |lam_n - lam~_n|, max d, which is also its own p'-th root."""
-    return max(devs, default=0.0) if math.isinf(pc) else sum(d**pc for d in devs)
-
-
 def _report(rows, p: float, ref: float, wa, wb, detail=None) -> DeviationReport:
     """Aggregates of the "ok" rows over the window and over the tail beyond
     both windows' unverified head."""
     head = max(wa.head_estimate, wb.head_estimate)
     pc = PNorm(p).conjugate().p
     ok = [(n, d) for n, d, flag in rows if flag == "ok"]
-    lp = _lp_sum([d for _, d in ok], pc)
-    wt = sum((1 + abs(n)) ** (p - 2.0) * d**p for n, d in ok)
+    lp, wt = _deviation_sums(ok, p, pc)
     sup = max((d for _, d in ok), default=0.0)
-    tail = [(n, d) for n, d in ok if abs(n) > head]
-    tail_lp = _lp_sum([d for _, d in tail], pc)
-    tail_wt = sum((1 + abs(n)) ** (p - 2.0) * d**p for n, d in tail)
+    tail_lp, tail_wt = _deviation_sums([(n, d) for n, d in ok if abs(n) > head], p, pc)
     return DeviationReport(tuple(rows), p, ref, head, lp, wt, sup, tail_lp, tail_wt, detail or {})
 
 

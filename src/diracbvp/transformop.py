@@ -64,10 +64,11 @@ at node i (i + 1)/2 of a packed one, and its nodes j = 0..i follow
 (``_row_starts``).  So one node index writes a diagonal and the check
 reads it back in either layout.  Row i is final once diagonal i, which
 holds its node (x_i, 0), is marched, and the march never reads a diagonal
-back: so one route (``_FinishedRows``) solves P+/- from R's rows and reads
-the boundary relation at the nodes (x, 0) while the march runs, and the
-``kernels`` task also hands its dumps' finished rows off and releases
-them, never holding three whole triangles (``_march_dumps``).  The
+back: so the ``kernels`` task hands its dumps' finished rows off while
+the march runs, copying K+/-(x_i, 0) for the boundary relation's check,
+and releases them, never holding three whole triangles (``_march_dumps``).
+It solves no P+/-, which none of its dumps holds; ``build_kernels`` solves
+them from its dense R once the march is done (``solve_P``).  The
 spectra and stability experiments march the K+/- of every potential of a
 request together, keeping only each diagonal's last node, which is the
 trace K+/-(1, .) that Delta_Q reads, and the row and column sums of the
@@ -80,7 +81,6 @@ from __future__ import annotations
 import math
 import mmap
 import struct
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,12 +217,6 @@ def _row_starts(kernel: np.ndarray, n: int) -> np.ndarray:
     return (n + 1) * i if kernel.ndim == 4 else i * (i + 1) // 2
 
 
-def _rows(kernel: np.ndarray, n: int) -> list:
-    """The rows (i + 1, 2, 2), i = 0..N, of ``kernel`` in either layout, as views."""
-    nodes = kernel.reshape(-1, 2, 2)
-    return [nodes[start : start + i + 1] for i, start in enumerate(_row_starts(kernel, n).tolist())]
-
-
 def _per_weight(f) -> np.ndarray:
     """Column (2, 1) of f(k, j), j = 3 - k, for k = 1, 2: a per-weight
     factor broadcast over the rows (S, 2, L)."""
@@ -272,6 +266,10 @@ class _RSweeper:
         if spacing[0][0] != spacing[1][0]:  # only at the 1e-13 edge of a rational alpha
             spacing = [(2, 2.0 * self.alpha[k]) for k in (1, 2)]
         q = self.q = spacing[0][0]
+        if q == 1:  # alpha_k within 1e-13 of 0 or 1; the upsampled tables need q >= 2
+            raise ValueError(
+                f"weight ratio |b1|/b2 = {-sys.b1 / sys.b2:.3g} (b1 = {sys.b1!r}, b2 = {sys.b2!r}) is beyond "
+                "the kernel march's reach: alpha_1 = b2/(b2 - b1) is within 1e-13 of 0 or 1")
         # offsets[r, 2 l + part]: slot q l + r less node l, as np.interp
         # subtracts them, for the real and the imaginary part
         self.offsets = np.repeat((np.arange(q * n).reshape(n, q) / q - np.arange(n)[:, None]).T, 2, axis=1)
@@ -506,9 +504,10 @@ def _certified(worst: np.ndarray, signs, tol: float) -> list:
 def _march(systems, signs, n: int, kernels, tol: float, finished=None) -> list:
     """One march over the rows (systems[s], signs[s]), R for sign 0 and
     K+/- for +/-1, into the arrays ``kernels`` (``sweep``, which calls
-    ``finished``); returns each row's check.  The callers form dense
-    ``kernels`` before the sweeper's tables: a request's peak RSS moves
-    with where glibc's heap places them (BENCH_15.json has both orders).
+    ``finished``, where ``_march_dumps`` hands its finished rows off);
+    returns each row's check.  The callers form dense ``kernels`` before
+    the sweeper's tables: a request's peak RSS moves with where glibc's
+    heap places them (BENCH_15.json has both orders).
     ``_march_dumps``' store is a mapping of its own, outside the heap,
     where the order does not matter."""
     return _certified(_RSweeper(systems, n, signs).sweep(kernels, True, finished), signs, tol)
@@ -553,65 +552,41 @@ def solve_P(r: TriangularKernel, sys: DiracSystem, n: int):
     """Diagonal factors P+/- from the second-kind Volterra system driven by
     the t = 0 traces of R; one forward substitution on the triangular grid
     serves both signs, since the right-hand side is linear in the sign.
+    Row i of R solves P at x_i from its row sum with the trapezoid's half
+    weight at s = 0, and its full row sum at the solution, with that weight
+    restored, is what the defect re-evaluates (the full row sum less half
+    of both end terms).
 
     Returns (pplus, pminus, residual) where the residual is the max-node
     defect of the discrete system (machine-level by construction).
     """
     if r.n != n:
         raise GridMismatchError(f"kernel grid {r.n} != requested {n}")
-    solver = _PSolver(sys, n)
-    solver.step(_rows(r.data, n))
-    return solver.finish()
-
-
-class _PSolver:
-    """``solve_P``'s forward substitution, fed R's rows in order by
-    ``step``, each an (i+1, 2, 2) array of R(x_i, t_j), j = 0..i
-    (``_rows``), all at once or a few at a time as a march finishes them,
-    each read once: its row sum with the trapezoid's half weight at s = 0
-    solves P there, and its full row sum at the solution, with that weight
-    restored, is what the defect re-evaluates (the full row sum less half
-    of both end terms).  ``finish`` returns (pplus, pminus, residual)."""
-
-    def __init__(self, sys: DiracSystem, n: int):
-        self.sys, self.n, self.h = sys, n, 1.0 / n
-        self.first = np.empty((n + 1, 2, 2), dtype=complex)  # R(x_i, 0)
-        self.diag = np.empty_like(self.first)  # R(x_i, x_i)
-        self.g = np.empty_like(self.first)  # g[i, component, sign]
-        self.v = np.empty_like(self.first)  # the solution, v[0] halved
-        self.u = np.empty_like(self.first)  # the solution
-        self.full = np.zeros_like(self.first)
-        self.done = 0
-
-    def step(self, rows) -> None:
-        """Solve P at the next len(rows) nodes from R's rows there."""
-        lo, hi = self.done, self.done + len(rows)
-        h, first, diag, g, v, u = self.h, self.first, self.diag, self.g, self.v, self.u
-        first[lo:hi] = [row[0] for row in rows]
-        diag[lo:hi] = [row[-1] for row in rows]
-        a1, a2 = 1.0 / self.sys.b1, 1.0 / self.sys.b2
-        g[lo:hi, 0] = (-a2 * first[lo:hi, 0, 1])[:, None] * np.array([1.0, -1.0])
-        g[lo:hi, 1] = (-a1 * first[lo:hi, 1, 0])[:, None]
-        # the trapezoid's s = x_i node, moved to the left-hand side
-        inv = np.linalg.inv(np.eye(2) + (0.5 * h) * diag[lo:hi])
-        for i, row, inv_i in zip(range(lo, hi), rows, inv):
-            if not i:
-                v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0
-                u[0] = g[0]
-                continue
-            acc = row[:i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
-            u[i] = v[i] = inv_i @ (g[i] - h * acc)
-            np.matmul(row.transpose(1, 0, 2).reshape(2, 2 * i + 2), u[: i + 1].reshape(2 * i + 2, 2), out=self.full[i])
-        self.done = hi
-
-    def finish(self):
-        sys, first, u = self.sys, self.first, self.u
-        integral = (self.full - 0.5 * (first @ u[0] + self.diag @ u)) / self.n
-        integral[0] = 0.0
-        residual = float(np.abs(u + integral - self.g).max())
-        pplus, pminus = (SampledFunction(np.stack([sys.b1 * u[:, 0, col], sign * sys.b2 * u[:, 1, col]], axis=1))
-                         for col, sign in enumerate((+1, -1)))
-        return pplus, pminus, residual
+    h, nodes = 1.0 / n, np.arange(n + 1)
+    first = r.data[:, 0].copy()  # R(x_i, 0)
+    diag = r.data[nodes, nodes]  # R(x_i, x_i)
+    a1, a2 = 1.0 / sys.b1, 1.0 / sys.b2
+    g = np.empty_like(first)  # g[i, component, sign]
+    g[:, 0] = (-a2 * first[:, 0, 1])[:, None] * np.array([1.0, -1.0])
+    g[:, 1] = (-a1 * first[:, 1, 0])[:, None]
+    # the trapezoid's s = x_i node, moved to the left-hand side
+    inv = np.linalg.inv(np.eye(2) + (0.5 * h) * diag)
+    v = np.empty_like(first)  # the solution, v[0] halved
+    u = np.empty_like(first)  # the solution
+    full = np.zeros_like(first)
+    v[0] = 0.5 * g[0]  # the trapezoid's half weight at s = 0
+    u[0] = g[0]
+    for i in range(1, n + 1):
+        row = r.data[i, : i + 1]
+        acc = row[:i].transpose(1, 0, 2).reshape(2, 2 * i) @ v[:i].reshape(2 * i, 2)
+        u[i] = v[i] = inv[i] @ (g[i] - h * acc)
+        np.matmul(row.transpose(1, 0, 2).reshape(2, 2 * i + 2), u[: i + 1].reshape(2 * i + 2, 2), out=full[i])
+    integral = (full - 0.5 * (first @ u[0] + diag @ u)) / n
+    integral[0] = 0.0
+    residual = float(np.abs(u + integral - g).max())
+    pplus, pminus = (SampledFunction(np.stack([sys.b1 * u[:, 0, col], sign * sys.b2 * u[:, 1, col]], axis=1))
+                     for col, sign in enumerate((+1, -1)))
+    return pplus, pminus, residual
 
 
 def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelSet:
@@ -619,51 +594,11 @@ def build_kernels(sys: DiracSystem, n: int, tol: float = DEFAULT_TOL) -> KernelS
     march as rows of one stack, each certified by its own check, and P+/-
     from R."""
     datas = [np.zeros((n + 1, n + 1, 2, 2), dtype=complex) for _ in range(3)]
-    route = _FinishedRows(datas, sys, n)
-    checks = _march([sys] * 3, (0, 1, -1), n, datas, tol, route)
-    pplus, pminus, residuals = route.residuals()
+    checks = _march([sys] * 3, (0, 1, -1), n, datas, tol)
     r, kplus, kminus = (TriangularKernel(data) for data in datas)
-    return KernelSet(r, pplus, pminus, kplus, kminus, {"R": checks[0], **residuals})
-
-
-# diagonals marched between two takes of the finished rows
-_FLUSH = 16
-
-
-class _FinishedRows:
-    """The route to P+/- and the residuals "P" and "K_boundary" of a march
-    of (R, K+, K-) into ``kernels``, dense or packed, as its ``finished``:
-    after every ``_FLUSH`` diagonals, and after the last, R's newly final
-    rows go to P's forward substitution and K+/-(x_i, 0) are copied.  A
-    call on diagonal m returns the rows (lo, hi) it took, or None between
-    takes; ``residuals`` then returns (pplus, pminus, {"P", "K_boundary"}),
-    and ``p_s`` holds the seconds spent on P."""
-
-    def __init__(self, kernels, sys: DiracSystem, n: int):
-        self.sys, self.n = sys, n
-        self.rows = _rows(kernels[0], n)
-        self.starts = _row_starts(kernels[0], n)
-        self.nodes = [kernel.reshape(-1, 2, 2) for kernel in kernels[1:]]
-        self.columns = np.empty((2, n + 1, 2, 2), dtype=complex)  # K+/-(x_i, 0)
-        self.solver = _PSolver(sys, n)
-        self.p_s = 0.0
-
-    def __call__(self, m: int):
-        if (m + 1) % _FLUSH and m < self.n:
-            return None
-        lo, hi = self.solver.done, m + 1
-        clock = time.perf_counter()
-        self.solver.step(self.rows[lo:hi])
-        self.p_s += time.perf_counter() - clock
-        for column, nodes in zip(self.columns, self.nodes):
-            column[lo:hi] = nodes[self.starts[lo:hi]]
-        return lo, hi
-
-    def residuals(self):
-        clock = time.perf_counter()
-        pplus, pminus, p_res = self.solver.finish()
-        self.p_s += time.perf_counter() - clock
-        return pplus, pminus, {"P": p_res, "K_boundary": _boundary_relation_defect(self.sys, *self.columns)}
+    pplus, pminus, p_res = solve_P(r, sys, n)
+    k_res = _boundary_relation_defect(sys, kplus.data[:, 0], kminus.data[:, 0])
+    return KernelSet(r, pplus, pminus, kplus, kminus, {"R": checks[0], "P": p_res, "K_boundary": k_res})
 
 
 def _boundary_relation_defect(sys: DiracSystem, kplus0: np.ndarray, kminus0: np.ndarray) -> float:
@@ -856,11 +791,11 @@ def write_kernel(kernel: TriangularKernel, path) -> None:
     triangle's nodes in ``np.tril_indices(N+1)`` (row-major) order, each
     node as four complex doubles, written row by row from the contiguous
     slices ``data[i, :i+1]``."""
-    n = kernel.n
+    n, data = kernel.n, kernel.data.astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(_KERNEL_MAGIC.pack(n, 4 * (n + 1) * (n + 2) // 2))
-        for row in _rows(kernel.data.astype("<c16", copy=False), n):
-            fh.write(row)
+        for i in range(n + 1):
+            fh.write(data[i, : i + 1])
 
 
 def _anonymous_pages(size: int) -> mmap.mmap:
@@ -872,7 +807,11 @@ def _anonymous_pages(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size)
 
 
-def _march_dumps(sys: DiracSystem, n: int, tol: float, sink):
+# diagonals marched between two hand-offs of the kernels task's finished rows
+_FLUSH = 16
+
+
+def _march_dumps(sys: DiracSystem, n: int, tol: float, sink) -> dict:
     """R, K+ and K- of ``sys`` marched, as ``build_kernels`` marches them,
     straight into their dumps, which go to ``sink`` while the march runs.
 
@@ -880,38 +819,39 @@ def _march_dumps(sys: DiracSystem, n: int, tol: float, sink):
     anonymous mapping whose row s holds the dump of kernel s (R, K+, K-)
     from its byte 8 on: ``write_kernel``'s 8-byte header in the upper half
     of entry 0 and then the T nodes in ``np.tril_indices`` order
-    (``_row_starts``).  Each time ``_FinishedRows`` takes the newly final
-    rows, each dump's newly final bytes go to ``sink(s, chunk)`` in order,
-    a uint8 view valid while the call lasts, and the whole pages of the
-    final prefix are released (MADV_DONTNEED, where the platform has it),
-    so that the store never holds three whole triangles.  The sink gets
-    every byte of the dumps before their checks are done: a caller keeps
-    nothing of them until this returns.
+    (``_row_starts``).  After every ``_FLUSH`` diagonals, and after the
+    last, the newly final rows are handed off: K+/-(x_i, 0) are copied,
+    each dump's newly final bytes go to ``sink(s, chunk)`` in order, a
+    uint8 view valid while the call lasts, and the whole pages of the final
+    prefix are released (MADV_DONTNEED, where the platform has it), so
+    that the store never holds three whole triangles.  The sink gets every
+    byte of the dumps before their checks are done: a caller keeps nothing
+    of them until this returns.
 
-    Returns (pplus, pminus, residuals, p_s): P+/- from R, the residuals
-    "R", "P" and "K_boundary" as ``build_kernels`` has them, bit for bit,
-    and the seconds spent on P."""
+    Returns the residuals "R" and "K_boundary" as ``build_kernels`` has
+    them, bit for bit."""
     count = 2 * (n + 1) * (n + 2)  # complex entries per dump
     pages = _anonymous_pages(3 * 16 * (1 + count))
     store = np.frombuffer(pages, dtype="<c16").reshape(3, 1 + count)
     store[:, 0] = np.frombuffer(bytes(8) + _KERNEL_MAGIC.pack(n, count), dtype="<c16")
     packed = store[:, 1:].reshape(3, -1, 2, 2)
     dumps = [row[8:] for row in store.view(np.uint8)]  # header and nodes
-    route = _FinishedRows(packed, sys, n)
+    starts = _row_starts(packed[0], n)
+    columns = np.empty((2, n + 1, 2, 2), dtype=complex)  # K+/-(x_i, 0)
     release = getattr(mmap, "MADV_DONTNEED", None)
     page, row_bytes = mmap.PAGESIZE, store.strides[0]
 
     def finished(m):
-        taken = route(m)
-        if taken is None:
+        if (m + 1) % _FLUSH and m < n:
             return
-        lo, hi = taken
+        lo, hi = m - m % _FLUSH, m + 1  # the rows final since the last hand-off
+        columns[:, lo:hi] = packed[1:, starts[lo:hi]]
         begin, end = 8 + 32 * lo * (lo + 1) if lo else 0, 8 + 32 * hi * (hi + 1)
         for s, dump in enumerate(dumps):
             sink(s, dump[begin:end])
         if release is not None:
             # the whole pages of row s of the store up to dump byte end,
-            # less those an earlier take released
+            # less those an earlier hand-off released
             for s in range(3):
                 at = s * row_bytes + 8
                 first = max(-(-s * row_bytes // page), (at + begin) // page) * page
@@ -920,8 +860,7 @@ def _march_dumps(sys: DiracSystem, n: int, tol: float, sink):
                     pages.madvise(release, first, last - first)
 
     check = _march([sys] * 3, (0, 1, -1), n, packed, tol, finished)[0]
-    pplus, pminus, residuals = route.residuals()
-    return pplus, pminus, {"R": check, **residuals}, route.p_s
+    return {"R": check, "K_boundary": _boundary_relation_defect(sys, *columns)}
 
 
 def read_kernel(path) -> TriangularKernel:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracbvp import cli
+from diracbvp import cli, transformop
 from diracbvp.cli import ConfigError, load_potential, main, save_potential
 from diracbvp.gridfn import SampledFunction
 from diracbvp.ode import DiracSystem
@@ -157,8 +157,9 @@ class TestRunTasks:
         assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
         kern = read_kernel(out / "kernel_kplus.bin")
         assert kern.n == 32
-        meta = json.loads((out / "kernels.json").read_text())
-        assert meta["residuals"]["P"] < 1e-10
+        residuals = json.loads((out / "kernels.json").read_text())["residuals"]
+        assert set(residuals) == {"R", "K_boundary"}  # no P+/- is solved
+        assert residuals["R"] < 1e-10 and residuals["K_boundary"] < 1e-10
 
     def test_fourier_task(self, tmp_path):
         cfg = write_config(
@@ -228,7 +229,17 @@ class TestRunTasks:
         # config may hold
         cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 2.0}, "bc": {"canonical": [0.5, 1, 1, 0.5]},
                                       "n": 64, "n_max": 5, "pairs": 2, "p": math.inf, "seed": 11})
-        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        # every JSON file of the run, the manifest's config echo included,
+        # writes the non-finite p as null
+        for path in sorted(out.glob("*.json")):
+            json.loads(path.read_text(), parse_constant=refuse)
+        assert json.loads((out / "manifest.json").read_text())["config"]["p"] is None
 
     @pytest.mark.parametrize("task, payload", [("spectrum", {"n": 32, "n_max": 4}),
                                                ("stability", {"n": 32, "n_max": 4, "pairs": 1})])
@@ -294,20 +305,35 @@ class TestRunTasks:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
 
     def test_kernels_stage_timings(self, tmp_path):
-        # march, P+/- and the dumps are timed apart, in the manifest only
+        # the march and the dumps are timed apart, in the manifest only
         cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 2.0, **TRIG["system"]}, "n": 64})
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["kernels", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["kernels", "--config", cfg, "--out", str(out2)]) == 0
         timings = json.loads((out1 / "manifest.json").read_text())["timings"]
-        assert set(timings) == {"march_s", "p_s", "dumps_s", "total_s"}
-        stages = [timings[key] for key in ("march_s", "p_s", "dumps_s")]
+        assert set(timings) == {"march_s", "dumps_s", "total_s"}
+        stages = [timings[key] for key in ("march_s", "dumps_s")]
         assert min(stages) >= 0.0 and sum(stages) <= timings["total_s"]
         for name in ("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin", "kernels.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("b1", [-1e-13, -1e-16])
+    @pytest.mark.parametrize("task", ["spectrum", "stability", "kernels"])
+    def test_tiny_weight_ratio_is_refused(self, tmp_path, capsys, task, b1):
+        # at |b1|/b2 <= 1e-13 alpha_1 is within 1e-13 of 1 and the kernel
+        # march has no line spacing: each task exited 1 with an IndexError
+        payload = {"system": {"b1": b1, "b2": 1.0}, "n": 16}
+        if task == "kernels":
+            payload["system"].update(TRIG["system"])
+        else:
+            payload.update(bc={"canonical": [0, 1, 1, 0]}, n_max=3)
+        if task == "stability":
+            payload.update(pairs=1, seed=3)
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert f"|b1|/b2 = {-b1:.3g} (b1 = {b1!r}, b2 = 1.0)" in capsys.readouterr().err
+
     def test_invalid_config_unknown_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sistema": {}})
         assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -516,6 +542,21 @@ class TestExitCodes:
         assert main(["kernels", "--config", write_config(tmp_path, {**TRIG, "n": 64}), "--out", str(out)]) == 3
         assert "no space left" in capsys.readouterr().err
         assert out.is_dir() and not list(out.glob("kernel_*"))
+
+    def test_kernels_task_solves_no_p(self, tmp_path, monkeypatch):
+        # the kernels task writes no P+/-, so it never calls solve_P: with
+        # solve_P broken it still succeeds and writes the same dumps
+        names = ("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin", "kernels.json")
+        cfg = write_config(tmp_path, {**TRIG, "n": 32})
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solve_P called")
+
+        monkeypatch.setattr(transformop, "solve_P", broken)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        for name in names:
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
     def test_kernels_task_resident_peak(self, tmp_path):

@@ -1238,11 +1238,11 @@ class TestBinaryDump:
 
 
 def streamed(sys, n, tol=transformop.DEFAULT_TOL):
-    """The three dumps ``_march_dumps`` hands its sink, joined, and what it
-    returns: (dumps, pplus, pminus, residuals, p_s)."""
+    """The three dumps ``_march_dumps`` hands its sink, joined, and the
+    residuals it returns: (dumps, residuals)."""
     dumps = [bytearray() for _ in range(3)]
-    out = transformop._march_dumps(sys, n, tol, lambda s, chunk: dumps[s].extend(chunk))
-    return [bytes(dump) for dump in dumps], *out
+    residuals = transformop._march_dumps(sys, n, tol, lambda s, chunk: dumps[s].extend(chunk))
+    return [bytes(dump) for dump in dumps], residuals
 
 
 def dump_nodes(dumps) -> np.ndarray:
@@ -1256,26 +1256,22 @@ class TestPackedDumps:
     def test_dumps_and_residuals_are_build_kernels(self, b, n, tmp_path):
         # the kernels task marches R, K+ and K- into their dumps' packed
         # triangles and streams each dump as its rows become final: each
-        # dump is write_kernel's bytes of build_kernels' kernel, P+/- from
-        # the streamed rows and from the dumps' rows are solve_P's bits,
-        # and the residuals are build_kernels' own
+        # dump is write_kernel's bytes of build_kernels' kernel, the
+        # residuals are build_kernels' R and K_boundary, and solve_P on the
+        # R read back from the streamed dump gives build_kernels' P+/-
         sys = smooth_potential(67, n, *b, l1_norm=0.8)
         ks = build_kernels(sys, n)
-        dumps, stream_pplus, stream_pminus, residuals, _ = streamed(sys, n)
+        dumps, residuals = streamed(sys, n)
         path = tmp_path / "kernel.bin"
         for kernel, dump in zip((ks.r, ks.kplus, ks.kminus), dumps):
             write_kernel(kernel, path)
             assert path.read_bytes() == dump
-        assert residuals == ks.residuals
-        route = transformop._FinishedRows(dump_nodes(dumps), sys, n)
-        assert route(n) == (0, n + 1)  # every row of the dumps at once
-        pplus, pminus, from_dumps = route.residuals()
-        assert {"R": residuals["R"], **from_dumps} == ks.residuals
-        assert stream_pplus.samples.tobytes() == ks.pplus.samples.tobytes()
-        assert stream_pminus.samples.tobytes() == ks.pminus.samples.tobytes()
+        assert residuals == {key: ks.residuals[key] for key in ("R", "K_boundary")}
+        path.write_bytes(dumps[0])
+        pplus, pminus, p_res = solve_P(read_kernel(path), sys, n)
         assert pplus.samples.tobytes() == ks.pplus.samples.tobytes()
         assert pminus.samples.tobytes() == ks.pminus.samples.tobytes()
-        assert from_dumps["P"] == ks.residuals["P"]
+        assert p_res == ks.residuals["P"]
 
     def test_check_below_its_roundoff_is_refused(self):
         n = 16
