@@ -104,33 +104,116 @@ def canonicalize(bc: BoundaryConditions) -> tuple[complex, complex, complex, com
     return a, b, c, d
 
 
-def _delta0_terms(coeffs, b1: float, b2: float) -> tuple:
-    """Delta_0 = J12 + sum_k J_k e^{i beta_k lam} as (J12, (J34, J32, J14),
-    (b1 + b2, b1, b2)), from ``Minors`` or from the canonical (a, b, c, d),
-    i.e. minors (d, a, ad-bc, 1)."""
-    if isinstance(coeffs, Minors):
-        j12, j34, j32, j14 = coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
-    else:
-        a, b, c, d = coeffs
-        j12, j34, j32, j14 = d, a, a * d - b * c, 1.0
-    return j12, (j34, j32, j14), (b1 + b2, b1, b2)
+def _step_powers(z: np.ndarray, count: int) -> np.ndarray:
+    """z^0 .. z^{count-1} for the last axis of z, by one running product
+    along the new second-to-last axis, a row-wise multiply per step (faster
+    than ``np.cumprod`` along that axis): shape z.shape[:-1] + (count, L)."""
+    out = np.empty(z.shape[:-1] + (count, z.shape[-1]), dtype=complex)
+    out[..., 0, :] = 1.0
+    if count > 1:
+        out[..., 1, :] = z
+    for k in range(2, count):
+        np.multiply(out[..., k - 1, :], z, out=out[..., k, :])
+    return out
+
+
+class _ExpSum:
+    """Delta_0, or Delta_Q on the grid, as one exponential sum
+    J12 + sum_k a_k e^{i beta_k lam}: Delta_0's terms J34, J32, J14 at the
+    rates b1 + b2, b1, b2 (from ``Minors`` or the canonical (a, b, c, d),
+    i.e. minors (d, a, ad-bc, 1)) and, given the (2, N+1) ``trace`` weights
+    c_{l,j} = h w_j g_l(t_j), the terms c_{l,j} at the rates b_l t_j.  Per
+    weight these are a polynomial in z = e^{i b_l lam h}, summed by baby and
+    giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973): with
+    B = ceil(sqrt(N+1)), a (2A, B) coefficient matrix meets the baby powers
+    z^0..z^{B-1} in one batched product and the giant powers (z^B)^a weight
+    its A blocks.  Both are running products, so z^j carries about j ulps."""
+
+    def __init__(self, coeffs, b1: float, b2: float, trace=None):
+        if isinstance(coeffs, Minors):
+            j12, j34, j32, j14 = coeffs[1, 2], coeffs[3, 4], coeffs[3, 2], coeffs[1, 4]
+        else:
+            a, b, c, d = coeffs
+            j12, j34, j32, j14 = d, a, a * d - b * c, 1.0
+        self.j12, self.js, self.betas = j12, (j34, j32, j14), (b1 + b2, b1, b2)
+        rates, slopes = [self.betas], [[beta * j for j, beta in zip(self.js, self.betas)]]
+        self.trace_coeffs = None
+        if trace is not None:
+            n = trace.shape[1] - 1
+            h = 1.0 / n
+            t = np.linspace(0.0, 1.0, n + 1)
+            self.base = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
+            self.blocks = -(-(n + 1) // self.base)
+            # terms[l, c, j]: coefficient of z^j in column c (value, slope) of
+            # weight l, zero-padded to A B terms
+            terms = np.zeros((2, 2, self.blocks * self.base), dtype=complex)
+            terms[:, 0, : n + 1] = trace
+            terms[:, 1, : n + 1] = 1j * np.array([[b1], [b2]]) * t * trace
+            # trace_coeffs[l, (a, c), r] = terms[l, c, aB + r], a contiguous copy
+            self.trace_coeffs = terms.reshape(2, 2, self.blocks, self.base).transpose(0, 2, 1, 3).reshape(2, 2 * self.blocks, self.base)
+            self.steps = np.array([b1 * h, b2 * h])[:, None]
+            rates += [b1 * t, b2 * t]
+            slopes += list(terms[:, 1, : n + 1])
+        self.rates = np.concatenate(rates)
+        self.slopes = np.abs(np.concatenate(slopes))
+
+    def __call__(self, lam, slope: bool = False):
+        """The sum at lam, or with ``slope`` the pair (sum, derivative):
+        complex for a scalar lam, arrays of lam's shape otherwise.  A scalar
+        lam takes Delta_0's exponentials from ``cmath.exp`` (bitwise equal to
+        ``np.exp``), which raises OverflowError where ``np.exp`` gives inf."""
+        lam_arr = np.asarray(lam, dtype=complex)
+        flat = lam_arr.reshape(-1)
+        (b12, b1, b2), (j34, j32, j14) = self.betas, self.js
+        exp = np.exp if lam_arr.ndim else lambda z: np.array([cmath.exp(z[0])])
+        e12, e1, e2 = exp(1j * b12 * flat), exp(1j * b1 * flat), exp(1j * b2 * flat)
+        out = [self.j12 + j34 * e12 + j32 * e1 + j14 * e2]
+        if slope:
+            out.append(1j * (b12 * j34 * e12 + b1 * j32 * e1 + b2 * j14 * e2))
+        if self.trace_coeffs is not None:
+            z = np.exp(1j * self.steps * flat)  # (2, L): both weights at once
+            baby = _step_powers(z, self.base)
+            giant = _step_powers(baby[:, -1] * z, self.blocks)
+            # (2, 2A, B) @ (2, B, L): every block's partial sum for every lam,
+            # then each block weighted by its giant power and all added up
+            partial = (self.trace_coeffs @ baby).reshape(2, self.blocks, 2, flat.size)
+            partial *= giant[:, :, None, :]
+            out = [part + sums for part, sums in zip(out, partial.sum(axis=(0, 1)))]
+        out = [complex(part[0]) if lam_arr.ndim == 0 else part.reshape(lam_arr.shape) for part in out]
+        return tuple(out) if slope else out[0]
+
+    def slope_bound(self, y_lo, y_hi):
+        """A bound on the derivative over the strip y_lo <= Im lam <= y_hi,
+        vectorised: sum_k |beta_k a_k| max(e^{-beta_k y_lo}, e^{-beta_k y_hi})."""
+        lo, hi = (np.asarray(y, dtype=float)[..., None] for y in (y_lo, y_hi))
+        up = self.rates > 0
+        return np.exp(lo * -self.rates[up]) @ self.slopes[up] + np.exp(hi * -self.rates[~up]) @ self.slopes[~up]
+
+    def strip(self) -> tuple:
+        """(y_lo, y_hi): above y_hi Delta_0's J32 term (rate b1) is more than
+        three times each other term, |J| e^{-beta y} at Im lam = y, and below
+        y_lo its J14 term (rate b2) is, so no zero lies outside.  A lead never
+        dominates a term at its own rate: weights at which b1 + b2 rounds to
+        b1 or b2 are refused."""
+        terms = [(abs(self.j12), 0.0), *((abs(j), beta) for j, beta in zip(self.js, self.betas))]
+
+        def height(terms, lead: int) -> float:
+            j_lead, rate = terms[lead]
+            others = [(j, beta) for k, (j, beta) in enumerate(terms) if k != lead]
+            if any(beta == rate for _, beta in others):
+                raise ValueError(f"b1 + b2 rounds to b{lead - 1} (b1 = {self.betas[1]!r}, b2 = {self.betas[2]!r}): "
+                                 "Delta_0 has two terms at one rate, and no strip is known to hold its zeros")
+            return max([0.0] + [math.log(3.0 * j / j_lead) / (beta - rate) for j, beta in others if j])
+
+        return -height([(j, -beta) for j, beta in terms], 3), height(terms, 2)
 
 
 def delta0(coeffs, b1: float, b2: float, lam, slope: bool = False):
-    """Unperturbed characteristic determinant, vectorised over lam:
-    J12 + J34 e^{i(b1+b2) lam} + J32 e^{i b1 lam} + J14 e^{i b2 lam}, from
-    ``Minors`` or from the canonical (a, b, c, d), i.e. minors (d, a, ad-bc, 1).
-    With ``slope`` the pair (Delta_0, Delta_0') from the same three
-    exponentials: Delta_0' = i(b1+b2) J34 e^{i(b1+b2) lam} + i b1 J32 e^{i b1 lam}
-    + i b2 J14 e^{i b2 lam}.  Scalars use ``cmath.exp``: bitwise equal to
-    ``np.exp``, faster per call."""
-    j12, (j34, j32, j14), (b12, _, _) = _delta0_terms(coeffs, b1, b2)
-    exp = np.exp if isinstance(lam, np.ndarray) else cmath.exp
-    e12, e1, e2 = exp(1j * b12 * lam), exp(1j * b1 * lam), exp(1j * b2 * lam)
-    value = j12 + j34 * e12 + j32 * e1 + j14 * e2
-    if not slope:
-        return value
-    return value, 1j * (b12 * j34 * e12 + b1 * j32 * e1 + b2 * j14 * e2)
+    """Unperturbed characteristic determinant J12 + J34 e^{i(b1+b2) lam}
+    + J32 e^{i b1 lam} + J14 e^{i b2 lam}, vectorised over lam, from
+    ``Minors`` or the canonical (a, b, c, d); with ``slope`` the pair
+    (Delta_0, Delta_0') from the same three exponentials (``_ExpSum``)."""
+    return _ExpSum(coeffs, b1, b2)(lam, slope)
 
 
 @dataclass(frozen=True)
@@ -182,13 +265,12 @@ def _has_multiple_roots(coeffs: np.ndarray) -> bool:
 
 def _delta0_polynomial(a: complex, b: complex, c: complex, d: complex, n1: int, n2: int) -> np.ndarray:
     """Coefficients (highest first) of P(z) = z^{n1+n2} + a z^{n2} + d z^{n1}
-    + (ad - bc), whose roots z = e^{i beta lam} carry the zeros of Delta_0."""
-    deg = n1 + n2
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    coeffs[0] = 1.0
-    coeffs[deg - n2] += a
-    coeffs[deg - n1] += d
-    coeffs[deg] += a * d - b * c
+    + (ad - bc): z^{n1} Delta_0 in z = e^{i beta lam}, with b1 = -n1 beta and
+    b2 = n2 beta, so its roots carry the zeros of Delta_0."""
+    delta0 = _ExpSum((a, b, c, d), -n1, n2)
+    coeffs = np.zeros(n1 + n2 + 1, dtype=complex)
+    # J at z^{n1 + beta}; J12 and J34 share a power when n1 = n2, and add up
+    np.add.at(coeffs, [n2 - beta for beta in (0, *delta0.betas)], [delta0.j12, *delta0.js])
     return coeffs
 
 

@@ -97,10 +97,24 @@ def bessel_sum(
         raise ValueError("indices must match the sequence length")
     pc = p.conjugate().p
     transform = maximal_fourier if use_maximal else (lambda gg, lam: abs(fourier(gg, lam)))
-    # the weighted sum takes the other sum at p' = inf, a max, so no t^{p'} can overflow
-    lp, wt = _deviation_sums(((n, transform(g, mu)) for n, mu in zip(indices, seq)), p.p, math.inf if weighted else pc)
-    total = wt if weighted else lp
+    terms = [(n, transform(g, mu)) for n, mu in zip(indices, seq)]
     norm = lp_norm(g, p)
-    norm_ref = norm**p.p if weighted else norm**pc
-    ratio = total / norm_ref if norm_ref > 0 else math.inf if total > 0 else 0.0
+    power = p.p if weighted else pc
+
+    def summed(scale: float) -> float:
+        # the weighted sum takes the other sum at p' = inf, a max, so no t^{p'} can overflow
+        lp, wt = _deviation_sums(((n, t / scale) for n, t in terms), p.p, math.inf if weighted else pc)
+        return wt if weighted else lp
+
+    try:
+        # the ratio from the terms (T/||g||_p)^{p'}, which stay in range where
+        # T^{p'} and ||g||_p^{p'} do not (p near 1 makes p' large)
+        total, norm_ref = summed(1.0), norm**power
+        ratio = summed(norm) if norm > 0 else math.inf if total > 0 else 0.0
+    except OverflowError:
+        total = norm_ref = ratio = math.inf
+    if ratio > 0 and not (0.0 < total < math.inf and 0.0 < norm_ref < math.inf):
+        raise ArithmeticError(
+            f"Bessel sum at p = {p.p!r} (p' = {pc!r}) is out of floating-point range: ||g||_p = {norm!r}, "
+            f"so the sum and ||g||_p^{power!r} come out as {total!r} and {norm_ref!r}")
     return BesselReport(total, norm_ref, ratio, weighted, p.p)

@@ -78,7 +78,6 @@ form a dense kernel.
 
 from __future__ import annotations
 
-import math
 import mmap
 import struct
 from dataclasses import dataclass
@@ -86,7 +85,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import BoundaryConditions, _delta0_terms, delta0, minors
+from .boundary import BoundaryConditions, _ExpSum, minors
 from .gridfn import (
     GridMismatchError,
     IterationLimitError,
@@ -630,19 +629,6 @@ def combos(kplus: TriangularKernel, kminus: TriangularKernel) -> ComboKernels:
     return ComboKernels(kplus, kminus)
 
 
-def _step_powers(z: np.ndarray, count: int) -> np.ndarray:
-    """z^0 .. z^{count-1} for the last axis of z, by one running product
-    along the new second-to-last axis, a row-wise multiply per step (faster
-    than ``np.cumprod`` along that axis): shape z.shape[:-1] + (count, L)."""
-    out = np.empty(z.shape[:-1] + (count, z.shape[-1]), dtype=complex)
-    out[..., 0, :] = 1.0
-    if count > 1:
-        out[..., 1, :] = z
-    for k in range(2, count):
-        np.multiply(out[..., k - 1, :], z, out=out[..., k, :])
-    return out
-
-
 def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b2: float):
     """Callable lam -> Delta_Q(lam) built once from the kernel traces:
 
@@ -651,23 +637,12 @@ def determinant_evaluator(bc: BoundaryConditions, ck: ComboKernels, b1: float, b
         g_l = J32 K_{1l,1}(1,.) + J42 K_{2l,1}(1,.)
               + J13 K_{1l,2}(1,.) + J14 K_{2l,2}(1,.).
 
-    ``delta(lam, slope=True)`` returns (Delta_Q, Delta_Q'); the derivative
-    is the same trace integral with the extra factor i b_l t.  On the grid
-    t_j = j h each trace sum is a polynomial sum_j c_j z^j in
-    z = e^{i b_l lam h}, evaluated by baby and giant steps (Paterson &
-    Stockmeyer, SIAM J. Comput. 2, 1973): with B = ceil(sqrt(N+1)) and
-    A = ceil((N+1)/B), z^{aB+r} = (z^B)^a z^r, so a (2A, B) coefficient
-    matrix per weight meets the B baby powers in one batched product and
-    the A giant powers weight its blocks.  Both powers are running products, so
-    z^{aB+r} carries about aB+r ulps, as a running product of length N+1.
-
-    The callable's attribute ``slope_bound(y_lo, y_hi)``, vectorised over
-    arrays, bounds |Delta_Q'| on the strip y_lo <= Im lam <= y_hi: the
-    discrete Delta_Q is an exponential sum, so its slope there is at most
-    sum |J beta| max(e^{-beta y_lo}, e^{-beta y_hi}) over Delta_0's three
-    exponentials plus sum_l |b_l| sum_j |c_{l,j}| t_j
-    max(e^{-b_l t_j y_lo}, e^{-b_l t_j y_hi}), c_{l,j} = h w_j g_l(t_j).
-    The zero counts use it to certify every piece of a contour.
+    On the grid t_j = j h this is one exponential sum (``boundary._ExpSum``)
+    with the trace terms c_{l,j} e^{i b_l t_j lam}, c_{l,j} = h w_j g_l(t_j).
+    ``delta(lam, slope=True)`` returns (Delta_Q, Delta_Q'), and the
+    callable's attribute ``slope_bound(y_lo, y_hi)``, vectorised, bounds
+    |Delta_Q'| over the strip y_lo <= Im lam <= y_hi: the zero counts use it
+    to certify every piece of a contour.
     """
     return _trace_evaluator(bc, ck.kplus.data[ck.n], ck.kminus.data[ck.n], b1, b2)
 
@@ -678,56 +653,17 @@ def _trace_evaluator(bc: BoundaryConditions, kp: np.ndarray, km: np.ndarray, b1:
     m = minors(bc)
     n = kp.shape[0] - 1
     h = 1.0 / n
-    t = np.linspace(0.0, 1.0, n + 1)
     w = _trapezoid_weights(n)
-    base = math.isqrt(n) + 1  # ceil(sqrt(n + 1))
-    blocks = -(-(n + 1) // base)
-    # terms[l, j, c]: coefficient of z^j in column c (value, slope) of
-    # weight l, zero-padded to A B terms
-    terms = np.zeros((2, blocks * base, 2), dtype=complex)
-    for l, b in ((1, b1), (2, b2)):
-        g = (
-            m[3, 2] * _combo(kp, km, 1, l, 1)
-            + m[4, 2] * _combo(kp, km, 2, l, 1)
-            + m[1, 3] * _combo(kp, km, 1, l, 2)
-            + m[1, 4] * _combo(kp, km, 2, l, 2)
-        )
-        wg = h * w * g
-        terms[l - 1, : n + 1] = np.stack([wg, 1j * b * t * wg], axis=1)
-    # coeffs[l, (a, c), r] = terms[l, aB + r, c], a contiguous copy
-    coeffs = terms.reshape(2, blocks, base, 2).transpose(0, 1, 3, 2).reshape(2, 2 * blocks, base)
-    steps = np.array([b1 * h, b2 * h])[:, None]
-    # Delta_Q is the exponential sum sum_k a_k e^{i beta_k lam}: Delta_0's
-    # three terms and the trace terms beta = b_l t_j, a = c_{l,j}
-    _, js, betas = _delta0_terms(m, b1, b2)
-    rates = np.concatenate([betas, b1 * t, b2 * t])
-    slopes = np.abs(np.concatenate([[beta * j for j, beta in zip(js, betas)], terms[0, : n + 1, 1], terms[1, : n + 1, 1]]))
-    up = rates > 0
-
-    def delta(lam, slope=False):
-        lam_arr = np.asarray(lam, dtype=complex)
-        flat = lam_arr.reshape(-1)
-        z = np.exp(1j * steps * flat)  # (2, L): both weights at once
-        baby = _step_powers(z, base)
-        giant = _step_powers(baby[:, -1] * z, blocks)
-        # (2, 2A, B) @ (2, B, L): every block's partial sum for every lam,
-        # then each block weighted by its giant power and all added up
-        partial = (coeffs @ baby).reshape(2, blocks, 2, flat.size)
-        partial *= giant[:, :, None, :]
-        sums = partial.sum(axis=(0, 1))
-        if slope:
-            value, deriv = (np.asarray(delta0(m, b1, b2, flat, slope=True)) + sums).reshape(2, *lam_arr.shape)
-            return (complex(value), complex(deriv)) if lam_arr.ndim == 0 else (value, deriv)
-        value = (delta0(m, b1, b2, flat) + sums[0]).reshape(lam_arr.shape)
-        return complex(value) if lam_arr.ndim == 0 else value
-
-    def slope_bound(y_lo, y_hi):
-        # |beta a e^{i beta lam}| = |beta a| e^{-beta Im lam} is largest on
-        # the strip's lower edge for beta > 0 and on its upper edge otherwise
-        lo, hi = (np.asarray(y, dtype=float)[..., None] for y in (y_lo, y_hi))
-        return np.exp(lo * -rates[up]) @ slopes[up] + np.exp(hi * -rates[~up]) @ slopes[~up]
-
-    delta.slope_bound = slope_bound
+    # c_{l,j} = h w_j g_l(t_j)
+    weights = [
+        h * w * (m[3, 2] * _combo(kp, km, 1, l, 1) + m[4, 2] * _combo(kp, km, 2, l, 1)
+                 + m[1, 3] * _combo(kp, km, 1, l, 2) + m[1, 4] * _combo(kp, km, 2, l, 2))
+        for l in (1, 2)
+    ]
+    total = _ExpSum(m, b1, b2, np.array(weights))
+    # a plain function, whose attributes functools.wraps copies onto a wrapper
+    delta = lambda lam, slope=False: total(lam, slope)  # noqa: E731
+    delta.slope_bound = total.slope_bound
     return delta
 
 

@@ -334,6 +334,32 @@ class TestExitCodes:
         assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
         assert f"|b1|/b2 = {-b1:.3g} (b1 = {b1!r}, b2 = 1.0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b1, b2", [(-1e-300, 1.0), (-1e-16, 2.0)])
+    @pytest.mark.parametrize("task", ["spectrum", "stability"])
+    def test_coincident_delta0_rates_are_refused(self, tmp_path, capsys, task, b1, b2):
+        # b1 + b2 rounds to b2: Delta_0's sweep strip took its J14 lead by
+        # rate, found J34 (0 here) and exited 2 with a bare "float division
+        # by zero"; now the strip refuses and names the weights
+        payload = {"system": {"b1": b1, "b2": b2}, "n": 16, "bc": {"canonical": [0, 1, 1, 0]}, "n_max": 3}
+        if task == "stability":
+            payload.update(pairs=1, seed=3)
+        assert main([task, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+        assert f"b1 + b2 rounds to b2 (b1 = {b1!r}, b2 = {b2!r})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude", [3.0, 0.5])
+    def test_bessel_sum_out_of_range_is_refused(self, tmp_path, capsys, amplitude):
+        # p = 1.0001 makes p' = 10001: ||g||_p^{p'} overflowed (exit 2 with a
+        # bare "Numerical result out of range") at amplitude 3 and underflowed
+        # to 0 at 0.5, which wrote sum, norm_ref and ratio 0.0 with exit 0,
+        # though the k = -1 term alone makes the ratio at least 1
+        g = {"kind": "trig", "q12": {}, "q21": {"1": amplitude}}
+        payload = {"n": 64, "p": 1.0001, "fourier": {"g": g, "seq": {"kind": "harmonic", "n_max": 5}}}
+        out = tmp_path / "o"
+        assert main(["fourier", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "p = 1.0001 (p' = 10001." in err and "||g||_p = " in err
+        assert not (out / "fourier.json").exists()
+
     def test_invalid_config_unknown_key(self, tmp_path):
         cfg = write_config(tmp_path, {"sistema": {}})
         assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -99,6 +99,17 @@ class TestBesselSum:
         assert math.isfinite(rep.total)
         assert rep.norm_ref == pytest.approx(lp_norm(g, 1.5) ** 1.5)
 
+    def test_ratio_from_the_scaled_terms(self):
+        # at p = 1.05 (p' = 21) with ||g||_p = 5e-21 both T^{p'} and
+        # ||g||_p^{p'} underflow to 0, yet the ratio is about 1 at k = -1;
+        # a representable sum and norm give the same ratio to rounding
+        g = grid_fn(lambda x: 0.5 * np.exp(2j * np.pi * x))
+        seq = [2 * math.pi * k for k in range(-5, 6)]
+        rep = bessel_sum(g, seq, 1.05)
+        assert rep.ratio == pytest.approx(rep.total / rep.norm_ref, rel=1e-12) and rep.ratio > 1.0 - 1e-12
+        with pytest.raises(ArithmeticError, match=r"p = 1\.05 \(p' = 20\.99+\d*\).*\|\|g\|\|_p = 5\.0"):
+            bessel_sum(g.scale(1e-20), seq, 1.05)
+
     def test_rejects_bad_exponent(self):
         g = grid_fn(lambda x: np.ones_like(x))
         for p in (1.0, 2.5, math.inf):

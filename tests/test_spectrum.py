@@ -1,4 +1,6 @@
 import cmath
+import functools
+import inspect
 import math
 from collections import Counter
 from functools import partial
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from diracbvp.boundary import BoundaryConditions, _delta0_terms, classify, delta0
+from diracbvp.boundary import BoundaryConditions, _ExpSum, classify, delta0
 from diracbvp.gridfn import SampledFunction
 from diracbvp import spectrum
 from diracbvp.ode import DiracSystem, char_det_direct
@@ -29,21 +31,6 @@ from diracbvp.spectrum import (
 from diracbvp.transformop import build_kernels, combos, determinant_evaluator
 
 from conftest import smooth_potential
-
-
-def certified_delta0(quad, b1, b2):
-    """Delta_0 of the canonical ``quad`` with a ``slope_bound``, so that
-    ``_box_counts`` certifies its counts: the terms J e^{i beta lam} of
-    ``_delta0_terms``."""
-
-    def f(lam):
-        return delta0(quad, b1, b2, lam)
-
-    _, js, rates = _delta0_terms(quad, b1, b2)
-    f.slope_bound = lambda y_lo, y_hi: sum(
-        abs(beta * j) * np.maximum(np.exp(-beta * y_lo), np.exp(-beta * y_hi)) for j, beta in zip(js, rates)
-    )
-    return f
 
 
 def scalar_newton(value_and_slope, z0, tol=1e-13, max_iter=60):
@@ -72,7 +59,8 @@ def assert_window_holds_every_zero(quad, b1, b2, window, y0=-4.0, y1=6.0):
     re = sorted({round(lam.real, 9) for _, lam, _ in window})
     x0, x1 = 0.5 * (re[0] + re[1]), 0.5 * (re[-2] + re[-1])
     inside = sum(m for _, lam, m in window if x0 < lam.real < x1)
-    assert _box_counts(certified_delta0(quad, b1, b2), [(x0, x1, y0, y1)]) == [inside]
+    # Delta_0 as an _ExpSum carries its slope bound, so the count is certified
+    assert _box_counts(_ExpSum(quad, b1, b2), [(x0, x1, y0, y1)]) == [inside]
     assert all(y0 < lam.imag < y1 for _, lam, _ in window)
 
 
@@ -274,7 +262,7 @@ class TestZerosDelta0:
         assume(x1 - x0 > 0.1)
         assume(all(min(abs(z.real - x0), abs(z.real - x1), abs(z.imag - y0), abs(z.imag - y1)) >= 0.05 for z in zeros))
         inside = sum(m for z, m in zeros.items() if x0 < z.real < x1 and y0 < z.imag < y1)
-        assert _box_counts(certified_delta0(quad, -1.0, b2), [(x0, x1, y0, y1)]) == [inside]
+        assert _box_counts(_ExpSum(quad, -1.0, b2), [(x0, x1, y0, y1)]) == [inside]
 
     def test_sweep_newton_step_evaluates_delta0_once(self, monkeypatch):
         # the sweep's Newton takes Delta_0' from its closed form, so each
@@ -282,13 +270,13 @@ class TestZerosDelta0:
         # walks call it without slope and are not counted
         steps = 0
         slope_calls = 0
-        real_delta0, real_newton = spectrum.delta0, spectrum._newton
+        real_call, real_newton = _ExpSum.__call__, spectrum._newton
 
-        def counting_delta0(coeffs, b1, b2, lam, slope=False):
+        def counting_call(self, lam, slope=False):
             nonlocal slope_calls
             slope_calls += slope
             assert isinstance(lam, np.ndarray)
-            return real_delta0(coeffs, b1, b2, lam, slope=slope)
+            return real_call(self, lam, slope=slope)
 
         def counting_newton(value_and_slope, z0, *args, **kwargs):
             def step(z):
@@ -298,12 +286,40 @@ class TestZerosDelta0:
 
             return real_newton(step, z0, *args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "delta0", counting_delta0)
+        monkeypatch.setattr(_ExpSum, "__call__", counting_call)
         monkeypatch.setattr(spectrum, "_newton", counting_newton)
         window = zeros_delta0(BoundaryConditions.from_canonical(0, 1, 1, 0), -1.0, 1.0, 20, method="sweep")
         assert len(window) == 41
         assert steps > 0
         assert slope_calls == steps
+
+    @pytest.mark.parametrize("b2", [math.sqrt(2.0), math.pi])
+    def test_sweep_counts_by_the_pi_half_rule(self, monkeypatch, b2):
+        # Delta_0 carries a slope bound, but the sweep hands _winding a
+        # callable without one: certified boxes cost criterion 05 about 15x
+        seen = []
+        real_winding = spectrum._winding
+
+        def recording_winding(f, *args, **kwargs):
+            seen.append(hasattr(f, "slope_bound"))
+            return real_winding(f, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_winding", recording_winding)
+        window = zeros_delta0(BoundaryConditions.from_canonical(0.5, 1, 1, 0.5), -1.0, b2, 6, method="sweep")
+        assert len(window) == 13
+        assert seen and not any(seen)
+        assert hasattr(_ExpSum((0.5, 1, 1, 0.5), -1.0, b2), "slope_bound")
+
+    @pytest.mark.parametrize("b1, b2", [(-1e-300, 1.0), (-1e-16, 2.0)])
+    def test_coincident_rates_are_refused(self, b1, b2):
+        # b1 + b2 rounds to b2: the J34 and J14 terms share a rate, so the
+        # J14 lead never dominates and no strip holds the zeros; the strip
+        # refuses, naming the weights, where it divided by zero
+        for quad in ((0, 1, 1, 0), (0.5, 1, 1, 0.5), (0, 1, 1, 0.5)):
+            with pytest.raises(ValueError, match=rf"b1 \+ b2 rounds to b2 \(b1 = {b1!r}, b2 = {b2!r}\)"):
+                zeros_delta0(BoundaryConditions.from_canonical(*quad), b1, b2, 3, method="sweep")
+        with pytest.raises(ValueError, match=r"rounds to b1 \(b1 = -1\.0, b2 = 1e-17\)"):
+            _ExpSum((0.5, 1, 1, 0.5), -1.0, 1e-17).strip()
 
 
 class TestCountZeros:
@@ -487,8 +503,9 @@ class TestCountZeros:
         disk=st.tuples(st.floats(-30.0, 30.0), st.floats(-3.0, 3.0), st.floats(0.01, 2.0)),
     )
     def test_slope_bound_holds(self, seed, b2, l1_norm, quad, disk):
-        # |Delta_Q'| from slope=True never exceeds the bound, over a drawn
-        # disk's strip and at each sampled point's own Im (up to rounding)
+        # |Delta_Q'| and |Delta_0'| (the sum with no trace terms) from
+        # slope=True never exceed their bounds, over a drawn disk's strip
+        # and at each sampled point's own Im (up to rounding)
         n = 32
         sys = smooth_potential(seed, n, b1=-1.0, b2=b2, l1_norm=l1_norm)
         ks = build_kernels(sys, n)
@@ -496,9 +513,30 @@ class TestCountZeros:
         x, y, radius = disk
         u, phi = np.random.default_rng(seed).random((2, 64))
         lam = complex(x, y) + radius * np.sqrt(u) * np.exp(2j * math.pi * phi)
-        slope = np.abs(delta(lam, slope=True)[1])
-        assert slope.max() <= delta.slope_bound(y - radius, y + radius) * (1 + 1e-12)
-        assert np.all(slope <= delta.slope_bound(lam.imag, lam.imag) * (1 + 1e-12))
+        for f in (delta, _ExpSum(quad, -1.0, b2)):
+            slope = np.abs(f(lam, slope=True)[1])
+            assert slope.max() <= f.slope_bound(y - radius, y + radius) * (1 + 1e-12)
+            assert np.all(slope <= f.slope_bound(lam.imag, lam.imag) * (1 + 1e-12))
+
+    def test_slope_bound_survives_a_traced_wrapper(self):
+        # determinant_evaluator returns a plain function with slope_bound as
+        # an attribute, which functools.wraps copies onto a wrapper such as
+        # the benchmark tracer's; the counts through it stay certified
+        n = 32
+        sys = smooth_potential(5, n, b1=-1.0, b2=2.0, l1_norm=0.8)
+        ks = build_kernels(sys, n)
+        bc = BoundaryConditions.from_canonical(0.5, 1, 1, 0.5)
+        delta = determinant_evaluator(bc, combos(ks.kplus, ks.kminus), -1.0, 2.0)
+        assert inspect.isfunction(delta)
+
+        @functools.wraps(delta)
+        def traced(*args, **kwargs):
+            return delta(*args, **kwargs)
+
+        assert traced.slope_bound is delta.slope_bound
+        for radius in (0.5, 1.5, 3.0):
+            assert count_zeros_disk(traced, 0.3j, radius, 16) == count_zeros_disk(delta, 0.3j, radius, 16)
+        assert count_zeros_disk(traced, 0.3j, 3.0, 16) > 0
 
     def test_one_signature_check_per_search(self, monkeypatch):
         # whether the determinant offers slope=True is asked once per

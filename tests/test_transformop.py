@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracbvp.boundary import BoundaryConditions, delta0, minors
+from diracbvp.boundary import BoundaryConditions, _step_powers, delta0, minors
 from diracbvp.gridfn import IterationLimitError, SampledFunction, TriangularKernel, _trapezoid_weights, x_norm
 from diracbvp.ode import DiracSystem, char_det_direct, e_pm, fundamental_matrix
 from diracbvp import transformop
@@ -995,14 +995,20 @@ class TestCombos:
 
 class TestDetViaKernels:
     def test_free_system_gives_delta0(self):
+        # zero traces add nothing: Delta_Q's values and slopes are Delta_0's
+        # bit for bit, for arrays and for scalars
         n = 64
-        sys = DiracSystem.zero(-1.0, 1.0, n)
-        ks = build_kernels(sys, n)
-        ck = combos(ks.kplus, ks.kminus)
         quad = (0.4, 0.1, -0.2, 1.3)
-        bc = BoundaryConditions.from_canonical(*quad)
-        for lam in (0.0, 3.0, 6.0 - 1.0j):
-            assert abs(determinant_evaluator(bc, ck, -1.0, 1.0)(lam) - delta0(quad, -1.0, 1.0, lam)) < 1e-12
+        lams = np.array([0.0, 3.0, 6.0 - 1.0j, -17.5 + 2.5j])
+        for b2 in (1.0, 2.0, np.sqrt(2.0)):
+            ks = build_kernels(DiracSystem.zero(-1.0, b2, n), n)
+            ev = determinant_evaluator(BoundaryConditions.from_canonical(*quad), combos(ks.kplus, ks.kminus), -1.0, b2)
+            assert ev(lams).tobytes() == delta0(quad, -1.0, b2, lams).tobytes()
+            for got, ref in zip(ev(lams, slope=True), delta0(quad, -1.0, b2, lams, slope=True)):
+                assert got.tobytes() == ref.tobytes()
+            for lam in map(complex, lams):
+                assert ev(lam) == delta0(quad, -1.0, b2, lam)
+                assert ev(lam, slope=True) == delta0(quad, -1.0, b2, lam, slope=True)
 
     def test_q12_zero_b_zero_reduces_to_delta0(self):
         n = 128
@@ -1077,8 +1083,8 @@ class TestDetViaKernels:
         lams = rng.uniform(-300, 300, 64) + 1j * rng.uniform(-2, 2, 64)
         for b in (-1.0, np.sqrt(2.0), 3.0):
             z = np.exp(1j * b / n * lams)
-            baby = transformop._step_powers(z, base)
-            giant = transformop._step_powers(baby[-1] * z, blocks)
+            baby = _step_powers(z, base)
+            giant = _step_powers(baby[-1] * z, blocks)
             table = (giant[:, None, :] * baby[None, :, :]).reshape(blocks * base, lams.size)[: n + 1].T
             ref = np.exp(1j * b * np.multiply.outer(lams, t))
             assert np.abs(table / ref - 1.0).max() <= 1e-12
@@ -1094,7 +1100,7 @@ class TestDetViaKernels:
             ref[:, 0] = 1.0
             ref[:, 1:] = z[:, None]
             np.cumprod(ref, axis=1, out=ref)
-            assert np.abs(transformop._step_powers(z, count) / ref - 1.0).max() <= 1e-14
+            assert np.abs(_step_powers(z, count) / ref - 1.0).max() <= 1e-14
 
     @pytest.mark.parametrize("b2", [1.0, 2.0, np.sqrt(2.0)], ids=["dirac", "two", "sqrt2"])
     @pytest.mark.parametrize("n", [8, 63, 64, 128, 512])
