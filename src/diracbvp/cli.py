@@ -436,7 +436,8 @@ def run(task: str, cfg: dict, v: dict, out_dir: Path) -> int:
         write("kernels.json", _json_bytes({"n": n, "residuals": residuals}, mhash))
     elif task == "stability":
         sampler = PotentialBallSampler(v["p"], v["r"], v["seed"], family=v["family"])
-        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2)
+        rows, summary = run_ball_experiment(sampler, bc, v["pairs"], v["n_max"], v["p"], n_grid=v["n"], b1=b1, b2=b2,
+                                            timings=timings)
         columns = ["dq_norm", "kernel_dev", "eigen_dev", "eigenfunction_dev", "kernel_ratio", "eigen_ratio",
                    "eigenfunction_ratio"]
         csv_rows = [[r["pair"], *(repr(float(r[c])) for c in columns)] for r in rows]

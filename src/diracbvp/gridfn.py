@@ -207,17 +207,20 @@ def _trapezoid_weights(m: int) -> np.ndarray:
 def lp_norm(f: SampledFunction, p: "PNorm | float") -> float:
     """Trapezoidal L^p norm of f; vector values use the componentwise
     p-th power sum, so ||f||_p^p = integral of sum_j |f_j|^p."""
-    p = PNorm(p)
     absval = np.abs(f.samples)
+    return float(_lp_norms(absval if absval.ndim == 2 else absval[:, None], PNorm(p)))
+
+
+def _lp_norms(absval: np.ndarray, p: PNorm) -> np.ndarray:
+    """``lp_norm`` of every function of a batch from the absolute values
+    ``absval`` (..., N+1, k) of its samples, k components at each node."""
     if p.is_inf:
-        return float(absval.max())
-    if absval.ndim == 2:
-        pointwise = (absval**p.p).sum(axis=1)
-    else:
-        pointwise = absval**p.p
-    h = 1.0 / f.n
-    integral = h * (_trapezoid_weights(f.n) * pointwise).sum()
-    return float(integral ** (1.0 / p.p))
+        return absval.max(axis=(-2, -1))
+    n = absval.shape[-2] - 1
+    pointwise = (absval**p.p).sum(axis=-1)
+    h = 1.0 / n
+    integral = h * (_trapezoid_weights(n) * pointwise).sum(axis=-1)
+    return integral ** (1.0 / p.p)
 
 
 # a 2x2 matrix [a, b] held as the R march holds its state, [(diagonal
@@ -229,18 +232,19 @@ _COLUMN = np.array([[0, 1], [0, 1]])
 
 def _node_powers(diag: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """|K|_{1->p}^p and |K|_{p'->inf}^p, 1/p + 1/p' = 1, of the 2x2
-    matrices ``diag`` (..., 2, 2, L) held as the march holds them (see
-    ``_PART``): the largest column and the largest row l^p sum of the
-    entries' p-th powers.  At p = inf both are the largest entry."""
+    matrices ``diag`` (2, L, ..., 2) held as the march holds them, [(diagonal
+    entry, off-diagonal entry), node, ..., column k] (see ``_PART``): the
+    largest column and the largest row l^p sum of the entries' p-th
+    powers, each of shape (L, ...).  At p = inf both are the largest entry."""
     a = np.abs(diag)
     if math.isinf(p):
-        top = a.max(axis=(-3, -2))
+        top = a.max(axis=(0, -1))
         return top, top
     if p != 1.0:
         a **= p
-    cols = a[..., 0, :, :] + a[..., 1, :, :]  # column k: K_kk and K_jk
-    rows = a[..., 0, :, :] + a[..., 1, ::-1, :]  # row k: K_kk and K_kj
-    return np.maximum(cols[..., 0, :], cols[..., 1, :]), np.maximum(rows[..., 0, :], rows[..., 1, :])
+    cols = a[0] + a[1]  # column k: K_kk and K_jk
+    rows = a[0] + a[1, ..., ::-1]  # row k: K_kk and K_kj
+    return np.maximum(cols[..., 0], cols[..., 1]), np.maximum(rows[..., 0], rows[..., 1])
 
 
 class _MixedSums:
@@ -254,14 +258,14 @@ class _MixedSums:
     def __init__(self, shape: tuple, n: int, p: "PNorm | float"):
         self.p = PNorm(p)
         self.n = n
-        self.sums = np.zeros((2,) + shape + (n + 1,))  # [one per column, infinity per row]
+        self.sums = np.zeros((2, n + 1) + shape)  # [one per column, infinity per row]
 
     def add(self, m: int, diag: np.ndarray) -> None:
-        """Add diagonal m: the matrices ``diag`` (..., 2, 2, N+1-m) at the
+        """Add diagonal m: the matrices ``diag`` (2, N+1-m, ..., 2) at the
         nodes (m + l, l), held as ``_node_powers`` takes them, to column l
         of the "one" sums and row m + l of the "infinity" ones."""
         one, inf = _node_powers(diag, self.p.p)
-        one_sums, inf_sums = self.sums[0, ..., : self.n + 1 - m], self.sums[1, ..., m:]
+        one_sums, inf_sums = self.sums[0, : self.n + 1 - m], self.sums[1, m:]
         if self.p.is_inf:
             np.maximum(one_sums, one, out=one_sums)
             np.maximum(inf_sums, inf, out=inf_sums)
@@ -270,13 +274,13 @@ class _MixedSums:
         # the t = 1 column a single point; along t from 0 to x_i, half at
         # j = 0 and j = i, the x = 0 row a single point
         if m:
-            one[..., -1] *= 0.5
-            inf[..., 0] *= 0.5
+            one[-1] *= 0.5
+            inf[0] *= 0.5
         else:
             one *= 0.5
             inf *= 0.5
-            one[..., -1] = 0.0
-            inf[..., 0] = 0.0
+            one[-1] = 0.0
+            inf[0] = 0.0
         one_sums += one
         inf_sums += inf
 
@@ -284,8 +288,8 @@ class _MixedSums:
         """(infinity family, one family) of every kernel: its largest row
         and column sum, times h, to the power 1/p."""
         if self.p.is_inf:
-            return self.sums[1].max(axis=-1), self.sums[0].max(axis=-1)
-        top = ((1.0 / self.n) * self.sums).max(axis=-1) ** (1.0 / self.p.p)
+            return self.sums[1].max(axis=0), self.sums[0].max(axis=0)
+        top = ((1.0 / self.n) * self.sums).max(axis=1) ** (1.0 / self.p.p)
         return top[1], top[0]
 
 
@@ -303,7 +307,7 @@ def x_norm(kernel: TriangularKernel, family: str, p: "PNorm | float") -> float:
         raise ValueError(f"family must be 'one' or 'infinity', got {family!r}")
     sums = _MixedSums((), kernel.n, p)
     for m in range(kernel.n + 1):
-        sums.add(m, np.diagonal(kernel.data, -m)[_PART, _COLUMN])
+        sums.add(m, np.diagonal(kernel.data, -m)[_PART, _COLUMN].transpose(0, 2, 1))
     inf, one = sums.norms()
     return float(one if family == "one" else inf)
 

@@ -11,13 +11,14 @@ theory's "for |n| > N" clauses without inventing an N.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import BoundaryConditions, canonicalize
 from .fourier import _deviation_sums
-from .gridfn import PNorm, SampledFunction, lp_norm
+from .gridfn import PNorm, SampledFunction, _lp_norms
 from .ode import DiracSystem, fundamental_matrix
 from .spectrum import _pair_zeros, _window0
 from .transformop import (
@@ -166,22 +167,25 @@ def _eigenfunctions(sys: DiracSystem, canonical, window, n_grid: int) -> np.ndar
 
 
 def _eigenfunction_report(sys_a, sys_b, bc, wa, wb, p: float, s_norm, n_grid: int, ref: float) -> DeviationReport:
+    """Every entry of the pair at once: the L^{s_norm} norms (``lp_norm``'s
+    formula), the vanishing-norm test and the sup-norm deviations are
+    array passes over the windows' eigenfunctions, and the per-entry rows
+    are built from them at the end."""
     canonical = canonicalize(bc)
-    rows = []
-    skipped = []
     funcs_a = _eigenfunctions(sys_a, canonical, wa, n_grid)
     funcs_b = _eigenfunctions(sys_b, canonical, wb, n_grid)
-    for ea, eb, fa, fb in zip(wa.entries, wb.entries, funcs_a, funcs_b):
-        norm_a = lp_norm(SampledFunction(fa), s_norm)
-        norm_b = lp_norm(SampledFunction(fb), s_norm)
-        scale = float(max(np.abs(fa).max(), np.abs(fb).max(), 1e-30))
-        if norm_a < 1e-8 * scale or norm_b < 1e-8 * scale:
-            rows.append((ea.n, math.nan, "vanishing_norm"))
-            skipped.append(ea.n)
-            continue
-        dev = float(np.abs(fa / norm_a - fb / norm_b).max())
-        flag = "ok" if (ea.verified and eb.verified) else "unverified"
-        rows.append((ea.n, dev, flag))
+    sizes_a, sizes_b = np.abs(funcs_a), np.abs(funcs_b)
+    norms_a, norms_b = (_lp_norms(sizes, PNorm(s_norm)) for sizes in (sizes_a, sizes_b))
+    scale = np.maximum(np.maximum(sizes_a.max(axis=(1, 2)), sizes_b.max(axis=(1, 2))), 1e-30)
+    vanishing = (norms_a < 1e-8 * scale) | (norms_b < 1e-8 * scale)
+    kept = ~vanishing
+    devs = np.full(len(vanishing), math.nan)
+    devs[kept] = np.abs(funcs_a[kept] / norms_a[kept, None, None]
+                        - funcs_b[kept] / norms_b[kept, None, None]).max(axis=(1, 2))
+    rows = [(ea.n, math.nan, "vanishing_norm") if gone
+            else (ea.n, dev, "ok" if (ea.verified and eb.verified) else "unverified")
+            for ea, eb, gone, dev in zip(wa.entries, wb.entries, vanishing.tolist(), devs.tolist())]
+    skipped = [n for (n, _, flag) in rows if flag == "vanishing_norm"]
     return _report(rows, p, ref, wa, wb, {"skipped": skipped, "s_norm": s_norm})
 
 
@@ -263,24 +267,44 @@ def run_ball_experiment(
     n_grid: int = 128,
     b1: float = -1.0,
     b2: float = 1.0,
+    timings: dict | None = None,
 ):
     """Kernel / eigenvalue / eigenfunction deviation ratios over sampled
     pairs.  Returns (rows, summary); summary holds the max observed ratio
-    per estimate type and the max/min spreads."""
+    per estimate type and the max/min spreads.
+
+    A dict ``timings``, if given, gets the seconds spent in each stage:
+    ``window_s`` (the Delta_0 window), ``march_s`` (the K+/- march with the
+    kernel deviation sums), ``pairing_s`` (both spectra of every pair,
+    with the eigenvalue rows) and ``eigenfunctions_s`` (the eigenfunction
+    rows)."""
     p = PNorm(p).p
     pc = PNorm(p).conjugate().p
     rows = []
     sampled = list(sampler.pairs(pairs, b1, b2, n_grid))
+    stages = dict.fromkeys(("window_s", "march_s", "pairing_s", "eigenfunctions_s"), 0.0)
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:  # the time since the last lap goes to ``stage``
+        nonlocal clock
+        now = time.perf_counter()
+        stages[stage] += now - clock
+        clock = now
+
     if sampled:
         # one Delta_0 window, and one march over every potential keeping
         # only the traces and the kernel deviation sums
         window0 = _window0(bc, b1, b2, n_max)
+        lap("window_s")
         traces, deviations = _kernel_traces([sys for pair in sampled for sys in pair], n_grid, p)
+        lap("march_s")
     for k, (qa, qb) in enumerate(sampled):
         dq = potential_diff_norm(qa, qb, p, n_grid)
         wa, wb, _ = _pair_spectra(qa, qb, bc, n_max, n_grid, traces[2 * k : 2 * k + 2], window0)
         ev = _eigen_report(wa, wb, p, dq)
+        lap("pairing_s")
         ef = _eigenfunction_report(qa, qb, bc, wa, wb, p, math.inf, n_grid, dq)
+        lap("eigenfunctions_s")
         dev_inf, dev_one = deviations[k].tolist()
         kernel_dev = dev_inf + dev_one
         eigen_dev, ef_dev = (r.tail_lp_sum if math.isinf(pc) else r.tail_lp_sum ** (1.0 / pc) for r in (ev, ef))
@@ -299,6 +323,8 @@ def run_ball_experiment(
                 "head": max(ev.head, ef.head),
             }
         )
+    if timings is not None:
+        timings.update(stages)
     summary = {}
     for key in ("kernel_ratio", "eigen_ratio", "eigenfunction_ratio"):
         vals = [r[key] for r in rows if not math.isnan(r[key])]

@@ -36,8 +36,13 @@ plus the trapezoid's end term at the node itself, where its path ends.
 One pass over m = 0..N evaluates it, carrying each line's running sum:
 its lines start at floor(q alpha_k m) with one weight w, a node reads its
 two lines as strided slices of the line sums, and the lines cross the
-diagonal at (i - w)/q, so their integrand is the diagonal's R_kk row
-upsampled by q times Q_jk upsampled once.  The march is that pass solving
+diagonal at (i - w)/q, the slots i/q of the grid: there R_kk is a
+weighted sum of the diagonal's two nodes around the slot, so the
+integrand Q_jk R_kk is two products of those nodes with slot tables
+(Q_jk at the slot times either weight) made once per pass.  The pass
+holds every diagonal node-major, [node, row, weight], so that a
+diagonal's R_kk and R_jk are contiguous blocks and its nodes m.. are a
+contiguous slice of every per-row table.  The march is that pass solving
 each diagonal's end-term coupling as a linear recurrence along it (the
 characteristic march for Goursat kernel problems, Rundell & Sacks, Math.
 Comp. 58, 1992), so it solves the discrete equations.  It hands each
@@ -173,34 +178,25 @@ def _line_spacing(alpha: float) -> tuple[int, float]:
 
 
 def _lerp_clamped(values: np.ndarray, start, top, pos, frac) -> np.ndarray:
-    """Linear interpolation of ``values`` along its last axis at
+    """Linear interpolation of ``values`` along its first axis at
     ``start + pos + frac`` within entries ``start .. start + top``.  The
     interpolating pair is clamped into the row, so points just past either
     end are extrapolated from the end cell."""
     i0 = np.minimum(np.maximum(pos, 0), np.maximum(top - 1, 0))
     t = (pos - i0) + frac
-    lower = values[..., start + i0]
-    return lower + t * (values[..., start + np.minimum(i0 + 1, top)] - lower)
+    lower = values[start + i0]
+    t = np.reshape(t, np.shape(t) + (1,) * (lower.ndim - np.ndim(t)))
+    return lower + t * (values[start + np.minimum(i0 + 1, top)] - lower)
 
 
-def _rows_at(table: np.ndarray, starts, shape: tuple, steps: tuple = (1,)) -> np.ndarray:
-    """View (S, 2) + ``shape`` of the C-contiguous (S, 2, ...) ``table``
-    whose row (s, k) starts at flat entry ``starts[k - 1]`` of table[s, k]
-    and steps ``steps`` entries along the trailing axes: the rows of both
-    weights in one view, their different offsets folded into its k stride."""
-    stack, weight, item = table.strides[0], table.strides[1], table.itemsize
-    return np.ndarray(table.shape[:2] + shape, table.dtype, table, starts[0] * item,
-                      (stack, weight + (starts[1] - starts[0]) * item) + tuple(item * step for step in steps))
-
-
-def _previous_slot(table: np.ndarray, start: int, length: int) -> np.ndarray:
-    """View (S, 2, 2, length) of the C-contiguous (S, 2, 2, W) table of
-    half-unit slots (q = 2) split by parity, entry (r, c) at slot 2 c + r:
-    entry (r, c) of the view is the slot before entry (r, start + c), that
-    is (1, start + c - 1) for r = 0 and (0, start + c) for r = 1."""
-    stack, weight, parity, item = table.strides
-    return np.ndarray(table.shape[:2] + (2, length), table.dtype, table, parity + (start - 1) * item,
-                      (stack, weight, item - parity, item))
+def _rows_at(table: np.ndarray, starts, length: int, step: int = 1) -> np.ndarray:
+    """View (length, S, 2) of the C-contiguous (rows, S, 2) ``table`` whose
+    column (s, k) starts at row ``starts[k - 1]`` and steps ``step`` rows:
+    the rows of both weights in one view, their different offsets folded
+    into its k stride."""
+    row, stack, weight = table.strides
+    return np.ndarray((length,) + table.shape[1:], table.dtype, table, starts[0] * row,
+                      (step * row, stack, weight + (starts[1] - starts[0]) * row))
 
 
 # plane R_ab of a node, at offset 2 (a - 1) + (b - 1), of [R_kk, R_jk] x [k = 1, 2]
@@ -216,12 +212,6 @@ def _row_starts(kernel: np.ndarray, n: int) -> np.ndarray:
     return (n + 1) * i if kernel.ndim == 4 else i * (i + 1) // 2
 
 
-def _per_weight(f) -> np.ndarray:
-    """Column (2, 1) of f(k, j), j = 3 - k, for k = 1, 2: a per-weight
-    factor broadcast over the rows (S, 2, L)."""
-    return np.array([[f(1, 2)], [f(2, 1)]])
-
-
 class _RSweeper:
     """The coupled R systems of a stack of kernels on one grid and one pair
     of weights, in diagonal coordinates: entry s of the stack is the R
@@ -231,17 +221,28 @@ class _RSweeper:
     marches (solves the discrete equations) or only reads the state, and
     measures both equations' defect on the way.
 
-    The rows of both weights share the line spacing q (alpha_2 = 1 -
-    alpha_1) and differ in their first line and source cell, which per-step
-    views with a k-dependent offset read (``_rows_at``).  Each diagonal is
-    computed in contiguous (S, 2, L) temporaries, row by row the operations
-    of a single-row pass, and traded with the caller (``walk``), or with one
-    dense or packed array per kernel (``sweep``).  One kernel is the same
-    code with S = 1.
+    Everything is held node-major, [node or slot, row s, weight k]: a
+    diagonal's R_kk and R_jk are two contiguous (L, S, 2) blocks, and the
+    per-row tables (Q_jk, Q_kj, the source's c0 and the line sums' coeff,
+    the end term's factor, the recurrence's half weights, growth and
+    scale) are (N+1, S, 2), so that the nodes m.. of a diagonal are the
+    contiguous slice [m:] of each.  The rows of both weights share the line
+    spacing q (alpha_2 = 1 - alpha_1) and differ in their first line and
+    source cell, which views with a k-dependent offset read (``_rows_at``)
+    from the slot-major line sums (qN+2, S, 2) and the node-major Q_jk.
+    Row by row these are the operations of a single-row pass, and each
+    diagonal is traded with the caller (``walk``), or with one dense or
+    packed array per kernel (``sweep``).  One kernel is the same code with
+    S = 1.
 
-    R_kk and Q_jk are upsampled by q into slots split by their residue r
-    mod q, so that the slots of one residue are contiguous: slot q l + r of
-    a row is entry (r, l) of its (q, L) table."""
+    The slots i/q, i = 0..qN+1, of the grid are where the lines cross a
+    diagonal.  ``qup`` holds Q_jk there, bitwise np.interp (slot qN + 1
+    extrapolated from the end cell, the slots past it zero).  Slot i lies
+    in the cell between nodes c and c + 1, c = min(floor(i/q), N-1), at
+    r = i - q c: a diagonal's R_kk there is (1 - r/q) x_c + (r/q) x_{c+1},
+    and ``slot_lo``, ``slot_hi`` are those two weights times ``qup``, so
+    that the line integrand Q_jk R_kk at the slots is two products with
+    the diagonal's nodes."""
 
     def __init__(self, systems, n: int, signs=None):
         sys = systems[0]
@@ -265,83 +266,76 @@ class _RSweeper:
         if spacing[0][0] != spacing[1][0]:  # only at the 1e-13 edge of a rational alpha
             spacing = [(2, 2.0 * self.alpha[k]) for k in (1, 2)]
         q = self.q = spacing[0][0]
-        if q == 1:  # alpha_k within 1e-13 of 0 or 1; the upsampled tables need q >= 2
+        if q == 1:  # alpha_k within 1e-13 of 0 or 1; the slot tables need q >= 2
             raise ValueError(
                 f"weight ratio |b1|/b2 = {-sys.b1 / sys.b2:.3g} (b1 = {sys.b1!r}, b2 = {sys.b2!r}) is beyond "
                 "the kernel march's reach: alpha_1 = b2/(b2 - b1) is within 1e-13 of 0 or 1")
-        # offsets[r, 2 l + part]: slot q l + r less node l, as np.interp
-        # subtracts them, for the real and the imaginary part
-        self.offsets = np.repeat((np.arange(q * n).reshape(n, q) / q - np.arange(n)[:, None]).T, 2, axis=1)
-        # row (s, k) holds Q_jk, j = 3 - k; its Q_kj is row (s, 3 - k)
-        self.qjk = np.array([[s.q21(grid), s.q12(grid)] for s in systems], dtype=complex)
-        # qup[s, k, r, j]: Q_jk at slot q j + r (zero past slot q N + 1)
-        self.qup = np.ascontiguousarray(self._upsampled(self.qjk, False)[1])
-        self.diff = self.qjk[..., 1:] - self.qjk[..., :-1]
+        # qjk[j, s, k]: Q_jk, j = 3 - k, at node j of potential s
+        self.qjk = np.ascontiguousarray(
+            np.array([[s.q21(grid), s.q12(grid)] for s in systems], dtype=complex).transpose(2, 0, 1))
+        stack = self.qjk.shape[1]
+        self.diff = self.qjk[1:] - self.qjk[:-1]
+        # qup[i, s, k]: Q_jk at slot i, np.interp of the nodes (zero past slot q N + 1)
+        slots, nodes = np.arange(q * n + 2) / q, np.arange(npts)
+        self.qup = np.zeros((q * npts, stack, 2), dtype=complex)
+        for s in range(stack):
+            for k in range(2):
+                values = self.qjk[:, s, k]
+                self.qup[: q * n + 2, s, k] = np.interp(slots, nodes, values,
+                                                        right=values[-1] + (values[-1] - values[-2]) / q)
+        # slot i's weights of the nodes c and c + 1 around it, as columns
+        place = np.arange(q * n + 2)
+        place = (place - q * np.minimum(place // q, n - 1)) / q
+        self.r_lo, self.r_hi = (1.0 - place)[:, None, None], place[:, None, None]
+        self.slot_lo, self.slot_hi = self.qup[: q * n + 2] * self.r_lo, self.qup[: q * n + 2] * self.r_hi
         # diagonal m's first line floor(q alpha_k m) and its weight, per k;
         # a rational alpha_k has integer steps, so only q = 2 has weights
         along = np.arange(npts)[:, None] * np.array([spacing[0][1], spacing[1][1]])
         lines = np.floor(along)
         self.bases = lines.astype(np.intp).tolist()
-        self.weights = (along - lines)[:, :, None]
+        self.weights = along - lines
         self.between = (along != lines).any(axis=1).tolist()
         # Q_jk(alpha_k x + alpha_j t) on diagonal m: cells floor(alpha_k m) + l, one weight
         shift = np.arange(npts)[:, None] * np.array([self.alpha[1], self.alpha[2]])
         whole = np.floor(shift)
         self.cells = whole.astype(np.intp).tolist()
-        self.fracs = (shift - whole)[:, :, None]
-        # per k: the source's c0, the line sums' coeff, the R_kk trapezoid's factor
+        self.fracs = shift - whole
+        # per row: the source's c0, the line sums' coeff, the end term's
+        # factor, and Q_kj times the R_kk trapezoid's factor and half of it
         b, alpha, h = self.b, self.alpha, self.h
-        self.c0 = _per_weight(lambda k, j: 1j * b[j] * b[k] / (b[j] - b[k]))
-        self.coeff = _per_weight(lambda k, j: -1j * b[j] * alpha[j] * h)
-        self.diag_coeff = _per_weight(lambda k, j: -1j * b[k] * h)
+
+        def per_weight(f):  # f(k, j), j = 3 - k, in every row (s, k) at every node
+            return np.full((npts, stack, 2), [f(1, 2), f(2, 1)])
+
+        self.c0 = per_weight(lambda k, j: 1j * b[j] * b[k] / (b[j] - b[k]))
+        self.coeff = per_weight(lambda k, j: -1j * b[j] * alpha[j] * h)
         self.end_half = (0.5 * self.coeff) * self.qjk
-        # K(x, 0) B^{-1} (1, sigma)^T = 0: K_kk(x, 0) = c_k K_jk(x, 0) per K row
+        qkj = self.qjk[..., ::-1]
+        self.qkj = per_weight(lambda k, j: -1j * b[k] * h) * qkj
+        self.diag_half = per_weight(lambda k, j: -0.5j * b[k] * h) * qkj
+        # the recurrence solving the end-term coupling along a diagonal
+        d = self.diag_half * self.end_half
+        growth = np.ones(d.shape, dtype=complex)
+        growth[1:] = (1.0 + d[:-1]) / (1.0 - d[1:])
+        np.cumprod(growth, axis=0, out=growth)
+        self.growth, self.scale = growth, 1.0 / ((1.0 - d) * growth)
+        # K(x, 0) B^{-1} (1, sigma)^T = 0: K_kk(x, 0) = c_k K_jk(x, 0) per K
+        # row, and per diagonal the end-term factors and denominator of its
+        # start value (none on diagonal 0)
         sigma = np.array(signs[self.k_rows], dtype=float)[:, None]
         self.couple = sigma * -np.array([b[1] / b[2], b[2] / b[1]])
+        e = self.end_half[:, self.k_rows]
+        self.start_ends = e[..., ::-1].copy()
+        self.start_denoms = np.repeat(1.0 - e[..., :1] * e[..., 1:], 2, axis=-1)
 
     def _source_rows(self, m: int) -> np.ndarray:
         """Q_jk(alpha_k x + alpha_j t) at the nodes of diagonal m, every row
-        (S, 2, N+1-m); the R_jk equation's source term is c0 times it."""
+        (N+1-m, S, 2); the R_jk equation's source term is c0 times it."""
         top = self.n - m
         if not m:  # diagonal 0 ends on the last node, read from the end cell
             return _lerp_clamped(self.qjk, 0, self.n, np.arange(top + 1), 0.0)
         cells = self.cells[m]
-        return _rows_at(self.qjk, cells, (top + 1,)) + self.fracs[m] * _rows_at(self.diff, cells, (top + 1,))
-
-    def _recurrence(self):
-        """Per row: the R_kk trapezoid's half weights (its factor times Q_kj)
-        and the growth and scale of the recurrence solving its end-term
-        coupling along a diagonal."""
-        b, h = self.b, self.h
-        diag_half = _per_weight(lambda k, j: -0.5j * b[k] * h) * self.qjk[:, ::-1]
-        d = diag_half * self.end_half
-        growth = np.ones(d.shape, dtype=complex)
-        growth[..., 1:] = (1.0 + d[..., :-1]) / (1.0 - d[..., 1:])
-        np.cumprod(growth, axis=-1, out=growth)
-        return diag_half, growth, 1.0 / ((1.0 - d) * growth)
-
-    def _upsampled(self, x: np.ndarray, between: bool) -> tuple:
-        """Rows ``x`` (S, 2, top + 1) at nodes 0..top, a diagonal's R_kk or
-        the grid's Q_jk, linearly interpolated at the slots i/q as np.interp
-        does it, bit for bit: a table (S, 2, q, top + 2) whose column c
-        holds the slots q (c - 1) + r (of column 0 only slot -1, set with
-        ``between``; of the last column only slots q top and q top + 1, the
-        rest zero), and its columns 1.. as a view.  A slot between nodes l
-        and l + 1 is the real and imaginary parts of x[l] plus its offset
-        from l times those of x[l + 1] - x[l]; a slot past either end is on
-        the end cell's line."""
-        q = self.q
-        top = x.shape[-1] - 1
-        table = np.zeros(x.shape[:2] + (q, top + 2), dtype=complex)
-        rup = table[..., 1:]
-        rup[..., 0, :] = x
-        inner = rup.view(float)[..., 1:, : 2 * top]
-        np.multiply((x[..., 1:] - x[..., :-1]).view(float)[..., None, :], self.offsets[1:, : 2 * top], out=inner)
-        inner += x.view(float)[..., None, : 2 * top]
-        np.add(x[..., top], (x[..., top] - x[..., top - 1]) / q, out=rup[..., 1, top])
-        if between:
-            np.subtract(x[..., 0], (x[..., 1] - x[..., 0]) / q, out=table[..., q - 1, 0])
-        return table, rup
+        return _rows_at(self.qjk, cells, top + 1) + self.fracs[m] * _rows_at(self.diff, cells, top + 1)
 
     def _start(self, m: int, a0: np.ndarray) -> np.ndarray:
         """K_kk(x_m, 0) of every K row (S_K, 2) from the right-hand sides
@@ -351,10 +345,25 @@ class _RSweeper:
         and x_2 = (c_2 a_1 + e_1 a_2) / (1 - e_1 e_2), as c_1 c_2 = 1."""
         start = self.couple * a0[:, ::-1]
         if m:
-            e = self.end_half[self.k_rows, :, m]
-            start += e[:, ::-1] * a0
-            start /= (1.0 - e[:, 0] * e[:, 1])[:, None]
+            start += self.start_ends[m] * a0
+            start /= self.start_denoms[m]
         return start
+
+    def _at_slots(self, m: int, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> None:
+        """lo_i x_c + hi_i x_{c+1} at the slots i = 0..q top + 1 of diagonal
+        m into ``out`` (q top + 2, S, 2), x the diagonal's nodes (top + 1,
+        S, 2) and lo, hi tables over the grid's slots: slot i of the
+        diagonal is slot q m + i of the grid, in the cell of the nodes c, c
+        + 1 of the diagonal, c = min(floor(i/q), top - 1)."""
+        q, n = self.q, self.n
+        top = x.shape[0] - 1
+        body = out[: q * top].reshape((top, q) + x.shape[1:])
+        grid = (top, q) + lo.shape[1:]
+        np.multiply(lo[q * m : q * n].reshape(grid), x[:-1, None], out=body)
+        body += hi[q * m : q * n].reshape(grid) * x[1:, None]
+        tail = out[q * top :]  # slots q top and q top + 1, on the last cell
+        np.multiply(lo[q * n :], x[-2], out=tail)
+        tail += hi[q * n :] * x[-1]
 
     def sweep(self, kernels, solve: bool, finished=None) -> np.ndarray:
         """``walk`` with the C-contiguous arrays ``kernels``, one per kernel
@@ -369,12 +378,13 @@ class _RSweeper:
         ramp = np.arange(self.n + 1)
 
         def diagonal(m, state):
-            nodes = _PLANES[:, :, None] + 4 * (starts[m:] + ramp[: self.n + 1 - m])
-            for flat, rows in zip(flats, state):
-                if solve:
+            nodes = _PLANES[:, :, None] + 4 * (starts[m:] + ramp[: self.n + 1 - m])  # [part, k, l]
+            if solve:  # one copy of the state into the nodes' order, and contiguous scatters
+                for flat, rows in zip(flats, np.ascontiguousarray(state.transpose(2, 0, 3, 1))):
                     flat[nodes] = rows
-                else:
-                    np.take(flat, nodes, out=rows)
+            else:
+                for s, flat in enumerate(flats):
+                    state[:, :, s] = flat[nodes].transpose(0, 2, 1)
             if finished is not None:
                 finished(m)
 
@@ -383,7 +393,7 @@ class _RSweeper:
     def walk(self, diagonal, solve: bool) -> np.ndarray:
         """One pass over the diagonals m = 0..N of every row, which trades
         each diagonal with the caller: ``diagonal(m, state)`` gets the state
-        (S, 2, 2, N+1-m), indexed [row, (R_kk, R_jk), k, l] for the nodes
+        (2, N+1-m, S, 2), indexed [(R_kk, R_jk), l, row, k] for the nodes
         (m + l, l), once the march has solved it, and must fill it in for
         the check.  Returns, per row (S, 2), the largest R_kk defect, R_jk
         defect and |R| (the last for ``solve`` only) over its nodes, as an
@@ -407,83 +417,91 @@ class _RSweeper:
         Otherwise (the check) both are read, and R_jk's right-hand side is
         compared with it.  Either way the diagonal's R_kk defect is its
         start value plus the exact-node trapezoid of Q_kj R_jk along the
-        diagonal less R_kk, and the R_kk row's line integrand then joins
-        the sums."""
+        diagonal less R_kk, and the lines base + i, i = 0..q top + 1, then
+        add the integrand Q_jk R_kk where they cross the diagonal, at
+        (i - w)/q: at slot i (``_at_slots``), or between slots i - 1 and i
+        with weight w."""
         n, q = self.n, self.q
         npts = n + 1
-        stack = self.qjk.shape[0]
+        stack = self.qjk.shape[1]
         ks = self.k_rows
-        qkj = self.qjk[:, ::-1].copy()
-        if solve:
-            diag_half, growth, scale = self._recurrence()
-        sums = np.zeros((stack, 2, q * n + 2), dtype=complex)  # line qN + 1 is read with weight 0 only
+        sums = np.zeros((q * n + 2, stack, 2), dtype=complex)  # line qN + 1 is read with weight 0 only
         # per diagonal and row: R_kk defect, R_jk defect, max |R|
-        worst = np.zeros((3, npts, stack, 2))
+        worst = np.zeros((npts, 3, stack, 2))
+        kept = worst[:, ::2] if solve else worst[:, :2]
         for m in range(npts):
             top = n - m
+            size = top + 1
             bases, w, between = self.bases[m], self.weights[m], self.between[m]
-            lines = _rows_at(sums, bases, (top + 1,), (q,))
+            lines = _rows_at(sums, bases, size, q)
             if between:
-                lines = lines + w * (_rows_at(sums, [base + 1 for base in bases], (top + 1,), (q,)) - lines)
-            a = self.c0 * self._source_rows(m) + self.coeff * lines
+                lines = lines + w * (_rows_at(sums, [base + 1 for base in bases], size, q) - lines)
+            a = self.c0[:size] * self._source_rows(m)
+            a += self.coeff[:size] * lines
             if self.has_k:
-                start = self._start(m, a[ks, :, 0])
-            state = np.empty((stack, 2, 2, top + 1), dtype=complex)  # [s, (R_kk, R_jk), k, l]
-            x, y = state[:, 0], state[:, 1]
+                start = self._start(m, a[0, ks])
+            state = np.empty((2, size, stack, 2), dtype=complex)  # [(R_kk, R_jk), l, s, k]
+            x, y = state
+            # per node: the R_kk defect, and max(|R_kk|, |R_jk|) or the R_jk defect
+            per_node = np.empty((size, 2, stack, 2))
             if solve:  # R: x[0] = 0, a path of one point
-                pa = diag_half[..., m:] * a
-                x[..., 0] = 0.0
-                acc = pa[..., :-1] + pa[..., 1:]
+                pa = self.diag_half[m:] * a
+                x[0, : ks.start] = 0.0
+                acc = pa[:-1] + pa[1:]
                 if m:
-                    acc *= scale[..., m + 1 :]
+                    acc *= self.scale[m + 1 :]
                 if self.has_k:  # K: x[0] = start, entering the sum as start / growth[m]
-                    x[ks, :, 0] = start
+                    x[0, ks] = start
                     if top:
-                        acc[ks, :, 0] += start / growth[ks, :, m] if m else start
+                        acc[0, ks] += start / self.growth[m, ks] if m else start
                 if m:
-                    np.multiply(growth[..., m + 1 :], np.add.accumulate(acc, axis=-1), out=x[..., 1:])
-                    np.multiply(self.end_half[..., m:], x, out=y)
+                    np.multiply(self.growth[m + 1 :], np.add.accumulate(acc, axis=0), out=x[1:])
+                    np.multiply(self.end_half[m:], x, out=y)
                     y += a
                 else:
-                    np.add.accumulate(acc, axis=-1, out=x[..., 1:])
+                    np.add.accumulate(acc, axis=0, out=x[1:])
                     y[...] = a
                 diagonal(m, state)
-                np.maximum.reduce(np.abs(state), axis=(1, 3), out=worst[2, m])
+                size_kk, size_jk = np.abs(state)
+                np.maximum(size_kk, size_jk, out=per_node[:, 1])
             else:
                 diagonal(m, state)
-                rjk = a + self.end_half[..., m:] * x if m else a
+                rjk = a + self.end_half[m:] * x if m else a
                 rjk -= y
-                np.maximum.reduce(np.abs(rjk), axis=-1, out=worst[1, m])
-            g = qkj[..., m:] * y
-            update = np.add.accumulate(g, axis=-1)
-            g += g[..., :1]
+                np.abs(rjk, out=per_node[:, 1])
+            g = self.qkj[m:] * y
+            update = np.add.accumulate(g, axis=0)
+            g += g[:1]
             g *= 0.5
             update -= g
-            update *= self.diag_coeff
             update -= x
             if self.has_k:
-                update[ks] += start[..., None]
-            np.maximum.reduce(np.abs(update), axis=-1, out=worst[0, m])
+                update[:, ks] += start
+            np.abs(update, out=per_node[:, 0])
+            np.maximum.reduce(per_node, axis=0, out=kept[m])
             if m == n:
                 break
-            # the lines base + i, i = 0..q*top + 1, cross diagonal m at
-            # (i - w)/q: Q_jk and R_kk upsampled by q, between slots i - 1 and i
-            table, rup = self._upsampled(x, between)
-            qs = self.qup[..., m : m + top + 1]
-            if between:  # q = 2
-                wr = w[..., None]
-                f = qs + wr * (_previous_slot(self.qup, m, top + 1) - qs)
-                f *= rup + wr * (_previous_slot(table, 1, top + 1) - rup)
+            f = np.empty((q * top + 2, stack, 2), dtype=complex)
+            if between:  # q = 2: R_kk and Q_jk between slots i - 1 and i
+                r = np.empty((q * top + 3, stack, 2), dtype=complex)
+                self._at_slots(m, x, self.r_lo, self.r_hi, r[1:])
+                np.subtract(x[0], (x[1] - x[0]) / q, out=r[0])  # slot -1, on the first cell
+                qs = self.qup[q * m : q * (m + top) + 2]
+                np.subtract(self.qup[q * m - 1 : q * (m + top) + 1], qs, out=f)
+                f *= w
+                f += qs
+                rw = r[:-1] - r[1:]
+                rw *= w
+                rw += r[1:]
+                f *= rw
             else:
-                f = qs * rup
+                self._at_slots(m, x, self.slot_lo, self.slot_hi, f)
             if not m:
                 f *= 0.5
-            # the slots q l + r of the columns l < top, then slots q top and q top + 1
-            body = _rows_at(sums, bases, (q, top), (1, q))
-            np.add(f[..., :top], body, out=body)
-            tail = _rows_at(sums, [base + q * top for base in bases], (2,))
-            np.add(f[..., :2, top], tail, out=tail)
-        return worst.max(axis=1)
+            for k, base in enumerate(bases):  # one weight at a time: an add into a _rows_at view copies it first
+                body = sums[base : base + q * top + 2, :, k]
+                body += f[:, :, k]
+        return worst.max(axis=0)
 
 
 def _certified(worst: np.ndarray, signs, tol: float) -> list:
@@ -703,18 +721,17 @@ def _kernel_traces(systems, n: int, p=None, tol: float = DEFAULT_TOL):
     rows = [sys for sys in systems for _ in (1, -1)]
     signs = [1, -1] * len(systems)
     sums = _MixedSums((len(systems) // 2, 2), n, p) if p is not None else None
-    ends = np.empty((len(rows), 2, 2, n + 1), dtype=complex)  # [row, (K_kk, K_jk), k, t] at x = 1
+    ends = np.empty((n + 1, 2, len(rows), 2), dtype=complex)  # [t, (K_kk, K_jk), row, k] at x = 1
 
     def keep(m, state):
-        ends[..., n - m] = state[..., -1]
+        ends[n - m] = state[:, -1]
         if sums is not None:
-            pairs = state.reshape((-1, 2, 2) + state.shape[1:])  # [pair, potential, sign, part, k, l]
-            diff = pairs[:, 0] - pairs[:, 1]
-            sums.add(m, diff)
+            pairs = state.reshape(state.shape[:2] + (-1, 2, 2, 2))  # [part, l, pair, potential, sign, k]
+            sums.add(m, pairs[:, :, :, 0] - pairs[:, :, :, 1])
 
     worst = _RSweeper(rows, n, signs).walk(keep, solve=True)
     _certified(worst, signs, tol)
-    traces = [np.ascontiguousarray(row.transpose(2, 0, 1)) for row in ends[:, _PART, _COLUMN]]
+    traces = list(ends.transpose(2, 0, 1, 3)[:, :, _PART, _COLUMN])
     deviations = np.stack(sums.norms(), axis=-1).max(axis=1) if sums is not None else np.empty((0, 2))
     return list(zip(traces[0::2], traces[1::2])), deviations
 

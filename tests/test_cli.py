@@ -317,6 +317,21 @@ class TestRunTasks:
         for name in ("kernel_r.bin", "kernel_kplus.bin", "kernel_kminus.bin", "kernels.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_stability_stage_timings(self, tmp_path):
+        # the window, the march, the pairing and the eigenfunctions are
+        # timed apart, in the manifest only
+        cfg = write_config(tmp_path, {"system": {"b1": -1.0, "b2": 2.0}, "bc": {"canonical": [0.5, 1, 1, 0.5]},
+                                      "n": 64, "n_max": 5, "pairs": 2, "p": 2.0, "r": 1.0, "seed": 11})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["stability", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["stability", "--config", cfg, "--out", str(out2)]) == 0
+        timings = json.loads((out1 / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"window_s", "march_s", "pairing_s", "eigenfunctions_s", "total_s"}
+        stages = [timings[key] for key in ("window_s", "march_s", "pairing_s", "eigenfunctions_s")]
+        assert min(stages) > 0.0 and sum(stages) <= timings["total_s"]
+        for name in ("stability.csv", "stability_rows.csv", "stability.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("b1", [-1e-13, -1e-16])

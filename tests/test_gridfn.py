@@ -212,7 +212,7 @@ class TestXNorm:
             u = np.vstack([u, np.eye(2)])
             img = np.einsum("ab,mb->ma", a, u)
             brute = ((np.abs(img) ** p).sum(axis=1) ** (1.0 / p)).max()
-            one_p, inf_p = _node_powers(a[_PART, _COLUMN, None], p)
+            one_p, inf_p = _node_powers(a[_PART, _COLUMN][:, None], p)
             closed = one_p[0] ** (1.0 / p)
             assert abs(brute - closed) <= 1e-9 * closed
             # |A|_{p'->inf}: sup over the l^{p'} sphere, attained at the

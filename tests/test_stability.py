@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracbvp.boundary import BoundaryConditions
-from diracbvp.gridfn import SampledFunction
+from diracbvp import stability
+from diracbvp.boundary import BoundaryConditions, canonicalize
+from diracbvp.gridfn import SampledFunction, lp_norm
 from diracbvp.ode import DiracSystem
 from diracbvp.spectrum import zeros_deltaQ
 from diracbvp.stability import (
@@ -181,6 +183,49 @@ class TestEigenfunctionDeviation:
         assert tail < head
 
 
+def per_entry_eigenfunction_rows(wa, wb, funcs_a, funcs_b, s_norm):
+    """Reference for the eigenfunction report's rows and skipped indices:
+    one entry at a time, each norm by ``lp_norm``."""
+    rows, skipped = [], []
+    for ea, eb, fa, fb in zip(wa.entries, wb.entries, funcs_a, funcs_b):
+        norm_a = lp_norm(SampledFunction(fa), s_norm)
+        norm_b = lp_norm(SampledFunction(fb), s_norm)
+        scale = float(max(np.abs(fa).max(), np.abs(fb).max(), 1e-30))
+        if norm_a < 1e-8 * scale or norm_b < 1e-8 * scale:
+            rows.append((ea.n, math.nan, "vanishing_norm"))
+            skipped.append(ea.n)
+            continue
+        dev = float(np.abs(fa / norm_a - fb / norm_b).max())
+        rows.append((ea.n, dev, "ok" if (ea.verified and eb.verified) else "unverified"))
+    return rows, skipped
+
+
+class TestEigenfunctionReport:
+    @pytest.mark.parametrize("s_norm", [2.0, math.inf])
+    def test_array_passes_match_the_per_entry_loop(self, s_norm, monkeypatch):
+        # the report's norms, vanishing-norm test and deviations over all
+        # entries at once give the per-entry loop's rows bit for bit, with
+        # one entry of vanishing norm and one unverified on one side
+        n = 64
+        bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
+        [(qa, qb)] = PotentialBallSampler(2.0, 1.0, seed=11).pairs(1, -1.0, 2.0, n)
+        wa, wb, _ = stability._pair_spectra(qa, qb, bc, 5, n)
+        assert all(e.verified for e in wa.entries + wb.entries)
+        wb = dataclasses.replace(wb, entries=(dataclasses.replace(wb.entries[0], verified=False),) + wb.entries[1:])
+        canonical = canonicalize(bc)
+        funcs = {id(wa): _eigenfunctions(qa, canonical, wa, n), id(wb): _eigenfunctions(qb, canonical, wb, n)}
+        funcs[id(wa)][4] = 0.0
+        monkeypatch.setattr(stability, "_eigenfunctions", lambda sys, canonical, window, n_grid: funcs[id(window)])
+        report = stability._eigenfunction_report(qa, qb, bc, wa, wb, 2.0, s_norm, n, 0.5)
+        rows, skipped = per_entry_eigenfunction_rows(wa, wb, funcs[id(wa)], funcs[id(wb)], s_norm)
+        exact = lambda report_rows: [(nn, repr(float(d)), flag) for nn, d, flag in report_rows]  # noqa: E731
+        assert exact(report.rows) == exact(rows)
+        assert report.detail == {"skipped": skipped, "s_norm": s_norm}
+        assert [flag for _, _, flag in rows].count("vanishing_norm") == 1 and skipped == [wa.entries[4].n]
+        assert rows[0][2] == "unverified"
+        assert sum(flag == "ok" for _, _, flag in rows) == len(rows) - 2
+
+
 def rep_lam0(rep, nn):
     # helper: second-branch detection needs lam0; recover from detail-free
     # rows by the separated-structure of the test bc (b2 = 2)
@@ -255,7 +300,7 @@ class TestBallExperiment:
         marches = []  # rows per march
         walk = transformop._RSweeper.walk
         monkeypatch.setattr(transformop._RSweeper, "walk",
-                            lambda self, diagonal, solve: marches.append(len(self.qjk)) or walk(self, diagonal, solve))
+                            lambda self, diagonal, solve: marches.append(self.qjk.shape[1]) or walk(self, diagonal, solve))
         bc = BoundaryConditions.from_canonical(0.5, 1.0, 1.0, 0.5)
         n, n_max, p = 64, 5, 2.0
         rows, _ = run_ball_experiment(PotentialBallSampler(p, 1.0, seed=11), bc, 2, n_max, p, n_grid=n, b1=-1.0, b2=2.0)

@@ -106,7 +106,7 @@ def offdiagonal_defect(sweeper, rd, k):
 
 def q_nodes(sweeper):
     """Q_jk on the grid, keyed (j, k), of a sweeper's first potential."""
-    return {(2, 1): sweeper.qjk[0, 0], (1, 2): sweeper.qjk[0, 1]}
+    return {(2, 1): sweeper.qjk[:, 0, 0], (1, 2): sweeper.qjk[:, 0, 1]}
 
 
 def gather_linear(values, base, offsets):
@@ -128,8 +128,8 @@ def explicit_planes(sweeper):
     for k in (1, 2):
         plane = np.zeros((npts, npts), dtype=complex)
         for m in range(npts):
-            plane[m, : npts - m] = sweeper._source_rows(m)[0, k - 1]
-        planes[(3 - k, k)] = sweeper.c0[k - 1, 0] * plane
+            plane[m, : npts - m] = sweeper._source_rows(m)[:, 0, k - 1]
+        planes[(3 - k, k)] = sweeper.c0[0, 0, k - 1] * plane
     return planes
 
 
@@ -424,18 +424,18 @@ class TestSolveR:
     @pytest.mark.parametrize("n", [8, 9, 64])
     @pytest.mark.parametrize("b", WEIGHT_PAIRS + ((-1.0, 7.0),), ids=lambda b: f"b=({b[0]:g},{b[1]:.4g})")
     def test_upsampled_potential_is_np_interp(self, b, n):
-        # qup[s, k, r, j] holds Q_jk at slot i = q j + r, i/q grid units:
+        # qup[i, s, k] holds Q_jk at slot i, i/q grid units:
         # bitwise np.interp of the grid row there, slot q N + 1 extrapolated
         # from the end cell and the slots past it zero
         sweeper = transformop._RSweeper([smooth_potential(69, n, *b, l1_norm=0.8)], n)
         q = sweeper.q
         slots = np.arange(q * n + 2) / q
         for k in (1, 2):
-            values = sweeper.qjk[0, k - 1]
+            values = sweeper.qjk[:, 0, k - 1]
             want = np.zeros(q * (n + 1), dtype=complex)
             want[: q * n + 2] = np.interp(slots, np.arange(n + 1), values,
                                           right=values[-1] + (values[-1] - values[-2]) / q)
-            assert sweeper.qup[0, k - 1].T.tobytes() == want.tobytes()
+            assert sweeper.qup[:, 0, k - 1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [(-1.0, 1.0), (-1.0, 2.0), (-2.0, 1.0), (-1.0, 3.0)])
     def test_line_sums_match_per_node_paths(self, b, rng):
